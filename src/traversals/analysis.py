@@ -8,7 +8,10 @@ throughout; corner contact counts as a jump.
 
 Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
-audit follows the box geometry of the underlying tiling.
+audit follows the box geometry of the underlying tiling.  Section
+component counts come from one offline sweep over the path (see
+:class:`SectionAuditor`), exact for every section at
+O((n·d + Q) log n) for n points and Q sections.
 """
 
 from __future__ import annotations
@@ -17,18 +20,13 @@ import array
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import Path, generate_full_path
 from .generators import gen_base_pattern
 from .notation import SignedPermutation, TraversalDefinition
 
-try:  # compiled kernel, with a pure-Python twin as fallback
-    from . import _sections as _kernel  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _sections_py as _kernel
-
-KERNEL_BACKEND = _kernel.BACKEND
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "PropertyReport",
@@ -122,9 +120,10 @@ def adjacency_profile(path: Path) -> AdjacencyProfile:
 class SectionAuditor:
     """Prepared component-count queries over one path.
 
-    Builds the cell table and face-adjacency structure once; individual
-    sections are then counted by the compiled kernel (or its Python
-    fallback).  Repeated visits to one cell collapse onto one node.
+    Builds the cell table and face-adjacency structure once; each call
+    to :meth:`counts` then answers all its sections in one offline sweep
+    over the path positions.  Repeated visits to one cell collapse onto
+    one node.
     """
 
     def __init__(self, path: Path):
@@ -163,12 +162,182 @@ class SectionAuditor:
                 raise ValueError(f"section ({lo}, {hi}) out of range")
             a.append(lo)
             b.append(hi)
-        return _kernel.section_component_counts(
-            self._cell_of_pos, self._indptr, self._adj, a, b, self.n_cells
-        )
+        return _section_counts(self._cell_of_pos, self._indptr, self._adj, a, b)
 
     def count(self, a: int, b: int) -> int:
         return self.counts([(a, b)])[0]
+
+
+def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
+    """Component counts of the sections [a, b] by one sweep over b.
+
+    The vertices are path positions.  Position b gets an edge to the
+    previous visit of its cell and, for each face-adjacent cell visited
+    since then, to that cell's last visit; an edge's weight is its lower
+    end.  Within any section these edges connect the positions exactly
+    as face adjacency connects their cells, with O(d) edges per position
+    even on paths that revisit cells.  A link-cut tree (Sleator & Tarjan,
+    1983) keeps F_b, a maximum spanning forest of the edges whose upper
+    end is at most b.  The edges of F_b of weight >= a then span the
+    section [a, b], which therefore has
+    (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
+    tree counts F_b's edges by weight.
+    """
+    n = len(cell_of_pos)
+    n_sections = len(sections_a)
+    # sections bucketed by upper end, as one linked list per position
+    first = array.array("i", [-1]) * n
+    after = array.array("i", bytes(4 * n_sections))
+    for s in range(n_sections):
+        after[s] = first[sections_b[s]]
+        first[sections_b[s]] = s
+
+    # Link-cut tree: position p is node p + 1, forest edges take nodes
+    # n + 1 .. 2n - 1, node 0 is null.  key is an edge's weight (n for
+    # the other nodes); low[x] is the least-key node of x's splay
+    # subtree; up is the splay parent or, at a splay root, the path
+    # parent; flip marks a subtree whose left and right are swapped.
+    size = 2 * n
+    left = array.array("i", bytes(4 * size))
+    right = array.array("i", bytes(4 * size))
+    up = array.array("i", bytes(4 * size))
+    flip = bytearray(size)
+    key = array.array("i", [n]) * size
+    low = array.array("i", range(size))
+
+    def pull(x):
+        m = x
+        y = low[left[x]]
+        if key[y] < key[m]:
+            m = y
+        y = low[right[x]]
+        if key[y] < key[m]:
+            m = y
+        low[x] = m
+
+    def rotate(x):
+        p = up[x]
+        g = up[p]
+        if left[g] == p:
+            left[g] = x
+        elif right[g] == p:
+            right[g] = x
+        up[x] = g
+        if left[p] == x:
+            c = right[x]
+            left[p] = c
+            right[x] = p
+        else:
+            c = left[x]
+            right[p] = c
+            left[x] = p
+        if c:
+            up[c] = p
+        up[p] = x
+        pull(p)
+
+    def splay(x):
+        chain = [x]
+        y = x
+        while True:
+            p = up[y]
+            if left[p] != y and right[p] != y:
+                break
+            chain.append(p)
+            y = p
+        for y in reversed(chain):  # push pending flips down to x
+            if flip[y]:
+                l = left[y]
+                r = right[y]
+                left[y] = r
+                right[y] = l
+                flip[l] ^= 1
+                flip[r] ^= 1
+                flip[y] = 0
+        while True:
+            p = up[x]
+            if left[p] != x and right[p] != x:
+                break
+            g = up[p]
+            if left[g] == p or right[g] == p:
+                rotate(p if (left[g] == p) == (left[p] == x) else x)
+            rotate(x)
+        pull(x)
+
+    def evert(x):  # make x the root of its tree, at the root of its splay tree
+        last = 0
+        y = x
+        while y:
+            splay(y)
+            right[y] = last
+            pull(y)
+            last = y
+            y = up[y]
+        splay(x)
+        flip[x] ^= 1
+
+    # union-find over positions: the components of F_b, which a swap of
+    # one forest edge for another never changes
+    comp = array.array("i", range(n))
+    fenwick = array.array("i", bytes(4 * (n + 1)))  # forest edges by weight
+    forest = 0
+    spare = n + 1  # next unused edge node
+    last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
+    out = array.array("i", bytes(4 * n_sections))
+    for b in range(n):
+        c = cell_of_pos[b]
+        prev = last_visit[c]
+        last_visit[c] = b
+        lower = [prev] if prev >= 0 else []
+        for k in range(indptr[c], indptr[c + 1]):
+            q = last_visit[adj[k]]
+            if q > prev:
+                lower.append(q)
+        v = b + 1
+        for q in lower:
+            u = q + 1
+            r = q
+            while comp[r] != r:
+                comp[r] = r = comp[comp[r]]
+            if r != b:  # b's root is b itself until its first edge
+                comp[r] = b
+                e = spare
+                spare += 1
+                forest += 1
+            else:
+                evert(u)
+                evert(v)  # the splay tree of v is now the path v..u
+                e = low[v]
+                w = key[e]
+                if w >= q:
+                    continue
+                splay(e)
+                up[left[e]] = up[right[e]] = 0
+                left[e] = right[e] = 0
+                i = w + 1
+                while i <= n:
+                    fenwick[i] -= 1
+                    i += i & -i
+            key[e] = q
+            low[e] = e
+            up[e] = u
+            evert(v)
+            up[v] = e
+            i = q + 1
+            while i <= n:
+                fenwick[i] += 1
+                i += i & -i
+        s = first[b]
+        while s >= 0:
+            a = sections_a[s]
+            count = b - a + 1 - forest
+            i = a
+            while i:
+                count += fenwick[i]
+                i -= i & -i
+            out[s] = count
+            s = after[s]
+    return out
 
 
 def component_count(path: Path, a: int, b: int) -> int:
@@ -176,21 +345,21 @@ def component_count(path: Path, a: int, b: int) -> int:
     return SectionAuditor(path).count(a, b)
 
 
+def _seeded_sections(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
+    """``count`` sections (a, b), 0 <= a <= b < n, drawn from ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        yield (a, b) if a <= b else (b, a)
+
+
 def section_component_audit(
     path: Path, n_sections: int, seed: int
 ) -> tuple[int, int]:
     """Max and total component count over seeded random sections."""
     auditor = SectionAuditor(path)
-    rng = random.Random(seed)
-    n = auditor.length
-    sections = []
-    for _ in range(n_sections):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a > b:
-            a, b = b, a
-        sections.append((a, b))
-    counts = auditor.counts(sections)
+    counts = auditor.counts(_seeded_sections(auditor.length, n_sections, seed))
     return max(counts), sum(counts)
 
 
@@ -381,12 +550,7 @@ def max_bbox_ratio(
                 if r > best:
                     best = r
     else:
-        rng = random.Random(seed)
-        for _ in range(max_section_count):
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            if a > b:
-                a, b = b, a
+        for a, b in _seeded_sections(n, max_section_count, seed):
             lo = list(cells[a])
             hi = list(cells[a])
             for k in range(a, b + 1):

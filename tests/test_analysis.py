@@ -1,5 +1,7 @@
 """Property checks against the claimed behaviour of each family."""
 
+import array
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,22 +103,68 @@ def test_auditor_counts_duplicate_cells_once():
     assert auditor.count(1, 2) == 1
 
 
-def test_kernel_backends_agree():
-    from traversals import _sections_py
+def union_find_counts(auditor, sections):
+    """The stamped union-find the sweep replaced, kept as its oracle."""
+    cell_of_pos = auditor._cell_of_pos
+    indptr = auditor._indptr
+    adj = auditor._adj
+    sections_a = [a for a, _ in sections]
+    sections_b = [b for _, b in sections]
+    n_cells = auditor.n_cells
+    parent = [0] * n_cells
+    stamp = [-1] * n_cells
+    out = array.array("i", bytes(4 * len(sections_a)))
+    for sec in range(len(sections_a)):
+        a = sections_a[sec]
+        b = sections_b[sec]
+        comps = 0
+        for p in range(a, b + 1):
+            c = cell_of_pos[p]
+            if stamp[c] == sec:
+                continue
+            stamp[c] = sec
+            parent[c] = c
+            comps += 1
+            for idx in range(indptr[c], indptr[c + 1]):
+                nb = adj[idx]
+                if stamp[nb] != sec:
+                    continue
+                r1 = c
+                while parent[r1] != r1:
+                    parent[r1] = parent[parent[r1]]
+                    r1 = parent[r1]
+                r2 = nb
+                while parent[r2] != r2:
+                    parent[r2] = parent[parent[r2]]
+                    r2 = parent[r2]
+                if r1 != r2:
+                    parent[r1] = r2
+                    comps -= 1
+        out[sec] = comps
+    return out
 
-    p = path_of("z", 3, 3)
-    auditor = SectionAuditor(p)
-    sections = [(a, min(a + 37, auditor.length - 1)) for a in range(0, 400, 7)]
-    fast = auditor.counts(sections)
-    slow = _sections_py.section_component_counts(
-        auditor._cell_of_pos,
-        auditor._indptr,
-        auditor._adj,
-        __import__("array").array("i", [a for a, _ in sections]),
-        __import__("array").array("i", [b for _, b in sections]),
-        auditor.n_cells,
-    )
-    assert list(fast) == list(slow)
+
+def test_section_sweep_matches_union_find():
+    # every section of the multi-visit simplex paths and small cube paths
+    exhaustive = [
+        generate_full_path(builtin_fixed(name), 2, "corner")
+        for name in ("polya2d", "sub8", "palindromic_tetra", "prism3d", "meander2d")
+    ]
+    exhaustive += [path_of("maehara", 2, 3), path_of("hill-z", 2, 3),
+                   path_of("inside-out", 3, 2)]
+    for p in exhaustive:
+        auditor = SectionAuditor(p)
+        n = auditor.length
+        sections = [(a, b) for a in range(n) for b in range(a, n)]
+        assert auditor.counts(sections) == union_find_counts(auditor, sections)
+    # seeded sections of longer paths
+    rng = random.Random(20240601)
+    for kind in ("z", "gray", "maehara"):
+        auditor = SectionAuditor(path_of(kind, 3, 3))
+        n = auditor.length
+        sections = [tuple(sorted((rng.randrange(n), rng.randrange(n))))
+                    for _ in range(3000)]
+        assert auditor.counts(sections) == union_find_counts(auditor, sections), kind
 
 
 # -- palindromic --------------------------------------------------------
@@ -243,4 +291,4 @@ def test_report_line_format():
 
 
 def test_backend_is_reported():
-    assert KERNEL_BACKEND in ("cython", "python")
+    assert KERNEL_BACKEND == "python"
