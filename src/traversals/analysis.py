@@ -11,13 +11,17 @@ component counting collapses all visits of a box onto one node, so the
 audit follows the box geometry of the underlying tiling.  Section
 component counts come from one offline sweep over the path (see
 :class:`SectionAuditor`), exact for every section at
-O((n·d + Q) log n) for n points and Q sections.
+O((n·d + Q) log n) for n points and Q sections.  Section bounding
+boxes come from a second offline sweep that keeps a monotonic minimum
+and maximum stack per axis (see :func:`max_bbox_ratio`), exact at
+O(n·d + Q·d log n).
 """
 
 from __future__ import annotations
 
 import array
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -363,7 +367,7 @@ def section_component_audit(
     return max(counts), sum(counts)
 
 
-def _facet_pairs(depth_cells: int, d: int):
+def _facet_pairs(d: int):
     """Pairs of level-1 cells sharing a facet, as (low cell, axis)."""
     for low in range(2**d):
         bits = [(low >> j) & 1 for j in range(d)]
@@ -379,29 +383,27 @@ def palindromic_on_cells(
 
     For each facet between two level-1 cells, the visit sequences of the
     depth-level cells touching the facet from either side must be exact
-    reverses of each other, position by position across the facet.
+    reverses of each other, position by position across the facet.  One
+    pass over ``cells`` builds all the facet sequences.
     """
-    n_side = 2**depth  # cells per axis
-    half = n_side // 2
-    order = {c: k for k, c in enumerate(cells)}
+    half = 2**depth // 2  # cells per axis in one level-1 cell
+    # facet_seqs[level1 * d + axis]: the cells of level-1 cell `level1`
+    # on its facet across `axis` (coordinate half - 1 or half), in visit
+    # order and with that axis projected out
+    facet_seqs: list[list[tuple[int, ...]]] = [[] for _ in range(d << d)]
+    for c in cells:
+        level1 = 0
+        for j in range(d):
+            if c[j] >= half:
+                level1 |= 1 << j
+        for j in range(d):
+            if c[j] == half - 1 or c[j] == half:
+                facet_seqs[level1 * d + j].append(c[:j] + c[j + 1:])
 
-    def facet_sequence(level1: int, axis: int, side_high: bool):
-        sel = []
-        for c in cells:
-            in_cell = all(
-                (c[j] >= half) == bool((level1 >> j) & 1) for j in range(d)
-            )
-            if not in_cell:
-                continue
-            boundary = half - 1 if side_high else half
-            if c[axis] == boundary:
-                sel.append(tuple(x for j, x in enumerate(c) if j != axis))
-        return sel
-
-    for low, axis in _facet_pairs(len(cells), d):
+    for low, axis in _facet_pairs(d):
         high = low | (1 << axis)
-        sa = facet_sequence(low, axis, side_high=True)
-        sb = facet_sequence(high, axis, side_high=False)
+        sa = facet_seqs[low * d + axis]
+        sb = facet_seqs[high * d + axis]
         if sa != sb[::-1]:
             for k in range(len(sa)):
                 if sa[k] != sb[len(sb) - 1 - k]:
@@ -523,50 +525,70 @@ def max_bbox_ratio(
 ) -> Fraction:
     """Worst bounding-box volume per visited cell over curve sections.
 
-    All contiguous sections are scanned when the path has at most 512
+    All contiguous sections are checked when the path has at most 512
     points (or when ``max_section_count`` is None); longer paths are
-    sampled with the seeded generator.  Exact rational result.
+    sampled with the seeded generator.  Both go through one offline
+    sweep over the sections' upper ends (see :func:`_max_bbox_ratio`),
+    O(n·d + Q·d log n) time for n points, d axes and Q sections.  Exact
+    rational result.
     """
     w = path.cell_units
     cells = [tuple(x // w for x in p) for p in path.points]
     n = len(cells)
-    d = path.dimension
-    best = Fraction(0)
     if max_section_count is None or n <= 512:
-        for a in range(n):
-            lo = list(cells[a])
-            hi = list(cells[a])
-            for b in range(a, n):
-                c = cells[b]
-                for j in range(d):
-                    if c[j] < lo[j]:
-                        lo[j] = c[j]
-                    elif c[j] > hi[j]:
-                        hi[j] = c[j]
-                vol = 1
-                for j in range(d):
-                    vol *= hi[j] - lo[j] + 1
-                r = Fraction(vol, b - a + 1)
-                if r > best:
-                    best = r
-    else:
-        for a, b in _seeded_sections(n, max_section_count, seed):
-            lo = list(cells[a])
-            hi = list(cells[a])
-            for k in range(a, b + 1):
-                c = cells[k]
-                for j in range(d):
-                    if c[j] < lo[j]:
-                        lo[j] = c[j]
-                    elif c[j] > hi[j]:
-                        hi[j] = c[j]
+        return _max_bbox_ratio(cells, lambda b: range(b + 1))
+    # sampled sections bucketed by upper end, as one linked list per position
+    first = array.array("i", [-1]) * n
+    after = array.array("i")
+    lower = array.array("i")
+    for a, b in _seeded_sections(n, max_section_count, seed):
+        after.append(first[b])
+        first[b] = len(lower)
+        lower.append(a)
+
+    def sampled(b):
+        s = first[b]
+        while s >= 0:
+            yield lower[s]
+            s = after[s]
+
+    return _max_bbox_ratio(cells, sampled)
+
+
+def _max_bbox_ratio(cells, lower_ends) -> Fraction:
+    """Largest box volume / length over sections [a, b] of ``cells``.
+
+    ``lower_ends(b)`` gives the lower ends a of the sections whose upper
+    end is b.  Sweeps b along the path.  Per axis, two monotonic stacks
+    hold the positions p <= b whose coordinate is below (above) every
+    later one up to b; the box of [a, b] on that axis spans the
+    coordinates at the first stacked positions >= a, found by bisection.
+    O(n·d + Q·d log n) time and O(n·d) memory.  The best ratio is kept
+    as an integer pair and compared by cross-multiplying.
+    """
+    axes = [(coords, array.array("i"), array.array("i")) for coords in zip(*cells)]
+    best_vol, best_len = 0, 1
+    for b in range(len(cells)):
+        for coords, mins, maxs in axes:
+            x = coords[b]
+            while mins and coords[mins[-1]] >= x:
+                mins.pop()
+            mins.append(b)
+            while maxs and coords[maxs[-1]] <= x:
+                maxs.pop()
+            maxs.append(b)
+        for a in lower_ends(b):
             vol = 1
-            for j in range(d):
-                vol *= hi[j] - lo[j] + 1
-            r = Fraction(vol, b - a + 1)
-            if r > best:
-                best = r
-    return best
+            for coords, mins, maxs in axes:
+                vol *= (
+                    coords[maxs[bisect_left(maxs, a)]]
+                    - coords[mins[bisect_left(mins, a)]]
+                    + 1
+                )
+            length = b - a + 1
+            if vol * best_len > best_vol * length:
+                best_vol, best_len = vol, length
+    return Fraction(best_vol, best_len)
 
 
 def check_well_folded_rank(

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traversals.analysis import (
     KERNEL_BACKEND,
     SectionAuditor,
+    _seeded_sections,
     adjacency_profile,
     check_base_pattern,
     check_dominance,
@@ -20,7 +22,7 @@ from traversals.analysis import (
     max_bbox_ratio,
     section_component_audit,
 )
-from traversals.engine import generate_full_path
+from traversals.engine import Path, generate_full_path
 from traversals.generators import builtin_fixed, gen_z, generate
 
 
@@ -177,9 +179,13 @@ def test_palindromic_families(kind, d):
 
 
 def test_u_is_not_palindromic():
-    report = check_palindromic(generate("u", 2), 2)
-    assert report.verdict == "fails"
-    assert report.witness
+    report = check_palindromic(generate("u", 2), 2, kind="u")
+    assert report.line() == "palindromic u 2 2 fails 0 1 1 0"
+
+
+def test_harmonious_palindromic_witness():
+    report = check_palindromic(generate("harmonious", 3), 4, kind="harmonious")
+    assert report.line() == "palindromic harmonious 3 4 fails 0 2 2 0"
 
 
 # -- dominance ----------------------------------------------------------
@@ -264,6 +270,95 @@ def test_alfa_beta_bbox_bound():
 def test_z_bbox_ratio_exceeds_bound():
     p = path_of("z", 3, 2)
     assert max_bbox_ratio(p, None) > 4
+
+
+def point_scan_bbox_ratio(
+    path: Path,
+    max_section_count: int | None = 10000,
+    seed: int = 0,
+) -> Fraction:
+    """The point-by-point scan the bbox sweep replaced, kept as its oracle."""
+    w = path.cell_units
+    cells = [tuple(x // w for x in p) for p in path.points]
+    n = len(cells)
+    d = path.dimension
+    best = Fraction(0)
+    if max_section_count is None or n <= 512:
+        for a in range(n):
+            lo = list(cells[a])
+            hi = list(cells[a])
+            for b in range(a, n):
+                c = cells[b]
+                for j in range(d):
+                    if c[j] < lo[j]:
+                        lo[j] = c[j]
+                    elif c[j] > hi[j]:
+                        hi[j] = c[j]
+                vol = 1
+                for j in range(d):
+                    vol *= hi[j] - lo[j] + 1
+                r = Fraction(vol, b - a + 1)
+                if r > best:
+                    best = r
+    else:
+        for a, b in _seeded_sections(n, max_section_count, seed):
+            lo = list(cells[a])
+            hi = list(cells[a])
+            for k in range(a, b + 1):
+                c = cells[k]
+                for j in range(d):
+                    if c[j] < lo[j]:
+                        lo[j] = c[j]
+                    elif c[j] > hi[j]:
+                        hi[j] = c[j]
+            vol = 1
+            for j in range(d):
+                vol *= hi[j] - lo[j] + 1
+            r = Fraction(vol, b - a + 1)
+            if r > best:
+                best = r
+    return best
+
+
+def test_bbox_sweep_matches_point_scan():
+    # every section: cube paths, simplex and fixed shapes that revisit boxes
+    exhaustive = [path_of(kind, 3, 2) for kind in ("alfa", "beta", "z")]
+    exhaustive += [path_of("z", 1, 5), path_of("maehara", 2, 3)]
+    exhaustive += [generate_full_path(builtin_fixed(name), 2, "corner")
+                   for name in ("polya2d", "meander2d")]
+    for p in exhaustive:
+        assert max_bbox_ratio(p, None) == point_scan_bbox_ratio(p, None)
+    # the largest path checked exhaustively by default (512 points)
+    p = path_of("z", 3, 3)
+    assert len(p.points) == 512
+    assert max_bbox_ratio(p) == point_scan_bbox_ratio(p)
+    # seeded sections of longer paths
+    for kind, d, depth in (("harmonious", 3, 4), ("maehara", 2, 5), ("peano", 2, 3)):
+        p = path_of(kind, d, depth)
+        assert len(p.points) > 512
+        for seed in range(5):
+            assert max_bbox_ratio(p, 300, seed) == point_scan_bbox_ratio(p, 300, seed), (
+                kind, seed)
+
+
+@st.composite
+def synthetic_paths(draw):
+    """Short paths with repeated cells and negative coordinates."""
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=40))
+    points = tuple(
+        tuple(x * w + draw(st.integers(0, w - 1)) for x in c) for c in cells
+    )
+    return Path(points, d, 2, 1, "centre", w)
+
+
+@settings(max_examples=50)
+@given(synthetic_paths())
+def test_bbox_sweep_matches_point_scan_on_synthetic_paths(p):
+    ratio = max_bbox_ratio(p, None)
+    assert ratio == point_scan_bbox_ratio(p, None)
+    assert isinstance(ratio, Fraction)
 
 
 # -- well-folded rank law --------------------------------------------------------

@@ -180,6 +180,23 @@ def test_check_bbox_reports_ratio():
     assert Fraction(ratio) <= 4
 
 
+@pytest.mark.parametrize(
+    "kind, d, depth, seed, line",
+    [
+        ("harmonious", "3", "4", "5", "bbox harmonious 3 4 holds 256/77"),
+        ("maehara", "2", "6", "3", "bbox maehara 2 6 holds 138/97"),
+    ],
+    ids=["harmonious", "maehara"],
+)
+def test_check_bbox_samples_long_paths(kind, d, depth, seed, line):
+    # 4096 points: above the exhaustive limit, so 10 000 seeded sections
+    code, out, _ = run(
+        ["check", kind, d, "--property", "bbox", "--depth", depth, "--seed", seed]
+    )
+    assert code == 0
+    assert out.strip() == line
+
+
 def test_check_continuity_failure_exit_one():
     code, out, _ = run(["check", "z", "3", "--property", "continuity"])
     assert code == 1
