@@ -405,11 +405,15 @@ def palindromic_on_cells(
         sa = facet_seqs[low * d + axis]
         sb = facet_seqs[high * d + axis]
         if sa != sb[::-1]:
-            for k in range(len(sa)):
-                if sa[k] != sb[len(sb) - 1 - k]:
-                    return PropertyReport(
-                        name, kind, d, depth, "fails", (low, high, axis + 1, k)
-                    )
+            # the first position where they differ; when one sequence is
+            # a reversed prefix of the other, the end of the shorter one
+            common = min(len(sa), len(sb))
+            k = next(
+                (k for k in range(common) if sa[k] != sb[len(sb) - 1 - k]), common
+            )
+            return PropertyReport(
+                name, kind, d, depth, "fails", (low, high, axis + 1, k)
+            )
     return PropertyReport(name, kind, d, depth, "holds")
 
 

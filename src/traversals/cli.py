@@ -14,13 +14,21 @@ ORIGIN < definition`` maps to ``traversals path - --depth DEPTH
 --exponent E --origin O``.
 
 Exit codes: 0 on success (all properties hold), 1 when a checked
-property fails, 2 on usage or parse errors.
+property fails, 2 on usage or parse errors, 141 when ``path`` finds its
+output pipe closed by the reader (as in ``traversals path z 3 --depth 5
+| head -2``); it then stops without a message.
+
+``path`` streams its points in every origin mode and with ``--cells``,
+in memory that does not grow with the depth; ``--exponent 2`` holds
+only the depth-``DEPTH`` path that the squared points select from.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
+import os
 import sys
 from pathlib import Path as FsPath
 
@@ -28,6 +36,9 @@ from . import analysis, engine, generators
 from .notation import ParseError, TraversalDefinition, format_definition, parse_definition
 
 KIND_SLUGS = tuple(k.value for k in generators.TraversalKind)
+
+# 128 + SIGPIPE: the status a shell shows for a writer killed by the signal.
+EXIT_CLOSED_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -73,11 +84,27 @@ def _out_stream(args):
     return contextlib.nullcontext(sys.stdout)
 
 
+# Output is written in pieces of at most PIPE_BUF (4096 bytes on Linux).
+# An unbuffered stdout (``python -u``, PYTHONUNBUFFERED) makes one write(2)
+# call per write and drops what a short write leaves out; a pipe write of
+# at most PIPE_BUF bytes is never short, even when a signal interrupts it.
+_PIECE = 4096
+
+
+def _write(out, text: str) -> None:
+    for i in range(0, len(text), _PIECE):
+        out.write(text[i : i + _PIECE])
+
+
 def _cmd_describe(args) -> int:
     defn, _ = _load_kind(args.kind, args.dimension)
     with _out_stream(args) as out:
-        print(format_definition(defn), file=out)
+        _write(out, format_definition(defn) + "\n")
     return 0
+
+
+# Points are formatted this many at a time.
+_BATCH = 4096
 
 
 def _cmd_path(args) -> int:
@@ -86,25 +113,41 @@ def _cmd_path(args) -> int:
     else:
         defn = _read_definition(args.source)
         label = "definition"
+    if args.exponent == 2 and args.origin != "corner":
+        raise _UsageError("squared paths are emitted with corner origin")
+    if args.cells and args.origin != "corner":
+        raise _UsageError("cell indices are defined for corner-origin paths")
+    d = defn.dimension
     if args.exponent == 2:
-        try:
-            path = engine.squared_path(defn, args.depth)
-        except engine.NotCubicError as exc:
-            raise _UsageError(str(exc)) from None
-        if args.origin != "corner":
-            raise _UsageError("squared paths are emitted with corner origin")
+        d *= d
+        points = engine.iter_squared_path(defn, args.depth)
     else:
-        path = engine.generate_full_path(defn, args.depth, args.origin)
-    with _out_stream(args) as out:
-        units = "cell" if args.cells else f"half-cell/{path.cell_units // 2}"
-        print(
-            f"# kind={label} d={path.dimension} depth={path.depth} "
-            f"origin={path.origin} units={units}",
-            file=out,
-        )
-        pts = path.cell_indices() if args.cells else path.points
-        for p in pts:
-            print(" ".join(str(x) for x in p), file=out)
+        points = engine.iter_path(defn, args.depth, args.origin)
+    # the first point raises the engine's errors before any output
+    points = itertools.chain((next(points),), points)
+    w = engine.cell_units(defn)
+    fmt = " ".join(["%d"] * d) + "\n"
+    try:
+        with _out_stream(args) as out:
+            units = "cell" if args.cells else f"half-cell/{w // 2}"
+            out.write(
+                f"# kind={label} d={d} depth={args.depth} "
+                f"origin={args.origin} units={units}\n"
+            )
+            while True:
+                coords = itertools.chain.from_iterable(itertools.islice(points, _BATCH))
+                if args.cells:
+                    coords = map(w.__rfloordiv__, coords)
+                coords = tuple(coords)
+                if not coords:
+                    break
+                _write(out, fmt * (len(coords) // d) % coords)
+            out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at the null device so
+        # that the interpreter's flush at exit does not report it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     return 0
 
 
@@ -178,10 +221,11 @@ def _cmd_check(args) -> int:
 def _svg_polyline(points, width=640, margin=20) -> str:
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1)
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0, 1)
     scale = (width - 2 * margin) / span
-    sx = lambda x: margin + (x - min(xs)) * scale
-    sy = lambda y: width - margin - (y - min(ys)) * scale  # y up
+    sx = lambda x: margin + (x - x0) * scale
+    sy = lambda y: width - margin - (y - y0) * scale  # y up
     body = []
     if len(points) == 1:
         body.append(
@@ -220,7 +264,7 @@ def _cmd_plot(args) -> int:
     if args.out:
         FsPath(args.out).write_text(svg)
     else:
-        sys.stdout.write(svg)
+        _write(sys.stdout, svg)
     return 0
 
 

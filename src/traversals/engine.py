@@ -1,11 +1,13 @@
 """Executing traversal definitions: enumeration, location, squaring.
 
-Paths are enumerated by depth-first expansion of the rule: every level
-multiplies the running transform by the entry's signed permutation,
-shifts the centre, and divides the scale.  All arithmetic is exact; the
-emitted points are integers on a lattice where one lowest-level cell is
-two units wide, so cube-tile centres land on odd coordinates in corner
-origin mode.
+Paths are enumerated by a depth-first walk over a table compiled lazily
+from the rule.  A state is the running transform (a signed permutation)
+plus the direction flag; its row lists, in visit order, each child's
+centre offset and state, and every level multiplies the transform by the
+entry's signed permutation and divides the scale.  All arithmetic is
+exact; the emitted points are integers on a lattice where one
+lowest-level cell is two units wide, so cube-tile centres land on odd
+coordinates in corner origin mode.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterator
 
 from .notation import SignedPermutation, TraversalDefinition, Vector
@@ -23,7 +26,9 @@ __all__ = [
     "NotCubicError",
     "NotSymmetricError",
     "ORIGIN_MODES",
+    "cell_units",
     "iter_path",
+    "iter_squared_path",
     "generate_path",
     "generate_full_path",
     "locate",
@@ -78,78 +83,150 @@ def _scaled_centres(defn: TraversalDefinition) -> tuple[list[tuple[int, ...]], i
     return scaled, m
 
 
-def iter_path(defn: TraversalDefinition, depth: int) -> Iterator[tuple[int, ...]]:
-    """Stream the centred-frame lattice points of the traversal.
+# The walk expands the lowest levels under a node into one block of at
+# most this many leaf offsets (at least one level), built once per state.
+_BLOCK_POINTS = 64
 
-    Memory-bounded alternative to :func:`generate_path`: points are
-    yielded in visit order without materialising the whole path.
+
+def cell_units(defn: TraversalDefinition) -> int:
+    """Width of one lowest-level cell on the point lattice of the rule."""
+    return 2 * _scaled_centres(defn)[1]
+
+
+def iter_path(
+    defn: TraversalDefinition, depth: int, origin: str = "centre"
+) -> Iterator[tuple[int, ...]]:
+    """Stream the lattice points of the traversal in visit order.
+
+    ``origin`` translates the points as in :func:`generate_full_path`.
+    The walk follows a table built lazily per state, a state being the
+    running signed permutation plus the direction flag: a state's row
+    lists, in visit order, the child centre offset and the child state.
+    The lowest levels come from a cached block of leaf offsets per state,
+    so a point costs one tuple addition, and memory stays O(depth) plus
+    the tables of the states met.  The shift of ``origin`` is taken from
+    the rule: ``first``/``last`` follow the first/last child down,
+    ``corner`` takes the per-axis minimum over the refinement levels.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    if origin not in ORIGIN_MODES:
+        raise ValueError(f"unknown origin mode {origin!r}")
     d, s = defn.dimension, defn.scale
-    centres, _ = _scaled_centres(defn)
+    centres, m = _scaled_centres(defn)
     perms = [e.entries for e in defn.entries]
     flips = [e.reverse for e in defn.entries]
-    n = len(defn.entries)
-    order_fwd = range(n)
-    order_rev = range(n - 1, -1, -1)
+    n = len(perms)
+    rows: dict = {}
+    blocks: dict = {}
 
-    def rec(cx: tuple[int, ...], rot: tuple[int, ...], h: int, e: int):
-        if e == 0:
-            yield cx
-            return
-        f = s ** (e - 1)
-        for i in (order_fwd if h == 1 else order_rev):
-            ci = centres[i]
-            child = list(cx)
-            for j, p in enumerate(rot):
-                v = ci[j]
-                if p > 0:
-                    child[p - 1] += f * v
-                else:
-                    child[-p - 1] -= f * v
-            pi = perms[i]
-            nrot = tuple(
-                (rot[p - 1] if p > 0 else -rot[-p - 1]) for p in pi
-            )
-            yield from rec(tuple(child), nrot, -h if flips[i] else h, e - 1)
+    def row(state):
+        """(child centre offset at unit scale, child state), in visit order."""
+        r = rows.get(state)
+        if r is None:
+            rot, forward = state
+            r = []
+            for i in range(n) if forward else range(n - 1, -1, -1):
+                off = [0] * d
+                for v, p in zip(centres[i], rot):
+                    if p > 0:
+                        off[p - 1] = v
+                    else:
+                        off[-p - 1] = -v
+                nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in perms[i])
+                r.append((tuple(off), (nrot, forward != flips[i])))
+            rows[state] = r
+        return r
 
-    ident = tuple(range(1, d + 1))
-    yield from rec((0,) * d, ident, 1, depth)
+    leaf_levels = min(depth, 1)
+    while leaf_levels < depth and n ** (leaf_levels + 1) <= _BLOCK_POINTS:
+        leaf_levels += 1
+
+    def block(state):
+        """Per-axis columns of the leaf offsets under a block root."""
+        b = blocks.get(state)
+        if b is None:
+            pts = [((0,) * d, state)]
+            for level in range(leaf_levels, 0, -1):
+                f = s ** (level - 1)
+                pts = [
+                    (tuple(x + f * o for x, o in zip(c, off)), child)
+                    for c, st in pts
+                    for off, child in row(st)
+                ]
+            b = blocks[state] = tuple(zip(*(c for c, _ in pts)))
+        return b
+
+    root = (tuple(range(1, d + 1)), True)
+    if origin == "corner":
+        # Per-axis extremes of the subtree of height e in the root frame;
+        # a child's subtree is the one of height e - 1 under its entry.
+        lo = hi = (0,) * d
+        for e in range(1, depth + 1):
+            f = s ** (e - 1)
+            lows, highs = [], []
+            for c, perm in zip(centres, perms):
+                low, high = [0] * d, [0] * d
+                for a, p in enumerate(perm):
+                    j = abs(p) - 1
+                    x, y = (lo[a], hi[a]) if p > 0 else (-hi[a], -lo[a])
+                    low[j], high[j] = f * c[j] + x, f * c[j] + y
+                lows.append(low)
+                highs.append(high)
+            lo = tuple(min(col) for col in zip(*lows))
+            hi = tuple(max(col) for col in zip(*highs))
+        start = tuple(m - x for x in lo)
+    elif origin == "centre":
+        start = (0,) * d
+    else:
+        pick = 0 if origin == "first" else -1
+        end = [0] * d
+        state = root
+        for e in range(depth, 0, -1):
+            off, state = row(state)[pick]
+            f = s ** (e - 1)
+            for j in range(d):
+                end[j] -= f * off[j]
+        start = tuple(end)
+
+    def emit(base, state):
+        return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(state))])
+
+    if depth == leaf_levels:
+        yield from emit(start, root)
+        return
+    leaf_f = s**leaf_levels
+    stack = [(iter(row(root)), start, s ** (depth - 1))]
+    while stack:
+        children, base, f = stack[-1]
+        for off, child in children:
+            c = tuple(x + f * o for x, o in zip(base, off))
+            if f == leaf_f:
+                yield from emit(c, child)
+            else:
+                stack.append((iter(row(child)), c, f // s))
+                break
+        else:
+            stack.pop()
 
 
 def generate_path(defn: TraversalDefinition, depth: int) -> Path:
     """The traversal at the given refinement depth, centred on the origin."""
-    _, m = _scaled_centres(defn)
     points = tuple(iter_path(defn, depth))
-    return Path(points, defn.dimension, defn.scale, depth, "centre", 2 * m)
+    return Path(points, defn.dimension, defn.scale, depth, "centre", cell_units(defn))
 
 
 def generate_full_path(
     defn: TraversalDefinition, depth: int, origin: str = "corner"
 ) -> Path:
-    """Enumerate and translate the path according to the origin mode.
+    """Enumerate the path translated according to the origin mode.
 
     ``corner`` puts the lexicographically smallest corner of the tile
     bounding box at the origin, ``first``/``last`` the first/last point,
     and ``centre`` leaves the exact centred frame untouched.
     """
-    if origin not in ORIGIN_MODES:
-        raise ValueError(f"unknown origin mode {origin!r}")
-    base = generate_path(defn, depth)
-    pts = base.points
-    d = defn.dimension
-    if origin == "centre":
-        return base
-    if origin == "corner":
-        half = base.cell_units // 2
-        shift = tuple(min(p[j] for p in pts) - half for j in range(d))
-    elif origin == "first":
-        shift = pts[0]
-    else:
-        shift = pts[-1]
-    moved = tuple(tuple(x - s for x, s in zip(p, shift)) for p in pts)
-    return Path(moved, d, defn.scale, depth, origin, base.cell_units)
+    points = tuple(iter_path(defn, depth, origin))
+    return Path(points, defn.dimension, defn.scale, depth, origin, cell_units(defn))
 
 
 def locate(
@@ -200,6 +277,24 @@ def _require_cubic(defn: TraversalDefinition) -> None:
         raise NotCubicError("this operation needs a cube-filling rule")
 
 
+def iter_squared_path(
+    defn: TraversalDefinition, depth: int
+) -> Iterator[tuple[int, ...]]:
+    """Stream the points of :func:`squared_path` in visit order.
+
+    The depth-``depth`` path is held in memory (one point per cell of a
+    coordinate axis of the square); the depth ``d * depth`` path that
+    selects from it is streamed.
+    """
+    _require_cubic(defn)
+    if depth < 1:
+        raise ValueError("squared paths need depth >= 1")
+    w = cell_units(defn)
+    xs = tuple(iter_path(defn, depth, "corner"))
+    for qp in iter_path(defn, defn.dimension * depth, "corner"):
+        yield tuple(itertools.chain.from_iterable([xs[x // w] for x in qp]))
+
+
 def squared_path(defn: TraversalDefinition, depth: int) -> Path:
     """Apply the traversal to each coordinate of its own image.
 
@@ -208,21 +303,9 @@ def squared_path(defn: TraversalDefinition, depth: int) -> Path:
     point of the depth-``depth`` path; the selected coordinate groups
     are concatenated.
     """
-    _require_cubic(defn)
-    if depth < 1:
-        raise ValueError("squared paths need depth >= 1")
+    points = tuple(iter_squared_path(defn, depth))
     d = defn.dimension
-    x = generate_full_path(defn, depth)
-    q = generate_full_path(defn, d * depth)
-    xs = x.points
-    w = q.cell_units
-    out = []
-    for qp in q.points:
-        p = []
-        for xi in qp:
-            p.extend(xs[xi // w])
-        out.append(tuple(p))
-    return Path(tuple(out), d * d, defn.scale, depth, "corner", x.cell_units)
+    return Path(points, d * d, defn.scale, depth, "corner", cell_units(defn))
 
 
 def find_reversal_symmetry(

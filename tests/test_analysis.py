@@ -20,6 +20,7 @@ from traversals.analysis import (
     check_well_folded_rank,
     component_count,
     max_bbox_ratio,
+    palindromic_on_cells,
     section_component_audit,
 )
 from traversals.engine import Path, generate_full_path
@@ -186,6 +187,20 @@ def test_u_is_not_palindromic():
 def test_harmonious_palindromic_witness():
     report = check_palindromic(generate("harmonious", 3), 4, kind="harmonious")
     assert report.line() == "palindromic harmonious 3 4 fails 0 2 2 0"
+
+
+def test_palindromic_facet_sequences_of_unequal_length_fail():
+    """A visit order that is not a permutation of the grid can leave the
+    two sides of a facet with sequences of different lengths; the shorter
+    one matching the longer one reversed is still a failure, witnessed at
+    the end of the shorter one."""
+    assert palindromic_on_cells([(0,), (1,), (1,)], 1, 1).line() == (
+        "palindromic - 1 1 fails 0 1 1 1"
+    )
+    cells = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 1)]
+    assert palindromic_on_cells(cells, 2, 1).line() == (
+        "palindromic - 2 1 fails 0 2 2 1"
+    )
 
 
 # -- dominance ----------------------------------------------------------

@@ -1,11 +1,18 @@
 """The command-line surface: output fidelity and exit codes."""
 
 import io
+import os
+import subprocess
 import sys
+import time
+import tracemalloc
+from pathlib import Path as FsPath
 
 import pytest
 
-from traversals.cli import main
+import traversals
+from traversals import engine
+from traversals.cli import EXIT_CLOSED_PIPE, main
 from traversals.engine import generate_full_path
 from traversals.generators import generate
 from traversals.notation import parse_definition
@@ -294,3 +301,105 @@ def test_describe_out_flag_writes_file(tmp_path):
     code, _, _ = run(["describe", "u", "2", "--out", str(f)])
     assert code == 0
     assert f.read_text().strip() == "[1 2} 1 [1 2} 2 [1 2} -1 [1 2}"
+
+
+# -- streamed path output ---------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "harmonious", "2", "--depth", "3", "--exponent", "2", "--origin", "first"],
+    ["path", "z", "3", "--depth", "3", "--origin", "last", "--cells"],
+])
+def test_path_flag_conflicts_exit_before_enumerating(argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path despite conflicting flags")
+
+    monkeypatch.setattr(engine, "iter_path", refuse)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "z", "2", "--depth", "-1"],
+    ["path", "polya2d", "--depth", "1", "--exponent", "2"],
+])
+def test_path_engine_errors_come_before_any_output(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_path_stops_quietly_when_the_reader_closes_the_pipe():
+    """``traversals path z 3 --depth 5 | head -2``: no traceback, no
+    "Exception ignored" line, exit status 141."""
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "traversals.cli", "path", "z", "3", "--depth", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()  # 32768 points do not fit in the pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE == 141
+    assert head == [b"# kind=z d=3 depth=5 origin=corner units=half-cell/1\n", b"1 1 1\n"]
+    assert err == b""
+
+
+def test_path_streams_in_bounded_memory(tmp_path):
+    """The peak of traced allocations does not grow with the depth.
+
+    z d=3 at depth 5 has 8 times the points of depth 4; materialised,
+    its tuples alone would take about 2 MB.
+    """
+    out = tmp_path / "points.txt"
+    main(["path", "z", "3", "--depth", "1", "--out", str(out)])  # lazy imports
+    peaks = []
+    for depth in ("4", "5"):
+        tracemalloc.start()
+        try:
+            assert main(["path", "z", "3", "--depth", depth, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.read_text().count("\n") == 1 + 8**5
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
+    assert peaks[1] < 512 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    ["path", "harmonious", "3", "--depth", "5"],
+    ["plot", "z", "2", "--depth", "7"],
+])
+def test_output_survives_signals_on_an_unbuffered_pipe(argv):
+    """With ``python -u`` each write is one write(2) call; a signal that
+    interrupts a long write to a full pipe makes it short, and the text
+    layer drops the rest.  The output must come through whole."""
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+    script = (
+        "import signal, sys\n"
+        "from traversals.cli import main\n"
+        "signal.signal(signal.SIGALRM, lambda *_: sum(range(20000)))\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0.001, 0.001)\n"
+        f"code = main({argv!r})\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-c", script],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    got = []
+    while chunk := proc.stdout.read1(4096):  # a slow reader keeps the pipe full
+        got.append(chunk)
+        time.sleep(0.002)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    _, want, _ = run(argv)
+    assert b"".join(got).decode() == want

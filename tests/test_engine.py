@@ -1,24 +1,40 @@
 """Path enumeration, point location, symmetry and squaring."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from traversals import cli
 from traversals.engine import (
+    ORIGIN_MODES,
     NotCubicError,
     NotSymmetricError,
+    Path,
+    _scaled_centres,
     find_reversal_symmetry,
     generate_full_path,
     generate_path,
     iter_path,
+    iter_squared_path,
     locate,
     squared_definition,
     squared_path,
 )
-from traversals.generators import builtin_fixed, gen_harmonious, gen_z, generate
+from traversals.generators import (
+    FIXED_NAMES,
+    BetaUndefinedError,
+    TraversalKind,
+    builtin_fixed,
+    gen_harmonious,
+    gen_z,
+    generate,
+)
 from traversals.notation import (
     SignedPermutation,
     format_definition,
+    parse_definition,
 )
 
 F = Fraction
@@ -343,3 +359,164 @@ def test_depth_two_blocks_are_transformed_depth_one_paths():
                 tuple(s * b + q for b, q in zip(base, p)) for p in image
             )
             assert block == expected, (label, i)
+
+
+# -- the walk against the recursion it replaced ------------------------------
+
+
+def recursive_iter_path(defn, depth):
+    """The recursive enumeration the table-driven walk replaced, kept
+    verbatim as its oracle."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    d, s = defn.dimension, defn.scale
+    centres, _ = _scaled_centres(defn)
+    perms = [e.entries for e in defn.entries]
+    flips = [e.reverse for e in defn.entries]
+    n = len(defn.entries)
+    order_fwd = range(n)
+    order_rev = range(n - 1, -1, -1)
+
+    def rec(cx, rot, h, e):
+        if e == 0:
+            yield cx
+            return
+        f = s ** (e - 1)
+        for i in (order_fwd if h == 1 else order_rev):
+            ci = centres[i]
+            child = list(cx)
+            for j, p in enumerate(rot):
+                v = ci[j]
+                if p > 0:
+                    child[p - 1] += f * v
+                else:
+                    child[-p - 1] -= f * v
+            pi = perms[i]
+            nrot = tuple(
+                (rot[p - 1] if p > 0 else -rot[-p - 1]) for p in pi
+            )
+            yield from rec(tuple(child), nrot, -h if flips[i] else h, e - 1)
+
+    ident = tuple(range(1, d + 1))
+    yield from rec((0,) * d, ident, 1, depth)
+
+
+def recursive_generate_path(defn, depth):
+    """The ``generate_path`` over the recursion, kept verbatim."""
+    _, m = _scaled_centres(defn)
+    points = tuple(recursive_iter_path(defn, depth))
+    return Path(points, defn.dimension, defn.scale, depth, "centre", 2 * m)
+
+
+def shifted_full_path(defn, depth, origin="corner"):
+    """The materialise-then-shift ``generate_full_path``, kept verbatim."""
+    if origin not in ORIGIN_MODES:
+        raise ValueError(f"unknown origin mode {origin!r}")
+    base = recursive_generate_path(defn, depth)
+    pts = base.points
+    d = defn.dimension
+    if origin == "centre":
+        return base
+    if origin == "corner":
+        half = base.cell_units // 2
+        shift = tuple(min(p[j] for p in pts) - half for j in range(d))
+    elif origin == "first":
+        shift = pts[0]
+    else:
+        shift = pts[-1]
+    moved = tuple(tuple(x - s for x, s in zip(p, shift)) for p in pts)
+    return Path(moved, d, defn.scale, depth, origin, base.cell_units)
+
+
+def materialised_squared_path(defn, depth):
+    """The squaring over two materialised paths, kept verbatim."""
+    if depth < 1:
+        raise ValueError("squared paths need depth >= 1")
+    d = defn.dimension
+    x = shifted_full_path(defn, depth)
+    q = shifted_full_path(defn, d * depth)
+    xs = x.points
+    w = q.cell_units
+    out = []
+    for qp in q.points:
+        p = []
+        for xi in qp:
+            p.extend(xs[xi // w])
+        out.append(tuple(p))
+    return Path(tuple(out), d * d, defn.scale, depth, "corner", x.cell_units)
+
+
+def _cli_cells(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--cells"]) == 0
+    lines = out.getvalue().splitlines()[1:]
+    return tuple(tuple(int(x) for x in line.split()) for line in lines)
+
+
+# Rules whose points do not lie symmetrically about the centre, with
+# reflected entries: the corner shift must follow the reflections.
+UNEVEN_RULES = (
+    "[2 1} [-2 1} 1 1 [-2 1}",
+    "{-2 1] 2 [-1 -2}",
+    "[1 -2} 2 [2 1} -1 2 [1 -2}",
+)
+
+
+def _differential_cases(tmp_path):
+    """(label, CLI source arguments, rule): every family for d = 1..4,
+    every bundled curve and the uneven rules."""
+    for kind in TraversalKind:
+        for d in range(1, 5):
+            try:
+                defn = generate(kind, d)
+            except BetaUndefinedError:
+                continue
+            yield f"{kind.value} d={d}", [kind.value, str(d)], defn
+    for name in FIXED_NAMES:
+        yield name, [name], builtin_fixed(name)
+    for i, text in enumerate(UNEVEN_RULES):
+        rule = tmp_path / f"uneven{i}.txt"
+        rule.write_text(text)
+        yield text, [str(rule)], parse_definition(text)
+
+
+def _check_walk(label, source, defn, depth):
+    want = {origin: shifted_full_path(defn, depth, origin) for origin in ORIGIN_MODES}
+    for origin, path in want.items():
+        assert tuple(iter_path(defn, depth, origin)) == path.points, (label, depth, origin)
+        assert generate_full_path(defn, depth, origin) == path, (label, depth, origin)
+    assert generate_path(defn, depth) == want["centre"], label
+    cells = want["corner"].cell_indices()
+    assert _cli_cells(["path", *source, "--depth", str(depth)]) == cells, (label, depth)
+
+
+def test_walk_matches_recursive_enumeration(tmp_path):
+    cases = 0
+    for label, source, defn in _differential_cases(tmp_path):
+        for depth in (0, 1, 2):
+            _check_walk(label, source, defn, depth)
+            cases += 1
+    assert cases > 190
+
+
+def test_walk_matches_recursive_enumeration_at_depth_four():
+    _check_walk("harmonious d=3", ["harmonious", "3"], generate("harmonious", 3), 4)
+
+
+def test_streamed_square_matches_materialised_square():
+    for kind, d, depths in (("harmonious", 2, (1, 2)), ("gray", 2, (1, 2)),
+                            ("peano", 2, (1,)), ("inside-out", 3, (1,))):
+        defn = generate(kind, d)
+        for depth in depths:
+            want = materialised_squared_path(defn, depth)
+            assert squared_path(defn, depth) == want, (kind, d, depth)
+            assert tuple(iter_squared_path(defn, depth)) == want.points
+
+
+def test_walk_rejects_bad_arguments():
+    defn = generate("z", 2)
+    with pytest.raises(ValueError):
+        next(iter_path(defn, -1))
+    with pytest.raises(ValueError):
+        next(iter_path(defn, 1, "middle"))
