@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .engine import Path, generate_full_path
 from .generators import gen_base_pattern
-from .notation import SignedPermutation, TraversalDefinition
+from .notation import TraversalDefinition, _cube_symmetries
 
 KERNEL_BACKEND = "python"
 
@@ -464,16 +464,6 @@ def check_straight_jumping(
                 "straight-jumping", kind, defn.dimension, depth, "fails", (k, k + 1)
             )
     return PropertyReport("straight-jumping", kind, defn.dimension, depth, "holds")
-
-
-def _cube_symmetries(d: int):
-    import itertools
-
-    for unsigned in itertools.permutations(range(1, d + 1)):
-        for mask in range(1 << d):
-            yield SignedPermutation(
-                tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned))
-            )
 
 
 def check_facet_order(

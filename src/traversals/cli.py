@@ -4,7 +4,7 @@ Four subcommands on one executable:
 
 * ``describe KIND [D]``   print a traversal definition
 * ``path SOURCE``         enumerate the points of a definition
-* ``check KIND|FILE [D]`` run property checks, exit 1 on failure
+* ``check KIND|FILE|- [D]`` run property checks, exit 1 on failure
 * ``plot SOURCE``         draw the path as an SVG polyline (d = 2 or 3)
 
 ``describe`` and ``path`` together replace the two classic tools this
@@ -36,6 +36,7 @@ from . import analysis, engine, generators
 from .notation import ParseError, TraversalDefinition, format_definition, parse_definition
 
 KIND_SLUGS = tuple(k.value for k in generators.TraversalKind)
+_KNOWN = ", ".join(KIND_SLUGS + generators.FIXED_NAMES)
 
 # 128 + SIGPIPE: the status a shell shows for a writer killed by the signal.
 EXIT_CLOSED_PIPE = 141
@@ -57,25 +58,28 @@ def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
     try:
         defn = generators.builtin_fixed(slug)
     except ValueError:
-        known = ", ".join(KIND_SLUGS + generators.FIXED_NAMES)
-        raise _UsageError(f"unknown kind {kind!r}; known kinds: {known}") from None
+        raise _UsageError(f"unknown kind {kind!r}; known kinds: {_KNOWN}") from None
     if d is not None and d != defn.dimension:
         raise _UsageError(f"{kind} is a fixed {defn.dimension}-dimensional curve")
     return defn, slug
 
 
-def _read_definition(source: str) -> TraversalDefinition:
+def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str | None]:
+    """The rule SOURCE names, and its kind slug (None for a definition)."""
+    if source.lower() in KIND_SLUGS + generators.FIXED_NAMES:
+        return _load_kind(source, d)
     if source == "-":
         text = sys.stdin.read()
+    elif FsPath(source).is_file():
+        text = FsPath(source).read_text()
     else:
-        path = FsPath(source)
-        if not path.exists():
-            raise _UsageError(f"no such definition file: {source}")
-        text = path.read_text()
+        raise _UsageError(
+            f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
+        )
     body = "\n".join(
         line for line in text.splitlines() if not line.lstrip().startswith("#")
     )
-    return parse_definition(body)
+    return parse_definition(body), None
 
 
 def _out_stream(args):
@@ -108,11 +112,8 @@ _BATCH = 4096
 
 
 def _cmd_path(args) -> int:
-    if args.source in KIND_SLUGS or args.source.lower() in generators.FIXED_NAMES:
-        defn, label = _load_kind(args.source, args.dimension)
-    else:
-        defn = _read_definition(args.source)
-        label = "definition"
+    defn, slug = _load_source(args.source, args.dimension)
+    label = slug or "definition"
     if args.exponent == 2 and args.origin != "corner":
         raise _UsageError("squared paths are emitted with corner origin")
     if args.cells and args.origin != "corner":
@@ -200,13 +201,8 @@ def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
 
 
 def _cmd_check(args) -> int:
-    if args.source in KIND_SLUGS or args.source.lower() in generators.FIXED_NAMES:
-        defn, label = _load_kind(args.source, args.dimension)
-    elif FsPath(args.source).exists():
-        defn = _read_definition(args.source)
-        label = args.source
-    else:
-        defn, label = _load_kind(args.source, args.dimension)
+    defn, slug = _load_source(args.source, args.dimension)
+    label = slug or args.source
     props = [p.strip() for p in args.property.split(",") if p.strip()]
     if not props:
         raise _UsageError("no property given")
@@ -243,10 +239,7 @@ def _svg_polyline(points, width=640, margin=20) -> str:
 
 
 def _cmd_plot(args) -> int:
-    if args.source in KIND_SLUGS or args.source.lower() in generators.FIXED_NAMES:
-        defn, _ = _load_kind(args.source, args.dimension)
-    else:
-        defn = _read_definition(args.source)
+    defn, _ = _load_source(args.source, args.dimension)
     d = defn.dimension
     if d > 3:
         raise _UsageError("plotting supports 2 or 3 dimensions only")
@@ -290,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("check", help="verify traversal properties")
-    p.add_argument("source", help="kind name or definition file")
+    p.add_argument("source", help="definition file, '-' for stdin, or a kind name")
     p.add_argument("dimension", nargs="?", type=int, default=None)
     p.add_argument("--property", required=True, help="comma-separated property names")
     p.add_argument("--depth", type=int, default=2)

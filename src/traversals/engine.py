@@ -1,13 +1,14 @@
 """Executing traversal definitions: enumeration, location, squaring.
 
-Paths are enumerated by a depth-first walk over a table compiled lazily
-from the rule.  A state is the running transform (a signed permutation)
-plus the direction flag; its row lists, in visit order, each child's
-centre offset and state, and every level multiplies the transform by the
-entry's signed permutation and divides the scale.  All arithmetic is
-exact; the emitted points are integers on a lattice where one
-lowest-level cell is two units wide, so cube-tile centres land on odd
-coordinates in corner origin mode.
+All three follow one integer table compiled from the rule
+(:class:`_Table`).  A state is the running transform (a signed
+permutation) plus the direction flag; one step gives the centre offset
+and the state of the k-th child visited, multiplying the transform by
+the entry's signed permutation.  Enumeration walks the table depth
+first; location and squaring descend it one child per level.  All
+arithmetic is exact; the emitted points are integers on a lattice where
+one lowest-level cell is two units wide, so cube-tile centres land on
+odd coordinates in corner origin mode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import lcm
 from operator import add
 from typing import Iterator
 
-from .notation import SignedPermutation, TraversalDefinition, Vector
+from .notation import SignedPermutation, TraversalDefinition, Vector, _cube_symmetries
 
 __all__ = [
     "Path",
@@ -79,8 +80,50 @@ def _scaled_centres(defn: TraversalDefinition) -> tuple[list[tuple[int, ...]], i
     den = lcm(1, *(x.denominator for c in defn.centres for x in c))
     m = lcm(den, 2 * defn.scale) // (2 * defn.scale)
     unit = 2 * defn.scale * m
-    scaled = [tuple(int(x * unit) for x in c) for c in defn.centres]
+    scaled = [tuple(x.numerator * (unit // x.denominator) for x in c) for c in defn.centres]
     return scaled, m
+
+
+class _Table:
+    """A rule compiled to integers: the state table every descent follows.
+
+    A state is the running signed permutation (a tuple) plus the
+    direction flag.  Offsets are on the lattice of :func:`_scaled_centres`.
+    ``entries``, when given, replace the rule's entries at its centres.
+    """
+
+    def __init__(self, defn: TraversalDefinition, entries=None):
+        entries = defn.entries if entries is None else entries
+        self.d, self.s, self.n = defn.dimension, defn.scale, len(entries)
+        self.centres, self.m = _scaled_centres(defn)
+        self.perms = [e.entries for e in entries]
+        self.flips = [e.reverse for e in entries]
+        self.root = (tuple(range(1, self.d + 1)), True)
+
+    def child(self, state, k):
+        """(centre offset at unit scale, state) of the ``k``-th child visited."""
+        rot, forward = state
+        i = k if forward else self.n - 1 - k
+        off = [0] * self.d
+        for v, p in zip(self.centres[i], rot):
+            if p > 0:
+                off[p - 1] = v
+            else:
+                off[-p - 1] = -v
+        nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[i])
+        return tuple(off), (nrot, forward != self.flips[i])
+
+    def descend(self, digits):
+        """Centred-frame point and state of the cell reached from the root.
+
+        ``digits`` are the visit positions, top level first; the point
+        is on the lattice where a cell of that level is ``2*m`` wide.
+        """
+        s, pos, state = self.s, (0,) * self.d, self.root
+        for k in digits:
+            off, state = self.child(state, k)
+            pos = [x * s + o for x, o in zip(pos, off)]
+        return pos, state
 
 
 # The walk expands the lowest levels under a node into one block of at
@@ -99,24 +142,21 @@ def iter_path(
     """Stream the lattice points of the traversal in visit order.
 
     ``origin`` translates the points as in :func:`generate_full_path`.
-    The walk follows a table built lazily per state, a state being the
-    running signed permutation plus the direction flag: a state's row
-    lists, in visit order, the child centre offset and the child state.
-    The lowest levels come from a cached block of leaf offsets per state,
-    so a point costs one tuple addition, and memory stays O(depth) plus
-    the tables of the states met.  The shift of ``origin`` is taken from
-    the rule: ``first``/``last`` follow the first/last child down,
-    ``corner`` takes the per-axis minimum over the refinement levels.
+    The walk follows the rule's state table (see :class:`_Table`), with
+    rows built lazily per state: a state's row lists, in visit order, the
+    child centre offset and the child state.  The lowest levels come from
+    a cached block of leaf offsets per state, so a point costs one tuple
+    addition, and memory stays O(depth) plus the rows of the states met.
+    The shift of ``origin`` is taken from the rule: ``first``/``last``
+    descend through the first/last child, ``corner`` takes the per-axis
+    minimum over the refinement levels.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if origin not in ORIGIN_MODES:
         raise ValueError(f"unknown origin mode {origin!r}")
-    d, s = defn.dimension, defn.scale
-    centres, m = _scaled_centres(defn)
-    perms = [e.entries for e in defn.entries]
-    flips = [e.reverse for e in defn.entries]
-    n = len(perms)
+    table = _Table(defn)
+    d, s, n, m = table.d, table.s, table.n, table.m
     rows: dict = {}
     blocks: dict = {}
 
@@ -124,18 +164,7 @@ def iter_path(
         """(child centre offset at unit scale, child state), in visit order."""
         r = rows.get(state)
         if r is None:
-            rot, forward = state
-            r = []
-            for i in range(n) if forward else range(n - 1, -1, -1):
-                off = [0] * d
-                for v, p in zip(centres[i], rot):
-                    if p > 0:
-                        off[p - 1] = v
-                    else:
-                        off[-p - 1] = -v
-                nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in perms[i])
-                r.append((tuple(off), (nrot, forward != flips[i])))
-            rows[state] = r
+            r = rows[state] = [table.child(state, k) for k in range(n)]
         return r
 
     leaf_levels = min(depth, 1)
@@ -157,7 +186,6 @@ def iter_path(
             b = blocks[state] = tuple(zip(*(c for c, _ in pts)))
         return b
 
-    root = (tuple(range(1, d + 1)), True)
     if origin == "corner":
         # Per-axis extremes of the subtree of height e in the root frame;
         # a child's subtree is the one of height e - 1 under its entry.
@@ -165,7 +193,7 @@ def iter_path(
         for e in range(1, depth + 1):
             f = s ** (e - 1)
             lows, highs = [], []
-            for c, perm in zip(centres, perms):
+            for c, perm in zip(table.centres, table.perms):
                 low, high = [0] * d, [0] * d
                 for a, p in enumerate(perm):
                     j = abs(p) - 1
@@ -179,19 +207,13 @@ def iter_path(
     elif origin == "centre":
         start = (0,) * d
     else:
-        pick = 0 if origin == "first" else -1
-        end = [0] * d
-        state = root
-        for e in range(depth, 0, -1):
-            off, state = row(state)[pick]
-            f = s ** (e - 1)
-            for j in range(d):
-                end[j] -= f * off[j]
-        start = tuple(end)
+        k = 0 if origin == "first" else n - 1
+        start = tuple(-x for x in table.descend([k] * depth)[0])
 
     def emit(base, state):
         return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(state))])
 
+    root = table.root
     if depth == leaf_levels:
         yield from emit(start, root)
         return
@@ -238,38 +260,30 @@ def locate(
     """Exact centre of the depth-level cell whose parameter segment holds t.
 
     ``side='plus'`` breaks ties towards later cells (t in [0,1)),
-    ``side='minus'`` towards earlier cells (t in (0,1]).  Runs in
-    O(depth) by index arithmetic, without enumerating the path.
+    ``side='minus'`` towards earlier cells (t in (0,1]).  Follows the
+    base-D digits of the cell index down the state table that enumeration
+    and squaring share: O(depth * d) integer steps, no enumeration.
     """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     t = Fraction(t)
     D = len(defn.entries)
     N = D**depth
     if side == "plus":
         if not 0 <= t < 1:
             raise ValueError("plus side needs t in [0, 1)")
-        i = (t * N).__floor__() + 1
+        i = (t * N).__floor__()
     elif side == "minus":
         if not 0 < t <= 1:
             raise ValueError("minus side needs t in (0, 1]")
-        i = -((-t * N).__floor__())
+        i = -((-t * N).__floor__()) - 1
     else:
         raise ValueError("side must be 'plus' or 'minus'")
 
-    d, s = defn.dimension, defn.scale
-    centre = [Fraction(0)] * d
-    rot = SignedPermutation.identity(d)
-    scale = Fraction(1)
-    for level in range(depth, 0, -1):
-        z = D ** (level - 1)
-        b = -(-i // z)  # ceil
-        entry = defn.entries[b - 1]
-        i = b * z - i + 1 if entry.reverse else i - (b - 1) * z
-        step = rot.apply(defn.centres[b - 1])
-        for j in range(d):
-            centre[j] += scale * step[j]
-        rot = rot.compose(entry)
-        scale /= s
-    return tuple(centre)
+    table = _Table(defn)
+    pos, _ = table.descend(i // D**e % D for e in range(depth - 1, -1, -1))
+    unit = 2 * table.m * defn.scale**depth
+    return tuple(Fraction(x, unit) for x in pos)
 
 
 def _require_cubic(defn: TraversalDefinition) -> None:
@@ -323,24 +337,17 @@ def find_reversal_symmetry(
     pts3 = None
     n = len(pts2)
     first, last = pts2[0], pts2[-1]
-    for unsigned in itertools.permutations(range(1, d + 1)):
-        for mask in range(1 << d):
-            cand = SignedPermutation(
-                tuple(
-                    -u if mask & (1 << j) else u
-                    for j, u in enumerate(unsigned)
-                )
-            )
-            if cand.apply(first) != last:
-                continue
-            if all(cand.apply(pts2[k]) == pts2[n - 1 - k] for k in range(n)):
-                if pts3 is None:
-                    pts3 = generate_path(defn, 3).points
-                n3 = len(pts3)
-                if all(
-                    cand.apply(pts3[k]) == pts3[n3 - 1 - k] for k in range(n3)
-                ):
-                    return cand
+    for cand in _cube_symmetries(d):
+        if cand.apply(first) != last:
+            continue
+        if all(cand.apply(pts2[k]) == pts2[n - 1 - k] for k in range(n)):
+            if pts3 is None:
+                pts3 = generate_path(defn, 3).points
+            n3 = len(pts3)
+            if all(
+                cand.apply(pts3[k]) == pts3[n3 - 1 - k] for k in range(n3)
+            ):
+                return cand
     return None
 
 
@@ -368,24 +375,17 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     ]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
-    half = Fraction(1, 2)
+    table = _Table(defn, forward)
+    w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list[Vector] = []
     for seq in itertools.product(range(D), repeat=d):
-        acc = SignedPermutation.identity(d)
-        centre = [Fraction(0)] * d
-        scale = Fraction(1)
-        for m in seq:
-            step = acc.apply(centres[m])
-            for j in range(d):
-                centre[j] += scale * step[j]
-            acc = acc.compose(forward[m])
-            scale /= s
-        x = [int((centre[j] + half) * D) for j in range(d)]  # 0-based cells
+        pos, (acc, _) = table.descend(seq)
+        x = [(v + corner) // w for v in pos]  # 0-based cells
         ent = [0] * (d * d)
         for j in range(d):
-            pj = acc.entries[j]
+            pj = acc[j]
             mcell = x[abs(pj) - 1]
             low = forward[mcell] if pj > 0 else low_sigma[mcell]
             base = (abs(pj) - 1) * d

@@ -24,6 +24,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,6 +130,16 @@ class SignedPermutation:
     def __str__(self) -> str:
         inner = " ".join(str(e) for e in self.entries)
         return "{%s]" % inner if self.reverse else "[%s}" % inner
+
+
+def _cube_symmetries(d: int) -> Iterator[SignedPermutation]:
+    """The 2^d * d! signed permutations of the d-cube, in a fixed order:
+    the unsigned permutations lexicographically, each with every sign mask."""
+    for unsigned in itertools.permutations(range(1, d + 1)):
+        for mask in range(1 << d):
+            yield SignedPermutation(
+                tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned))
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -303,6 +303,26 @@ def test_describe_out_flag_writes_file(tmp_path):
     assert f.read_text().strip() == "[1 2} 1 [1 2} 2 [1 2} -1 [1 2}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["path", "--depth", "2"],
+    ["plot", "--depth", "2"],
+    ["check", "--property", "well-folded"],
+])
+def test_every_command_resolves_its_source_alike(argv, tmp_path):
+    rule = "[1 2} 1 {1 2] 2 [1 2} -1 {1 2]"
+    f = tmp_path / "rule.txt"
+    f.write_text(rule)
+    command, *flags = argv
+    code, from_file, _ = run([command, str(f), *flags])
+    assert code == 0
+    # check labels its report lines with the source as given
+    assert run([command, "-", *flags], stdin=rule) == (0, from_file.replace(str(f), "-"), "")
+    for source in (str(tmp_path / "missing.txt"), "nosuch"):
+        code, out, err = run([command, source, *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown kind or definition file {source!r}; known kinds: z, ")
+
+
 # -- streamed path output ---------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from traversals.engine import (
     NotCubicError,
     NotSymmetricError,
     Path,
+    _plus_with_sign,
+    _require_cubic,
     _scaled_centres,
     find_reversal_symmetry,
     generate_full_path,
@@ -33,6 +37,8 @@ from traversals.generators import (
 )
 from traversals.notation import (
     SignedPermutation,
+    TraversalDefinition,
+    _cube_symmetries,
     format_definition,
     parse_definition,
 )
@@ -180,6 +186,9 @@ def test_locate_rejects_out_of_domain():
         locate(defn, F(0), 2, "minus")
     with pytest.raises(ValueError):
         locate(defn, F(3, 2), 2, "plus")
+    for side in ("plus", "minus"):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            locate(defn, F(1, 3), -1, side)
 
 
 def test_locate_meander_published_value():
@@ -197,6 +206,14 @@ def test_locate_meander_published_value():
 def test_hilbert_symmetry_is_the_mirror_swapping_endpoints():
     sigma = find_reversal_symmetry(gen_harmonious(2))
     assert sigma == SignedPermutation((1, -2))
+
+
+def test_cube_symmetries_keep_their_order():
+    # find_reversal_symmetry returns the first match in this order
+    assert [g.entries for g in _cube_symmetries(2)] == [
+        (1, 2), (-1, 2), (1, -2), (-1, -2), (2, 1), (-2, 1), (2, -1), (-2, -1)
+    ]
+    assert len(set(_cube_symmetries(3))) == 48
 
 
 def test_gray_code_is_asymmetric():
@@ -460,6 +477,7 @@ UNEVEN_RULES = (
     "[2 1} [-2 1} 1 1 [-2 1}",
     "{-2 1] 2 [-1 -2}",
     "[1 -2} 2 [2 1} -1 2 [1 -2}",
+    "d=1 s=2 u=4 [1} 1 [1}",  # off-grid centres: m = 2, cells 4 units wide
 )
 
 
@@ -520,3 +538,138 @@ def test_walk_rejects_bad_arguments():
         next(iter_path(defn, -1))
     with pytest.raises(ValueError):
         next(iter_path(defn, 1, "middle"))
+
+
+# -- locate and squaring against the Fraction descents they replaced ------
+
+
+def fraction_locate(
+    defn: TraversalDefinition,
+    t: Fraction,
+    depth: int,
+    side: str = "plus",
+):
+    """The ``locate`` over ``Fraction`` centres and composed transforms
+    that the integer descent replaced, kept verbatim as its oracle."""
+    t = Fraction(t)
+    D = len(defn.entries)
+    N = D**depth
+    if side == "plus":
+        if not 0 <= t < 1:
+            raise ValueError("plus side needs t in [0, 1)")
+        i = (t * N).__floor__() + 1
+    elif side == "minus":
+        if not 0 < t <= 1:
+            raise ValueError("minus side needs t in (0, 1]")
+        i = -((-t * N).__floor__())
+    else:
+        raise ValueError("side must be 'plus' or 'minus'")
+
+    d, s = defn.dimension, defn.scale
+    centre = [Fraction(0)] * d
+    rot = SignedPermutation.identity(d)
+    scale = Fraction(1)
+    for level in range(depth, 0, -1):
+        z = D ** (level - 1)
+        b = -(-i // z)  # ceil
+        entry = defn.entries[b - 1]
+        i = b * z - i + 1 if entry.reverse else i - (b - 1) * z
+        step = rot.apply(defn.centres[b - 1])
+        for j in range(d):
+            centre[j] += scale * step[j]
+        rot = rot.compose(entry)
+        scale /= s
+    return tuple(centre)
+
+
+def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
+    """The ``squared_definition`` over ``Fraction`` centres and composed
+    transforms, kept verbatim as the oracle of the integer descent."""
+    _require_cubic(defn)
+    sigma = find_reversal_symmetry(defn)
+    if sigma is None:
+        raise NotSymmetricError("the rule is not symmetric; squaring is not self-similar")
+    d, s = defn.dimension, defn.scale
+    D = len(defn.entries)
+    forward = [
+        e if not e.reverse else SignedPermutation(e.compose(sigma).entries)
+        for e in defn.entries
+    ]
+    low_sigma = [f.compose(sigma) for f in forward]
+    centres = defn.centres
+    half = Fraction(1, 2)
+
+    sq_entries: list[SignedPermutation] = []
+    sq_centres: list = []
+    for seq in itertools.product(range(D), repeat=d):
+        acc = SignedPermutation.identity(d)
+        centre = [Fraction(0)] * d
+        scale = Fraction(1)
+        for m in seq:
+            step = acc.apply(centres[m])
+            for j in range(d):
+                centre[j] += scale * step[j]
+            acc = acc.compose(forward[m])
+            scale /= s
+        x = [int((centre[j] + half) * D) for j in range(d)]  # 0-based cells
+        ent = [0] * (d * d)
+        for j in range(d):
+            pj = acc.entries[j]
+            mcell = x[abs(pj) - 1]
+            low = forward[mcell] if pj > 0 else low_sigma[mcell]
+            base = (abs(pj) - 1) * d
+            for j2 in range(d):
+                ent[j * d + j2] = _plus_with_sign(base, low.entries[j2])
+        sq_entries.append(SignedPermutation(tuple(ent)))
+        cvec: list[Fraction] = []
+        for j in range(d):
+            cvec.extend(centres[x[j]])
+        sq_centres.append(tuple(cvec))
+    return TraversalDefinition.from_centres(sq_entries, sq_centres, scale=s)
+
+
+def _check_locate(label, defn, depth, rng):
+    """Both sides at cell midpoints and at the ends of cell segments: every
+    cell of up to 16, else both end cells and 14 seeded others."""
+    n = len(defn.entries) ** depth
+    cells = range(n) if n <= 16 else [0, n - 1, *(rng.randrange(1, n - 1) for _ in range(14))]
+    for i in cells:
+        for t, side in ((F(2 * i + 1, 2 * n), "plus"), (F(2 * i + 1, 2 * n), "minus"),
+                        (F(i, n), "plus"), (F(i + 1, n), "minus")):
+            want = fraction_locate(defn, t, depth, side)
+            assert repr(locate(defn, t, depth, side)) == repr(want), (label, depth, t, side)
+
+
+def test_locate_matches_fraction_locate(tmp_path):
+    rng = random.Random(11)
+    cases = 0
+    for label, _, defn in _differential_cases(tmp_path):
+        for depth in (0, 1, 2, 3):
+            _check_locate(label, defn, depth, rng)
+            cases += 1
+    for label, defn in (("harmonious d=3", generate("harmonious", 3)),
+                        ("peano d=3", generate("peano", 3)),
+                        ("meander2d", builtin_fixed("meander2d"))):
+        _check_locate(label, defn, 20, rng)
+    assert cases > 250
+
+
+def test_squared_definition_matches_fraction_squaring():
+    squared = 0
+    for kind in TraversalKind:
+        for d in (2, 3):
+            try:
+                defn = generate(kind, d)
+            except BetaUndefinedError:
+                continue
+            if d == 3 and defn.scale != 2:
+                continue
+            try:
+                want = format_definition(fraction_squared_definition(defn))
+            except (NotCubicError, NotSymmetricError) as exc:
+                with pytest.raises(type(exc)):
+                    squared_definition(defn)
+                continue
+            assert format_definition(squared_definition(defn)) == want, (kind.value, d)
+            squared += 1
+    assert squared >= 15
