@@ -2,18 +2,22 @@
 
 All three follow one integer table compiled from the rule
 (:class:`_Table`).  A state is the running transform (a signed
-permutation) plus the direction flag; one step gives the centre offset
-and the state of the k-th child visited, multiplying the transform by
-the entry's signed permutation.  Enumeration walks the table depth
-first; location and squaring descend it one child per level.  All
-arithmetic is exact; the emitted points are integers on a lattice where
-one lowest-level cell is two units wide, so cube-tile centres land on
-odd coordinates in corner origin mode.
+permutation) plus the direction flag, interned to a small integer id the
+first time it is reached; its row lists, in visit order, the centre
+offset and the state id of each child, multiplying the transform by the
+entry's signed permutation.  A rule's table is compiled once and kept on
+the rule object (:func:`_table`), so repeated calls on one rule share
+its rows.  Enumeration walks the table depth first; location and
+squaring descend it one child per level.  All arithmetic is exact; the
+emitted points are integers on a lattice where one lowest-level cell is
+two units wide, so cube-tile centres land on odd coordinates in corner
+origin mode.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -88,8 +92,11 @@ class _Table:
     """A rule compiled to integers: the state table every descent follows.
 
     A state is the running signed permutation (a tuple) plus the
-    direction flag.  Offsets are on the lattice of :func:`_scaled_centres`.
-    ``entries``, when given, replace the rule's entries at its centres.
+    direction flag; ``states[i]`` is the state with id ``i`` and the root
+    has id 0.  ``row(i)`` lists, for each child in visit order, its
+    centre offset on the lattice of :func:`_scaled_centres` and its state
+    id; rows are built the first time a state is reached.  ``entries``,
+    when given, replace the rule's entries at its centres.
     """
 
     def __init__(self, defn: TraversalDefinition, entries=None):
@@ -98,32 +105,64 @@ class _Table:
         self.centres, self.m = _scaled_centres(defn)
         self.perms = [e.entries for e in entries]
         self.flips = [e.reverse for e in entries]
-        self.root = (tuple(range(1, self.d + 1)), True)
+        self.states: list = []
+        self.rows: list = []  # by state id: the row, or None until reached
+        self._ids: dict = {}
+        self._lock = threading.Lock()
+        self.root = self._intern((tuple(range(1, self.d + 1)), True))
 
-    def child(self, state, k):
-        """(centre offset at unit scale, state) of the ``k``-th child visited."""
-        rot, forward = state
-        i = k if forward else self.n - 1 - k
-        off = [0] * self.d
-        for v, p in zip(self.centres[i], rot):
-            if p > 0:
-                off[p - 1] = v
-            else:
-                off[-p - 1] = -v
-        nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[i])
-        return tuple(off), (nrot, forward != self.flips[i])
+    def _intern(self, state) -> int:
+        i = self._ids.get(state)
+        if i is None:
+            with self._lock:
+                i = self._ids.get(state)
+                if i is None:
+                    i = len(self.states)
+                    self.states.append(state)
+                    self.rows.append(None)
+                    self._ids[state] = i
+        return i
+
+    def row(self, i: int) -> list:
+        """(centre offset at unit scale, state id) of each child of state
+        ``i``, in visit order."""
+        r = self.rows[i]
+        if r is None:
+            rot, forward = self.states[i]
+            r = []
+            for k in range(self.n):
+                c = k if forward else self.n - 1 - k
+                off = [0] * self.d
+                for v, p in zip(self.centres[c], rot):
+                    if p > 0:
+                        off[p - 1] = v
+                    else:
+                        off[-p - 1] = -v
+                nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[c])
+                r.append((tuple(off), self._intern((nrot, forward != self.flips[c]))))
+            self.rows[i] = r
+        return r
 
     def descend(self, digits):
-        """Centred-frame point and state of the cell reached from the root.
+        """Centred-frame point and state id of the cell reached from the root.
 
         ``digits`` are the visit positions, top level first; the point
         is on the lattice where a cell of that level is ``2*m`` wide.
         """
-        s, pos, state = self.s, (0,) * self.d, self.root
+        s, pos, i, rows = self.s, (0,) * self.d, self.root, self.rows
         for k in digits:
-            off, state = self.child(state, k)
+            off, i = (rows[i] or self.row(i))[k]
             pos = [x * s + o for x, o in zip(pos, off)]
-        return pos, state
+        return pos, i
+
+
+def _table(defn: TraversalDefinition) -> _Table:
+    """The rule's compiled table, built on first use and kept on the rule
+    object (outside its fields; see :mod:`.notation`)."""
+    t = defn.__dict__.get("_table")
+    if t is None:
+        t = defn.__dict__["_table"] = _Table(defn)
+    return t
 
 
 # The walk expands the lowest levels under a node into one block of at
@@ -133,7 +172,7 @@ _BLOCK_POINTS = 64
 
 def cell_units(defn: TraversalDefinition) -> int:
     """Width of one lowest-level cell on the point lattice of the rule."""
-    return 2 * _scaled_centres(defn)[1]
+    return 2 * _table(defn).m
 
 
 def iter_path(
@@ -142,11 +181,11 @@ def iter_path(
     """Stream the lattice points of the traversal in visit order.
 
     ``origin`` translates the points as in :func:`generate_full_path`.
-    The walk follows the rule's state table (see :class:`_Table`), with
-    rows built lazily per state: a state's row lists, in visit order, the
-    child centre offset and the child state.  The lowest levels come from
-    a cached block of leaf offsets per state, so a point costs one tuple
-    addition, and memory stays O(depth) plus the rows of the states met.
+    The walk follows the rule's state table (see :class:`_Table`), whose
+    rows are built the first time a state is met and kept with the rule.
+    The lowest levels come from a block of leaf offsets per state, built
+    once per call, so a point costs one tuple addition, and memory stays
+    O(depth) plus the rows of the states met.
     The shift of ``origin`` is taken from the rule: ``first``/``last``
     descend through the first/last child, ``corner`` takes the per-axis
     minimum over the refinement levels.
@@ -155,17 +194,9 @@ def iter_path(
         raise ValueError("depth must be non-negative")
     if origin not in ORIGIN_MODES:
         raise ValueError(f"unknown origin mode {origin!r}")
-    table = _Table(defn)
-    d, s, n, m = table.d, table.s, table.n, table.m
-    rows: dict = {}
+    table = _table(defn)
+    d, s, n, m, row = table.d, table.s, table.n, table.m, table.row
     blocks: dict = {}
-
-    def row(state):
-        """(child centre offset at unit scale, child state), in visit order."""
-        r = rows.get(state)
-        if r is None:
-            r = rows[state] = [table.child(state, k) for k in range(n)]
-        return r
 
     leaf_levels = min(depth, 1)
     while leaf_levels < depth and n ** (leaf_levels + 1) <= _BLOCK_POINTS:
@@ -261,27 +292,31 @@ def locate(
 
     ``side='plus'`` breaks ties towards later cells (t in [0,1)),
     ``side='minus'`` towards earlier cells (t in (0,1]).  Follows the
-    base-D digits of the cell index down the state table that enumeration
-    and squaring share: O(depth * d) integer steps, no enumeration.
+    base-D digits of the cell index down the rule's state table: O(depth)
+    row lookups, no enumeration.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     t = Fraction(t)
+    p, q = t.numerator, t.denominator
     D = len(defn.entries)
     N = D**depth
     if side == "plus":
-        if not 0 <= t < 1:
+        if not 0 <= p < q:
             raise ValueError("plus side needs t in [0, 1)")
-        i = (t * N).__floor__()
+        i = p * N // q
     elif side == "minus":
-        if not 0 < t <= 1:
+        if not 0 < p <= q:
             raise ValueError("minus side needs t in (0, 1]")
-        i = -((-t * N).__floor__()) - 1
+        i = -(-p * N // q) - 1
     else:
         raise ValueError("side must be 'plus' or 'minus'")
 
-    table = _Table(defn)
-    pos, _ = table.descend(i // D**e % D for e in range(depth - 1, -1, -1))
+    digits = [0] * depth
+    for e in range(depth - 1, -1, -1):
+        i, digits[e] = divmod(i, D)
+    table = _table(defn)
+    pos, _ = table.descend(digits)
     unit = 2 * table.m * defn.scale**depth
     return tuple(Fraction(x, unit) for x in pos)
 
@@ -375,13 +410,14 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     ]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
-    table = _Table(defn, forward)
+    table = _Table(defn, forward)  # not the rule's own table: other entries
     w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list[Vector] = []
     for seq in itertools.product(range(D), repeat=d):
-        pos, (acc, _) = table.descend(seq)
+        pos, i = table.descend(seq)
+        acc = table.states[i][0]
         x = [(v + corner) // w for v in pos]  # 0-based cells
         ent = [0] * (d * d)
         for j in range(d):

@@ -18,16 +18,25 @@ back along axis 1 and forward along axis 2 simultaneously).  Two
 adjacent entries with no integers between them share a centre point.
 
 All geometry is exact: centres are vectors of `fractions.Fraction`.
-Every value in this module is immutable and safe to share across
-threads.
+Rules are built and validated on the integer lattice: the step counts of
+the moves are accumulated as integers, each centre coordinate becomes one
+`Fraction`, and the check that centres and moves agree runs in integers
+over one common denominator.  Every value in this module is immutable
+and safe to share across threads; data derived from a rule (its
+``fills_cube`` verdict, the engine's compiled state table) is computed
+once and kept on the rule object, outside its fields, so equality,
+hashing, ``repr``, copying and pickling see the fields alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -164,13 +173,8 @@ class Move:
             if abs(e) > d:
                 raise ValueError(f"move element {e} out of range for dimension {d}")
 
-    def displacement(self, d: int, step: Fraction) -> Vector:
-        out = [Fraction(0)] * d
-        for e in self.steps:
-            out[abs(e) - 1] += step if e > 0 else -step
-        return tuple(out)
-
-    def negated_int_displacement(self, d: int) -> tuple[int, ...]:
+    def int_displacement(self, d: int) -> tuple[int, ...]:
+        """The step counts along axes 1..d."""
         out = [0] * d
         for e in self.steps:
             out[abs(e) - 1] += 1 if e > 0 else -1
@@ -187,23 +191,33 @@ class Move:
         return " ".join(str(e) for e in self.steps)
 
 
-def _snap_to_tile_grid(v: Fraction, s: int) -> Fraction:
-    """Nearest first-level tile-centre coordinate (k + 1/2)/s - 1/2."""
-    w = (v + Fraction(1, 2)) * s - Fraction(1, 2)
-    k = -((Fraction(1, 2) - w).__floor__())  # round to nearest, ties down
-    return Fraction(2 * k + 1, 2 * s) - Fraction(1, 2)
+def _check_step_den(u) -> None:
+    if not isinstance(u, int) or u < 1:
+        raise ValueError(f"step denominator u={u!r} must be a positive integer")
 
 
-def _zero(d: int) -> Vector:
-    return (Fraction(0),) * d
+def _lattice(u: int, centres) -> tuple[int, list[list[int]]]:
+    """The least common denominator of ``1/u`` and the centres, and the
+    centres as integer vectors over it."""
+    den = lcm(u, *(x.denominator for c in centres for x in c))
+    return den, [[x.numerator * (den // x.denominator) for x in c] for c in centres]
 
 
-def _vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+def _fractions(nums, den: int, factor: int, deltas) -> tuple[Vector, ...]:
+    """Centres ``(nums + factor * delta) / den`` for each step-count vector
+    ``delta``, one `Fraction` per distinct numerator."""
+    made: dict[int, Fraction] = {}
+    out = []
+    for dl in deltas:
+        c = []
+        for a, x in zip(nums, dl):
+            p = a + factor * x
+            f = made.get(p)
+            if f is None:
+                f = made[p] = Fraction(p, den)
+            c.append(f)
+        out.append(tuple(c))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -240,12 +254,23 @@ class TraversalDefinition:
             m.check_dimension(self.dimension)
         if len(self.centres) != len(self.entries):
             raise ValueError("one centre per entry required")
-        step = Fraction(1, self.step_den)
+        _check_step_den(self.step_den)
+        for c in self.centres:
+            for x in c:
+                if not isinstance(x, (int, Fraction)):
+                    raise ValueError(f"centre coordinate {x!r} is not an int or Fraction")
+        den, scaled = _lattice(self.step_den, self.centres)
+        w = den // self.step_den  # one step on the lattice
         for k, m in enumerate(self.moves):
-            if _vsub(self.centres[k + 1], self.centres[k]) != m.displacement(
-                self.dimension, step
-            ):
+            if list(map(sub, scaled[k + 1], scaled[k])) != [
+                w * x for x in m.int_displacement(self.dimension)
+            ]:
                 raise ValueError(f"centres and move {k + 1} disagree")
+
+    def __getstate__(self):
+        """The fields alone: derived data cached on the instance is rebuilt
+        on demand, not pickled or copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- construction ------------------------------------------------
 
@@ -273,19 +298,26 @@ class TraversalDefinition:
         moves = tuple(moves)
         d = entries[0].dimension
         u = step_den if step_den is not None else scale
-        step = Fraction(1, u)
-        deltas = [_zero(d)]
+        _check_step_den(u)
+        deltas = [(0,) * d]  # step counts from the first centre
         for m in moves:
-            deltas.append(_vadd(deltas[-1], m.displacement(d, step)))
+            deltas.append(tuple(map(add, deltas[-1], m.int_displacement(d))))
         if anchor is None:
             n = len(deltas)
-            mean = tuple(sum(dl[j] for dl in deltas) / n for j in range(d))
-            c1 = tuple(-x for x in mean)
+            sums = [sum(col) for col in zip(*deltas)]
             if u == scale:
-                c1 = tuple(_snap_to_tile_grid(x, scale) for x in c1)
+                # Centre (2k + 1 - s) / 2s of tile k nearest the mean-zero
+                # placement -sum/(n*s), ties towards the low side.
+                first = [1 - scale - 2 * ((2 * t + (2 - scale) * n) // (2 * n)) for t in sums]
+                den, factor = 2 * scale, 2
+            else:
+                first, den, factor = [-t for t in sums], n * u, n
         else:
-            c1 = tuple(Fraction(x) for x in anchor)
-        centres = tuple(_vadd(c1, dl) for dl in deltas)
+            a = [Fraction(x) for x in anchor]
+            factor = lcm(*(x.denominator for x in a))
+            first = [x.numerator * (factor // x.denominator) * u for x in a]
+            den = factor * u
+        centres = _fractions(first, den, factor, deltas)
         return cls(d, scale, entries, moves, u, centres)
 
     @classmethod
@@ -299,21 +331,23 @@ class TraversalDefinition:
     ) -> "TraversalDefinition":
         """Build a definition from explicit centres; moves are derived."""
         entries = tuple(entries)
-        centres = tuple(tuple(Fraction(x) for x in c) for c in centres)
+        centres = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in c) for c in centres
+        )
         d = entries[0].dimension
         u = step_den if step_den is not None else scale
-        step = Fraction(1, u)
+        _check_step_den(u)
+        den, scaled = _lattice(u, centres)
+        w = den // u  # one step on the lattice
         moves = []
         for k in range(len(centres) - 1):
-            diff = _vsub(centres[k + 1], centres[k])
             steps = []
-            for j, x in enumerate(diff):
-                n = x / step
-                if n.denominator != 1:
-                    raise ValueError(
-                        f"centre difference {diff} is not a multiple of 1/{u}"
-                    )
-                steps.extend([(j + 1) * _sign(n.numerator)] * abs(n.numerator))
+            for j, x in enumerate(map(sub, scaled[k + 1], scaled[k])):
+                n, r = divmod(x, w)
+                if r:
+                    diff = tuple(map(sub, centres[k + 1], centres[k]))
+                    raise ValueError(f"centre difference {diff} is not a multiple of 1/{u}")
+                steps.extend([j + 1 if n > 0 else -j - 1] * abs(n))
             moves.append(Move(tuple(steps)))
         return cls(d, scale, entries, tuple(moves), u, centres)
 
@@ -322,24 +356,22 @@ class TraversalDefinition:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def fills_cube(self) -> bool:
         """True when the rule tiles the full cube grid, one tile per cell."""
         d, s = self.dimension, self.scale
         if len(self.entries) != s**d:
             return False
-        half = Fraction(1, 2)
         grid = set()
         for c in self.centres:
-            cell = []
-            for x in c:
-                q = (x + half) * s - half
-                if q.denominator != 1:
-                    return False
-                cell.append(int(q))
-            if any(not 0 <= i < s for i in cell):
+            # Coordinate x is the centre (2i + 1 - s) / 2s of cell i.
+            cell = tuple(
+                divmod(2 * s * x.numerator + (s - 1) * x.denominator, 2 * x.denominator)
+                for x in c
+            )
+            if any(r or not 0 <= i < s for i, r in cell):
                 return False
-            grid.add(tuple(cell))
+            grid.add(cell)
         return len(grid) == s**d
 
     def structurally_equal(self, other: "TraversalDefinition") -> bool:

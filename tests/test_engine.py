@@ -4,9 +4,11 @@ import contextlib
 import io
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from conftest import UNEVEN_RULES, differential_rules
 
 from traversals import cli
 from traversals.engine import (
@@ -17,6 +19,8 @@ from traversals.engine import (
     _plus_with_sign,
     _require_cubic,
     _scaled_centres,
+    _table,
+    cell_units,
     find_reversal_symmetry,
     generate_full_path,
     generate_path,
@@ -189,6 +193,14 @@ def test_locate_rejects_out_of_domain():
     for side in ("plus", "minus"):
         with pytest.raises(ValueError, match="depth must be non-negative"):
             locate(defn, F(1, 3), -1, side)
+    # the integer range checks reject what the Fraction ones did, alike
+    for t, depth, side in ((F(-1, 3), 2, "plus"), (F(1), 2, "plus"), (F(0), 2, "minus"),
+                           (F(4, 3), 2, "minus"), (F(1, 2), 2, "middle")):
+        with pytest.raises(ValueError) as want:
+            per_call_locate(defn, t, depth, side)
+        with pytest.raises(ValueError) as got:
+            locate(defn, t, depth, side)
+        assert str(got.value) == str(want.value)
 
 
 def test_locate_meander_published_value():
@@ -471,16 +483,6 @@ def _cli_cells(argv):
     return tuple(tuple(int(x) for x in line.split()) for line in lines)
 
 
-# Rules whose points do not lie symmetrically about the centre, with
-# reflected entries: the corner shift must follow the reflections.
-UNEVEN_RULES = (
-    "[2 1} [-2 1} 1 1 [-2 1}",
-    "{-2 1] 2 [-1 -2}",
-    "[1 -2} 2 [2 1} -1 2 [1 -2}",
-    "d=1 s=2 u=4 [1} 1 [1}",  # off-grid centres: m = 2, cells 4 units wide
-)
-
-
 def _differential_cases(tmp_path):
     """(label, CLI source arguments, rule): every family for d = 1..4,
     every bundled curve and the uneven rules."""
@@ -673,3 +675,183 @@ def test_squared_definition_matches_fraction_squaring():
             assert format_definition(squared_definition(defn)) == want, (kind.value, d)
             squared += 1
     assert squared >= 15
+
+
+# -- the cached table against the per-call table it replaced -------------------
+
+
+class PerCallTable:
+    """The ``_Table`` built afresh by every call, with states as tuples and
+    one ``child`` step, kept verbatim as the oracle of the cached table."""
+
+    def __init__(self, defn: TraversalDefinition, entries=None):
+        entries = defn.entries if entries is None else entries
+        self.d, self.s, self.n = defn.dimension, defn.scale, len(entries)
+        self.centres, self.m = _scaled_centres(defn)
+        self.perms = [e.entries for e in entries]
+        self.flips = [e.reverse for e in entries]
+        self.root = (tuple(range(1, self.d + 1)), True)
+
+    def child(self, state, k):
+        """(centre offset at unit scale, state) of the ``k``-th child visited."""
+        rot, forward = state
+        i = k if forward else self.n - 1 - k
+        off = [0] * self.d
+        for v, p in zip(self.centres[i], rot):
+            if p > 0:
+                off[p - 1] = v
+            else:
+                off[-p - 1] = -v
+        nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[i])
+        return tuple(off), (nrot, forward != self.flips[i])
+
+    def descend(self, digits):
+        """Centred-frame point and state of the cell reached from the root."""
+        s, pos, state = self.s, (0,) * self.d, self.root
+        for k in digits:
+            off, state = self.child(state, k)
+            pos = [x * s + o for x, o in zip(pos, off)]
+        return pos, state
+
+
+def per_call_locate(defn, t, depth, side="plus"):
+    """``locate`` over a table built per call, kept verbatim as its oracle."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    t = Fraction(t)
+    D = len(defn.entries)
+    N = D**depth
+    if side == "plus":
+        if not 0 <= t < 1:
+            raise ValueError("plus side needs t in [0, 1)")
+        i = (t * N).__floor__()
+    elif side == "minus":
+        if not 0 < t <= 1:
+            raise ValueError("minus side needs t in (0, 1]")
+        i = -((-t * N).__floor__()) - 1
+    else:
+        raise ValueError("side must be 'plus' or 'minus'")
+
+    table = PerCallTable(defn)
+    pos, _ = table.descend(i // D**e % D for e in range(depth - 1, -1, -1))
+    unit = 2 * table.m * defn.scale**depth
+    return tuple(Fraction(x, unit) for x in pos)
+
+
+def test_locate_matches_per_call_table():
+    rng = random.Random(12)
+    cases = 0
+    for label, defn in differential_rules():
+        for depth in (0, 1, 2, 3, 9):
+            n = len(defn.entries) ** depth
+            for _ in range(3):
+                i = rng.randrange(n)
+                for t, side in ((F(2 * i + 1, 2 * n), "plus"), (F(i, n), "plus"),
+                                (F(2 * i + 1, 2 * n), "minus"), (F(i + 1, n), "minus")):
+                    want = per_call_locate(defn, t, depth, side)
+                    assert repr(locate(defn, t, depth, side)) == repr(want), (label, depth, t)
+        assert cell_units(defn) == 2 * PerCallTable(defn).m, label
+        cases += 1
+    assert cases == 120
+
+
+def test_one_rule_object_serves_every_operation_like_fresh_ones():
+    """The rule's cached table is shared by ``locate``, ``iter_path`` and
+    ``cell_units``, never by the reversal-free table of the squaring."""
+    defn = generate("harmonious", 3)
+    assert any(e.reverse for e in defn.entries)
+    t = F(5, 17)
+
+    def run(rule):
+        return (
+            locate(rule, t, 6),
+            tuple(iter_path(rule, 2, "first")),
+            format_definition(squared_definition(rule)),
+            locate(rule, t, 12, "minus"),
+            tuple(iter_path(rule, 3, "corner")),
+            cell_units(rule),
+        )
+
+    want = [
+        locate(generate("harmonious", 3), t, 6),
+        tuple(iter_path(generate("harmonious", 3), 2, "first")),
+        format_definition(squared_definition(generate("harmonious", 3))),
+        locate(generate("harmonious", 3), t, 12, "minus"),
+        tuple(iter_path(generate("harmonious", 3), 3, "corner")),
+        cell_units(generate("harmonious", 3)),
+    ]
+    assert list(run(defn)) == want
+    assert list(run(defn)) == want
+    table = _table(defn)
+    assert table is _table(defn)
+    assert table.perms == [e.entries for e in defn.entries]
+    assert table.flips == [e.reverse for e in defn.entries]
+    assert table.states[table.root] == ((1, 2, 3), True)
+
+
+def test_cached_table_leaves_equality_hash_repr_and_pickle_alone():
+    import copy
+    import pickle
+
+    fresh = generate("peano", 3)
+    defn = generate("peano", 3)
+    before = (hash(defn), repr(defn))
+    locate(defn, F(1, 3), 8)
+    assert defn.fills_cube
+    assert "_table" in vars(defn)
+    assert (hash(defn), repr(defn)) == before
+    assert defn == fresh and fresh == defn
+    for back in (pickle.loads(pickle.dumps(defn)), copy.deepcopy(defn), copy.copy(defn)):
+        assert back == defn
+        assert repr(back) == repr(defn)
+        assert "_table" not in vars(back)
+        assert locate(back, F(1, 3), 8) == locate(fresh, F(1, 3), 8)
+
+
+def test_table_interns_only_the_states_it_meets():
+    defn = generate("harmonious", 6)
+    locate(defn, F(1, 3), 2)
+    table = _table(defn)
+    built = [r for r in table.rows if r is not None]
+    assert len(built) == 2  # one row per level descended
+    assert len(table.states) <= 1 + 2 * len(defn.entries)
+
+
+class _YieldingDict(dict):
+    """A dict that lets other threads run between a lookup and its
+    caller's next step, to widen any window between looking a state up
+    and interning it."""
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        time.sleep(1e-4)
+        return found
+
+
+def test_threads_sharing_a_rule_intern_each_state_once():
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    ts = [F(k, 211) for k in range(211)]
+    want = [locate(generate("butz", 4), t, 9) for t in ts]
+    defn = generate("butz", 4)
+    table = _table(defn)
+    table._ids = _YieldingDict(table._ids)
+    start = threading.Barrier(8)
+
+    def work(k):
+        start.wait(timeout=60)
+        return [locate(defn, t, 9) for t in ts[k:] + ts[:k]]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    for k, got in enumerate(runs):
+        assert got == want[k:] + want[:k]
+    assert len(set(table.states)) == len(table.states)
+    assert all(table._ids[st] == i for i, st in enumerate(table.states))

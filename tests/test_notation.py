@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import differential_rules
 from hypothesis import given, strategies as st
 
 from traversals.notation import (
@@ -287,3 +288,242 @@ def test_full_round_trip_preserves_centres_for_builtins():
     for name in FIXED_NAMES:
         defn = builtin_fixed(name)
         assert parse_definition(format_definition(defn)) == defn, name
+
+
+# -- integer construction against the Fraction construction it replaced ------
+
+
+def _sign(x):
+    return -1 if x < 0 else 1
+
+
+def _displacement(move, d, step):
+    out = [Fraction(0)] * d
+    for e in move.steps:
+        out[abs(e) - 1] += step if e > 0 else -step
+    return tuple(out)
+
+
+def _snap_to_tile_grid(v, s):
+    """Nearest first-level tile-centre coordinate (k + 1/2)/s - 1/2."""
+    w = (v + Fraction(1, 2)) * s - Fraction(1, 2)
+    k = -((Fraction(1, 2) - w).__floor__())  # round to nearest, ties down
+    return Fraction(2 * k + 1, 2 * s) - Fraction(1, 2)
+
+
+def _zero(d):
+    return (Fraction(0),) * d
+
+
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def fraction_check(dimension, scale, entries, moves, step_den, centres):
+    """``TraversalDefinition.__post_init__`` over ``Fraction`` vectors,
+    kept verbatim as the oracle of the integer check."""
+    if dimension < 1 or scale < 2:
+        raise ValueError("need dimension >= 1 and scale >= 2")
+    if len(entries) < 1:
+        raise ValueError("a definition needs at least one entry")
+    if len(moves) != len(entries) - 1:
+        raise ValueError("expected one move between each pair of entries")
+    for e in entries:
+        if e.dimension != dimension:
+            raise ValueError("inconsistent entry lengths")
+    for m in moves:
+        m.check_dimension(dimension)
+    if len(centres) != len(entries):
+        raise ValueError("one centre per entry required")
+    step = Fraction(1, step_den)
+    for k, m in enumerate(moves):
+        if _vsub(centres[k + 1], centres[k]) != _displacement(m, dimension, step):
+            raise ValueError(f"centres and move {k + 1} disagree")
+
+
+def fraction_from_moves(entries, moves, *, scale=2, step_den=None, anchor=None):
+    """``TraversalDefinition.from_moves`` over ``Fraction`` sums, kept
+    verbatim as the oracle of the integer construction."""
+    entries = tuple(entries)
+    moves = tuple(moves)
+    d = entries[0].dimension
+    u = step_den if step_den is not None else scale
+    step = Fraction(1, u)
+    deltas = [_zero(d)]
+    for m in moves:
+        deltas.append(_vadd(deltas[-1], _displacement(m, d, step)))
+    if anchor is None:
+        n = len(deltas)
+        mean = tuple(sum(dl[j] for dl in deltas) / n for j in range(d))
+        c1 = tuple(-x for x in mean)
+        if u == scale:
+            c1 = tuple(_snap_to_tile_grid(x, scale) for x in c1)
+    else:
+        c1 = tuple(Fraction(x) for x in anchor)
+    centres = tuple(_vadd(c1, dl) for dl in deltas)
+    return TraversalDefinition(d, scale, entries, moves, u, centres)
+
+
+def fraction_from_centres(entries, centres, *, scale=2, step_den=None):
+    """``TraversalDefinition.from_centres`` over ``Fraction`` differences,
+    kept verbatim as the oracle of the integer construction."""
+    entries = tuple(entries)
+    centres = tuple(tuple(Fraction(x) for x in c) for c in centres)
+    d = entries[0].dimension
+    u = step_den if step_den is not None else scale
+    step = Fraction(1, u)
+    moves = []
+    for k in range(len(centres) - 1):
+        diff = _vsub(centres[k + 1], centres[k])
+        steps = []
+        for j, x in enumerate(diff):
+            n = x / step
+            if n.denominator != 1:
+                raise ValueError(
+                    f"centre difference {diff} is not a multiple of 1/{u}"
+                )
+            steps.extend([(j + 1) * _sign(n.numerator)] * abs(n.numerator))
+        moves.append(Move(tuple(steps)))
+    return TraversalDefinition(d, scale, entries, tuple(moves), u, centres)
+
+
+def fraction_fills_cube(defn):
+    """``fills_cube`` over ``Fraction`` coordinates, kept verbatim."""
+    d, s = defn.dimension, defn.scale
+    if len(defn.entries) != s**d:
+        return False
+    half = Fraction(1, 2)
+    grid = set()
+    for c in defn.centres:
+        cell = []
+        for x in c:
+            q = (x + half) * s - half
+            if q.denominator != 1:
+                return False
+            cell.append(int(q))
+        if any(not 0 <= i < s for i in cell):
+            return False
+        grid.add(tuple(cell))
+    return len(grid) == s**d
+
+
+def _outcome(build):
+    """The result of ``build()``, or the type and message of its error."""
+    try:
+        return build()
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def _same(new, old, label):
+    assert new == old, label
+    assert repr(new) == repr(old), label
+
+
+def test_construction_matches_fraction_construction():
+    cases = 0
+    for label, defn in differential_rules():
+        e, m, s, u = defn.entries, defn.moves, defn.scale, defn.step_den
+        d = defn.dimension
+        anchors = (None, defn.centres[0], (F(1, 3),) * d, (0.25, *range(d - 1)))
+        for anchor in anchors:
+            _same(
+                TraversalDefinition.from_moves(e, m, scale=s, step_den=u, anchor=anchor),
+                fraction_from_moves(e, m, scale=s, step_den=u, anchor=anchor),
+                (label, anchor),
+            )
+        for step_den in (None, 2 * u, 3):
+            _same(
+                TraversalDefinition.from_moves(e, m, scale=s, step_den=step_den),
+                fraction_from_moves(e, m, scale=s, step_den=step_den),
+                (label, step_den),
+            )
+        _same(TraversalDefinition.from_centres(e, defn.centres, scale=s, step_den=u),
+              fraction_from_centres(e, defn.centres, scale=s, step_den=u), label)
+        _same(defn, fraction_from_moves(e, m, scale=s, step_den=u), label)
+        assert fraction_check(d, s, e, m, u, defn.centres) is None
+        assert defn.fills_cube == fraction_fills_cube(defn), label
+        cases += 1
+    assert cases == 120
+
+
+def _malformed():
+    """(label, constructor name, arguments, keywords) of rules the
+    construction rejects."""
+    p, q, r = perm(1, 2), perm(2, -1, reverse=True), perm(1, 2, 3)
+    one, two, zero = Move((1,)), Move((2,)), Move(())
+    c = ((F(-1, 4), F(-1, 4)), (F(1, 4), F(-1, 4)))
+    yield "scale 1", "init", (2, 1, (p, q), (one,), 1, c), {}
+    yield "dimension 0", "init", (0, 2, (p, q), (one,), 2, c), {}
+    yield "no entries", "init", (2, 2, (), (), 2, ()), {}
+    yield "missing move", "init", (2, 2, (p, q), (), 2, c), {}
+    yield "entry lengths", "init", (2, 2, (p, r), (one,), 2, c), {}
+    yield "move axis", "init", (2, 2, (p, q), (Move((3,)),), 2, c), {}
+    yield "centre count", "init", (2, 2, (p, q), (one,), 2, c[:1]), {}
+    yield "wrong move", "init", (2, 2, (p, q), (two,), 2, c), {}
+    yield "empty move", "init", (2, 2, (p, q), (zero,), 2, c), {}
+    yield "step width", "init", (2, 2, (p, q), (one,), 4, c), {}
+    yield "long centres", "init", (2, 2, (p, q), (one,), 2, tuple(x + (F(0),) for x in c)), {}
+    yield "short centre", "init", (2, 2, (p, q), (one,), 2, (c[0][:1], c[1])), {}
+    yield "off grid", "centres", ((p, q), ((0, 0), (F(1, 3), 0))), {}
+    yield "off step", "centres", ((p, q), ((0, 0), (F(1, 2), 0))), {"step_den": 3}
+    yield "centre count from centres", "centres", ((p, q), c[:1]), {}
+    yield "move axis from moves", "moves", ((p, q), (Move((3,)),)), {}
+    yield "missing move from moves", "moves", ((p, q), ()), {}
+    yield "scale 1 from moves", "moves", ((p, q), (one,)), {"scale": 1}
+
+
+def test_malformed_rules_fail_as_the_fraction_construction_did():
+    new = {
+        "init": TraversalDefinition,
+        "moves": TraversalDefinition.from_moves,
+        "centres": TraversalDefinition.from_centres,
+    }
+    old = {
+        "init": lambda *a: fraction_check(*a) or TraversalDefinition(*a),
+        "moves": fraction_from_moves,
+        "centres": fraction_from_centres,
+    }
+    for label, kind, args, kw in _malformed():
+        got = _outcome(lambda: new[kind](*args, **kw))
+        want = _outcome(lambda: old[kind](*args, **kw))
+        assert isinstance(want, tuple), label
+        assert got == want, label
+
+
+@pytest.mark.parametrize("u", [0, -2])
+def test_step_denominator_must_be_positive(u):
+    # It used to raise ZeroDivisionError (0), or accept -2 and print a
+    # header that parse_definition cannot read back.
+    e, c = (perm(1), perm(1)), ((F(-1, 4),), (F(1, 4),))
+    for build in (
+        lambda: TraversalDefinition(1, 2, e, (Move((1,)),), u, c),
+        lambda: TraversalDefinition.from_moves(e, [Move((1,))], step_den=u),
+        lambda: TraversalDefinition.from_centres(e, c, step_den=u),
+    ):
+        with pytest.raises(ValueError, match="step denominator"):
+            build()
+
+
+def test_centres_must_be_exact():
+    # Float centres used to be accepted, and the engine then failed on
+    # their missing denominator.
+    e = (perm(1), perm(1))
+    with pytest.raises(ValueError, match="not an int or Fraction"):
+        TraversalDefinition(1, 2, e, (Move((1,)),), 2, ((-0.25,), (0.25,)))
+    ints = TraversalDefinition(1, 2, e[:1], (), 2, ((0,),))
+    assert ints.centres == ((F(0),),)
+    # from_centres converts its input to Fraction, as before
+    assert TraversalDefinition.from_centres(e, ((-0.25,), (0.25,))).centres == (
+        (F(-1, 4),),
+        (F(1, 4),),
+    )
+
+
+def test_int_displacement_counts_steps_per_axis():
+    assert Move((1, -2, -2, 3)).int_displacement(3) == (1, -2, 1)
+    assert Move(()).int_displacement(2) == (0, 0)
