@@ -12,11 +12,37 @@ Matrix convention: row ``d+1-i`` holds coordinate ``i``'s fractional
 bits of ``x + 1/2``, most significant first, so row 1 belongs to the
 highest axis.  Whole-matrix reads go column by column, left to right,
 and top down within each column.
+
+Row words.  The operations work on the d *row words* w[1], ..., w[d]:
+row r packed as one k-bit int, column 1 most significant.  Row coding
+and row decoding apply :func:`gray` and :func:`gray_inverse` to each
+word; inversion XORs each word with the mask of columns 2, 4, ...;
+column ranking (g^-1 on each column) is a running XOR down the rows,
+and column coding (g on each column) is ``w[r] ^ w[r-1]``.  The Gray
+code g of the whole matrix in column-major order needs no interleaving.
+The bit read just before (r, c) is (r-1, c), or (d, c-1) for the top
+row, so
+
+    g(w)[1] = w[1] ^ (w[d] >> 1),    g(w)[r] = w[r] ^ w[r-1]  (r > 1).
+
+Its inverse XORs every bit read so far.  With P = w[1] ^ ... ^ w[d],
+the parity of each column, ``gray_inverse(P) >> 1`` holds at column c
+the parity of all columns left of c, so
+
+    g^-1(w)[r] = (gray_inverse(P) >> 1) ^ w[1] ^ ... ^ w[r].
+
+Bits enter and leave the words only at the API boundary: a rank reads
+the matrix once and interleaves its words once, an unrank
+de-interleaves once and builds one matrix, so each step of a recipe
+costs O(d) word operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, chain, repeat
+from operator import xor
 
 __all__ = [
     "CoordinateMatrix",
@@ -63,6 +89,18 @@ def gray_inverse(n: int) -> int:
     return n
 
 
+# Bits and binary digits, translated by C-level bytes methods.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_TO_BITS = bytes.maketrans(b"01", b"\0\1")
+_BIT_VALUES = frozenset((0, 1))
+
+
+def _words(rows) -> list[int]:
+    """Each row of bits as one int, its first bit most significant."""
+    digits = map(bytes.translate, map(bytes, rows), repeat(_TO_DIGITS))
+    return list(map(int, digits, repeat(2)))
+
+
 @dataclass(frozen=True, slots=True)
 class CoordinateMatrix:
     """A d-by-k matrix of coordinate bits."""
@@ -72,12 +110,11 @@ class CoordinateMatrix:
     def __post_init__(self):
         if not self.bits or not self.bits[0]:
             raise ValueError("matrix must have at least one row and column")
-        width = len(self.bits[0])
-        for row in self.bits:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            if any(b not in (0, 1) for b in row):
-                raise ValueError("entries must be bits")
+        if len(set(map(len, self.bits))) != 1:
+            raise ValueError("ragged matrix")
+        entries = list(chain.from_iterable(self.bits))
+        if not all(map(isinstance, entries, repeat(int))) or not _BIT_VALUES.issuperset(entries):
+            raise ValueError("entries must be bits")
 
     @property
     def rows(self) -> int:
@@ -90,44 +127,29 @@ class CoordinateMatrix:
     @classmethod
     def from_cell(cls, cell: tuple[int, ...], level: int) -> "CoordinateMatrix":
         """Matrix for the cell with the given per-axis indices in [0, 2^level)."""
-        d = len(cell)
-        rows = []
-        for i in range(d):  # row 1 is the highest axis
-            n = cell[d - 1 - i]
+        if not isinstance(level, int) or level < 1:
+            raise ValueError(f"level must be an int of at least 1, got {level!r}")
+        words = cell[::-1]  # row 1 is the highest axis
+        for n in words:
+            if not isinstance(n, int):
+                raise ValueError(f"cell index {n!r} is not an int")
             if not 0 <= n < (1 << level):
                 raise ValueError(f"cell index {n} out of range for level {level}")
-            rows.append(tuple((n >> (level - 1 - c)) & 1 for c in range(level)))
-        return cls(tuple(rows))
+        return _matrix(words, level)
 
     def to_cell(self) -> tuple[int, ...]:
-        d = self.rows
-        out = []
-        for axis in range(d):
-            row = self.bits[d - 1 - axis]
-            n = 0
-            for b in row:
-                n = (n << 1) | b
-            out.append(n)
-        return tuple(out)
+        return tuple(_words(reversed(self.bits)))
 
     def column_major_value(self) -> int:
-        n = 0
-        for c in range(self.cols):
-            for r in range(self.rows):
-                n = (n << 1) | self.bits[r][c]
-        return n
+        return _words([chain.from_iterable(zip(*self.bits))])[0]
 
     @classmethod
     def from_column_major(cls, value: int, rows: int, cols: int) -> "CoordinateMatrix":
-        total = rows * cols
-        if not 0 <= value < (1 << total):
+        if rows < 1 or cols < 1:
+            raise ValueError("matrix must have at least one row and column")
+        if not isinstance(value, int) or not 0 <= value < (1 << (rows * cols)):
             raise ValueError("value does not fit the matrix shape")
-        grid = [[0] * cols for _ in range(rows)]
-        for pos in range(total):
-            bit = (value >> (total - 1 - pos)) & 1
-            c, r = divmod(pos, rows)
-            grid[r][c] = bit
-        return cls(tuple(tuple(row) for row in grid))
+        return _matrix(_deinterleave(value, rows, cols), cols)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,125 +160,160 @@ class RankWord:
     width: int
 
     def __post_init__(self):
+        if not isinstance(self.width, int) or self.width < 0:
+            raise ValueError(f"rank width must be a non-negative int, got {self.width!r}")
+        if not isinstance(self.value, int):
+            raise ValueError(f"rank value must be an int, got {self.value!r}")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError("rank does not fit its width")
 
 
-def _row_value(row: tuple[int, ...]) -> int:
-    n = 0
-    for b in row:
-        n = (n << 1) | b
-    return n
+def _matrix(words, k: int) -> CoordinateMatrix:
+    bits = iter("".join(map(format, words, repeat(f"0{k}b"))).encode().translate(_TO_BITS))
+    return CoordinateMatrix(tuple(zip(*[bits] * k)))  # rows of k bits
 
 
-def _row_bits(n: int, width: int) -> tuple[int, ...]:
-    return tuple((n >> (width - 1 - i)) & 1 for i in range(width))
+def _interleave(words: list[int], k: int) -> int:
+    """The column-major reading of the row words, as one number."""
+    d, fmt = len(words), f"0{k}b"
+    digits = bytearray(d * k)
+    for r, w in enumerate(words):
+        digits[r::d] = format(w, fmt).encode()
+    return int(digits, 2)
 
 
-def op_inversion(x: CoordinateMatrix) -> CoordinateMatrix:
+def _deinterleave(value: int, d: int, k: int) -> list[int]:
+    """The d row words whose column-major reading is ``value``."""
+    digits = format(value, f"0{d * k}b").encode()
+    return [int(digits[r::d], 2) for r in range(d)]
+
+
+# -- the operations on row words: (words, k) -> words ----------------------
+
+
+def _inversion(w: list[int], k: int) -> list[int]:
     """Flip all bits in every second column (columns 2, 4, ...)."""
-    return CoordinateMatrix(
-        tuple(
-            tuple(b ^ (c & 1) for c, b in enumerate(row))
-            for row in x.bits
-        )
-    )
+    mask = ((1 << k) - 1) // 3  # 0b...0101: bits k-2, k-4, ...
+    return [x ^ mask for x in w]
 
 
-def op_row_coding(x: CoordinateMatrix) -> CoordinateMatrix:
+def _row_coding(w: list[int], k: int) -> list[int]:
     """Apply the Gray code g to each row."""
-    w = x.cols
-    return CoordinateMatrix(
-        tuple(_row_bits(gray(_row_value(row)), w) for row in x.bits)
-    )
+    return [x ^ (x >> 1) for x in w]
 
 
-def op_ranking(x: CoordinateMatrix) -> CoordinateMatrix:
-    """Apply g^-1 to the whole matrix in column-major reading order."""
-    return CoordinateMatrix.from_column_major(
-        gray_inverse(x.column_major_value()), x.rows, x.cols
-    )
+def _row_decoding(w: list[int], k: int) -> list[int]:
+    """Apply g^-1 to each row."""
+    return list(map(gray_inverse, w))
 
 
-def op_column_ranking(x: CoordinateMatrix) -> CoordinateMatrix:
+def _column_ranking(w: list[int], k: int) -> list[int]:
     """Apply g^-1 to each column."""
-    rows, cols = x.rows, x.cols
-    out = [[0] * cols for _ in range(rows)]
-    for c in range(cols):
-        n = 0
-        for r in range(rows):
-            n = (n << 1) | x.bits[r][c]
-        n = gray_inverse(n)
-        for r in range(rows):
-            out[r][c] = (n >> (rows - 1 - r)) & 1
-    return CoordinateMatrix(tuple(tuple(r) for r in out))
+    return list(accumulate(w, xor))
 
 
-def _op_row_decoding(x: CoordinateMatrix) -> CoordinateMatrix:
-    w = x.cols
-    return CoordinateMatrix(
-        tuple(_row_bits(gray_inverse(_row_value(row)), w) for row in x.bits)
-    )
+def _column_coding(w: list[int], k: int) -> list[int]:
+    """Apply g to each column."""
+    return [w[0], *map(xor, w[1:], w)]
 
 
-def _op_unranking(x: CoordinateMatrix) -> CoordinateMatrix:
-    return CoordinateMatrix.from_column_major(
-        gray(x.column_major_value()), x.rows, x.cols
-    )
+def _ranking(w: list[int], k: int) -> list[int]:
+    """Apply g^-1 to the whole matrix in column-major reading order.
+
+    On the worked example X0 (rows 0110, 1011, 0001), P = 1100 and
+    ``gray_inverse(P) >> 1`` = 0100:
+
+    >>> [format(x, "04b") for x in _ranking([0b0110, 0b1011, 0b0001], 4)]
+    ['0010', '1001', '1000']
+    """
+    prefix = list(accumulate(w, xor))
+    carry = gray_inverse(prefix[-1]) >> 1
+    return [carry ^ x for x in prefix]
 
 
-def _op_column_coding(x: CoordinateMatrix) -> CoordinateMatrix:
-    rows, cols = x.rows, x.cols
-    out = [[0] * cols for _ in range(rows)]
-    for c in range(cols):
-        n = 0
-        for r in range(rows):
-            n = (n << 1) | x.bits[r][c]
-        n = gray(n)
-        for r in range(rows):
-            out[r][c] = (n >> (rows - 1 - r)) & 1
-    return CoordinateMatrix(tuple(tuple(r) for r in out))
+def _unranking(w: list[int], k: int) -> list[int]:
+    """Apply g to the whole matrix in column-major reading order.
 
+    It takes the ranked X0 back to X0; the top row 0010 gains the
+    bottom row 1000 shifted one column right:
+
+    >>> [format(x, "04b") for x in _unranking([0b0010, 0b1001, 0b1000], 4)]
+    ['0110', '1011', '0001']
+    """
+    return [w[0] ^ (w[-1] >> 1), *map(xor, w[1:], w)]
+
+
+_INVERSE = {
+    _inversion: _inversion,
+    _row_coding: _row_decoding,
+    _ranking: _unranking,
+    _column_ranking: _column_coding,
+}
+
+# Word operations per traversal kind, applied left to right to rank;
+# unranking applies their inverses right to left.
+_RANK = {
+    "z": (),
+    "u": (_column_ranking,),
+    "gray": (_ranking,),
+    "double-gray": (_row_coding, _ranking),
+    "inside-out": (_inversion, _row_coding, _ranking),
+}
+_UNRANK = {
+    kind: tuple(_INVERSE[op] for op in reversed(ops)) for kind, ops in _RANK.items()
+}
+
+
+@cache
+def _on_matrix(word_op):
+    """The :class:`CoordinateMatrix` form of a word operation (one per op)."""
+
+    def op(x: CoordinateMatrix) -> CoordinateMatrix:
+        k = x.cols
+        return _matrix(word_op(_words(x.bits), k), k)
+
+    op.__name__ = op.__qualname__ = "op" + word_op.__name__
+    op.__doc__ = word_op.__doc__.partition("\n\n")[0]  # the summary, not a doctest
+    return op
+
+
+op_inversion = _on_matrix(_inversion)
+op_row_coding = _on_matrix(_row_coding)
+op_ranking = _on_matrix(_ranking)
+op_column_ranking = _on_matrix(_column_ranking)
+_op_row_decoding = _on_matrix(_row_decoding)
+_op_unranking = _on_matrix(_unranking)
+_op_column_coding = _on_matrix(_column_coding)
 
 # Operation sequence per traversal kind, applied left to right.
-RANK_RECIPES = {
-    "z": (),
-    "u": (op_column_ranking,),
-    "gray": (op_ranking,),
-    "double-gray": (op_row_coding, op_ranking),
-    "inside-out": (op_inversion, op_row_coding, op_ranking),
-}
-
-_UNRANK_RECIPES = {
-    "z": (),
-    "u": (_op_column_coding,),
-    "gray": (_op_unranking,),
-    "double-gray": (_op_unranking, _op_row_decoding),
-    "inside-out": (_op_unranking, _op_row_decoding, op_inversion),
-}
+RANK_RECIPES = {kind: tuple(map(_on_matrix, ops)) for kind, ops in _RANK.items()}
 
 
 def rank_of_cell(kind: str, corner_bits: CoordinateMatrix) -> RankWord:
     """Traversal position of the subcube encoded by ``corner_bits``."""
     try:
-        recipe = RANK_RECIPES[kind]
+        recipe = _RANK[kind]
     except KeyError:
         raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
-    x = corner_bits
+    bits = corner_bits.bits
+    k = len(bits[0])
+    words = _words(bits)
     for op in recipe:
-        x = op(x)
-    return RankWord(x.column_major_value(), x.rows * x.cols)
+        words = op(words, k)
+    return RankWord(_interleave(words, k), len(bits) * k)
 
 
 def cell_of_rank(kind: str, rank: RankWord, d: int, level: int) -> CoordinateMatrix:
     """Inverse of :func:`rank_of_cell`."""
     try:
-        recipe = _UNRANK_RECIPES[kind]
+        recipe = _UNRANK[kind]
     except KeyError:
         raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
+    if not (isinstance(d, int) and isinstance(level, int) and d >= 1 and level >= 1):
+        raise ValueError(f"d and level must be ints of at least 1, got {d!r} and {level!r}")
     if rank.width != d * level:
         raise ValueError("rank width does not match d*level")
-    x = CoordinateMatrix.from_column_major(rank.value, d, level)
+    words = _deinterleave(rank.value, d, level)
     for op in recipe:
-        x = op(x)
-    return x
+        words = op(words, level)
+    return _matrix(words, level)

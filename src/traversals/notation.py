@@ -266,6 +266,12 @@ class TraversalDefinition:
                 w * x for x in m.int_displacement(self.dimension)
             ]:
                 raise ValueError(f"centres and move {k + 1} disagree")
+        # Checked after the moves, so a rule they reject keeps their message.
+        for k, c in enumerate(self.centres):
+            if len(c) != self.dimension:
+                raise ValueError(
+                    f"centre {k + 1} has {len(c)} coordinates, expected {self.dimension}"
+                )
 
     def __getstate__(self):
         """The fields alone: derived data cached on the instance is rebuilt

@@ -1,12 +1,18 @@
 """Gray codes, the coordinate-matrix operations, and rank computation."""
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traversals.bitmatrix import (
+    RANK_RECIPES,
     CoordinateMatrix,
     RankWord,
+    _op_column_coding,
+    _op_row_decoding,
+    _op_unranking,
     cell_of_rank,
     gray,
     gray_inverse,
@@ -239,3 +245,381 @@ def test_double_gray_variant_codings_break_palindromicity():
     for ops in variants:
         cells = _order_by(ops, d, depth)
         assert not palindromic_on_cells(cells, d, depth).holds
+
+
+# -- differential tests against the bit-loop module ------------------------
+#
+# The module as it was before it moved to row words, kept verbatim as the
+# oracle of the word operations; only its names gained an ``old_`` (or
+# ``Old``) prefix.
+
+
+def old_gray(n: int) -> int:
+    """Reflected binary Gray code of n.
+
+    >>> old_gray(5)
+    7
+    >>> old_gray(12)
+    10
+    """
+    if n < 0:
+        raise ValueError("gray is defined for non-negative integers")
+    return n ^ (n >> 1)
+
+
+def old_gray_inverse(n: int) -> int:
+    """Inverse of :func:`gray`, computed by prefix-xor of the bits.
+
+    >>> old_gray_inverse(7)
+    5
+    >>> all(old_gray_inverse(old_gray(n)) == n for n in range(1 << 12))
+    True
+    """
+    if n < 0:
+        raise ValueError("gray_inverse is defined for non-negative integers")
+    shift = 1
+    while (n >> shift) > 0:
+        n ^= n >> shift
+        shift <<= 1
+    return n
+
+
+@dataclass(frozen=True, slots=True)
+class OldCoordinateMatrix:
+    """A d-by-k matrix of coordinate bits."""
+
+    bits: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.bits or not self.bits[0]:
+            raise ValueError("matrix must have at least one row and column")
+        width = len(self.bits[0])
+        for row in self.bits:
+            if len(row) != width:
+                raise ValueError("ragged matrix")
+            if any(b not in (0, 1) for b in row):
+                raise ValueError("entries must be bits")
+
+    @property
+    def rows(self) -> int:
+        return len(self.bits)
+
+    @property
+    def cols(self) -> int:
+        return len(self.bits[0])
+
+    @classmethod
+    def from_cell(cls, cell: tuple[int, ...], level: int) -> "OldCoordinateMatrix":
+        """Matrix for the cell with the given per-axis indices in [0, 2^level)."""
+        d = len(cell)
+        rows = []
+        for i in range(d):  # row 1 is the highest axis
+            n = cell[d - 1 - i]
+            if not 0 <= n < (1 << level):
+                raise ValueError(f"cell index {n} out of range for level {level}")
+            rows.append(tuple((n >> (level - 1 - c)) & 1 for c in range(level)))
+        return cls(tuple(rows))
+
+    def to_cell(self) -> tuple[int, ...]:
+        d = self.rows
+        out = []
+        for axis in range(d):
+            row = self.bits[d - 1 - axis]
+            n = 0
+            for b in row:
+                n = (n << 1) | b
+            out.append(n)
+        return tuple(out)
+
+    def column_major_value(self) -> int:
+        n = 0
+        for c in range(self.cols):
+            for r in range(self.rows):
+                n = (n << 1) | self.bits[r][c]
+        return n
+
+    @classmethod
+    def from_column_major(cls, value: int, rows: int, cols: int) -> "OldCoordinateMatrix":
+        total = rows * cols
+        if not 0 <= value < (1 << total):
+            raise ValueError("value does not fit the matrix shape")
+        grid = [[0] * cols for _ in range(rows)]
+        for pos in range(total):
+            bit = (value >> (total - 1 - pos)) & 1
+            c, r = divmod(pos, rows)
+            grid[r][c] = bit
+        return cls(tuple(tuple(row) for row in grid))
+
+
+@dataclass(frozen=True, slots=True)
+class OldRankWord:
+    """Position index of a subcube: a d*level-bit unsigned integer."""
+
+    value: int
+    width: int
+
+    def __post_init__(self):
+        if not 0 <= self.value < (1 << self.width):
+            raise ValueError("rank does not fit its width")
+
+
+def _old_row_value(row: tuple[int, ...]) -> int:
+    n = 0
+    for b in row:
+        n = (n << 1) | b
+    return n
+
+
+def _old_row_bits(n: int, width: int) -> tuple[int, ...]:
+    return tuple((n >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def old_op_inversion(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    """Flip all bits in every second column (columns 2, 4, ...)."""
+    return OldCoordinateMatrix(
+        tuple(
+            tuple(b ^ (c & 1) for c, b in enumerate(row))
+            for row in x.bits
+        )
+    )
+
+
+def old_op_row_coding(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    """Apply the Gray code g to each row."""
+    w = x.cols
+    return OldCoordinateMatrix(
+        tuple(_old_row_bits(old_gray(_old_row_value(row)), w) for row in x.bits)
+    )
+
+
+def old_op_ranking(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    """Apply g^-1 to the whole matrix in column-major reading order."""
+    return OldCoordinateMatrix.from_column_major(
+        old_gray_inverse(x.column_major_value()), x.rows, x.cols
+    )
+
+
+def old_op_column_ranking(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    """Apply g^-1 to each column."""
+    rows, cols = x.rows, x.cols
+    out = [[0] * cols for _ in range(rows)]
+    for c in range(cols):
+        n = 0
+        for r in range(rows):
+            n = (n << 1) | x.bits[r][c]
+        n = old_gray_inverse(n)
+        for r in range(rows):
+            out[r][c] = (n >> (rows - 1 - r)) & 1
+    return OldCoordinateMatrix(tuple(tuple(r) for r in out))
+
+
+def _old_op_row_decoding(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    w = x.cols
+    return OldCoordinateMatrix(
+        tuple(_old_row_bits(old_gray_inverse(_old_row_value(row)), w) for row in x.bits)
+    )
+
+
+def _old_op_unranking(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    return OldCoordinateMatrix.from_column_major(
+        old_gray(x.column_major_value()), x.rows, x.cols
+    )
+
+
+def _old_op_column_coding(x: OldCoordinateMatrix) -> OldCoordinateMatrix:
+    rows, cols = x.rows, x.cols
+    out = [[0] * cols for _ in range(rows)]
+    for c in range(cols):
+        n = 0
+        for r in range(rows):
+            n = (n << 1) | x.bits[r][c]
+        n = old_gray(n)
+        for r in range(rows):
+            out[r][c] = (n >> (rows - 1 - r)) & 1
+    return OldCoordinateMatrix(tuple(tuple(r) for r in out))
+
+
+# Operation sequence per traversal kind, applied left to right.
+OLD_RANK_RECIPES = {
+    "z": (),
+    "u": (old_op_column_ranking,),
+    "gray": (old_op_ranking,),
+    "double-gray": (old_op_row_coding, old_op_ranking),
+    "inside-out": (old_op_inversion, old_op_row_coding, old_op_ranking),
+}
+
+_OLD_UNRANK_RECIPES = {
+    "z": (),
+    "u": (_old_op_column_coding,),
+    "gray": (_old_op_unranking,),
+    "double-gray": (_old_op_unranking, _old_op_row_decoding),
+    "inside-out": (_old_op_unranking, _old_op_row_decoding, old_op_inversion),
+}
+
+
+def old_rank_of_cell(kind: str, corner_bits: OldCoordinateMatrix) -> OldRankWord:
+    """Traversal position of the subcube encoded by ``corner_bits``."""
+    try:
+        recipe = OLD_RANK_RECIPES[kind]
+    except KeyError:
+        raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
+    x = corner_bits
+    for op in recipe:
+        x = op(x)
+    return OldRankWord(x.column_major_value(), x.rows * x.cols)
+
+
+def old_cell_of_rank(kind: str, rank: OldRankWord, d: int, level: int) -> OldCoordinateMatrix:
+    """Inverse of :func:`old_rank_of_cell`."""
+    try:
+        recipe = _OLD_UNRANK_RECIPES[kind]
+    except KeyError:
+        raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
+    if rank.width != d * level:
+        raise ValueError("rank width does not match d*level")
+    x = OldCoordinateMatrix.from_column_major(rank.value, d, level)
+    for op in recipe:
+        x = op(x)
+    return x
+
+
+OLD_OPS = (
+    old_op_inversion,
+    old_op_row_coding,
+    old_op_ranking,
+    old_op_column_ranking,
+    _old_op_row_decoding,
+    _old_op_unranking,
+    _old_op_column_coding,
+)
+NEW_OPS = (
+    op_inversion,
+    op_row_coding,
+    op_ranking,
+    op_column_ranking,
+    _op_row_decoding,
+    _op_unranking,
+    _op_column_coding,
+)
+
+
+def _assert_matches_old(value, d, k):
+    """Every operation, rank and unrank of the matrix whose column-major
+    reading is ``value`` agrees with the old module."""
+    old = OldCoordinateMatrix.from_column_major(value, d, k)
+    new = CoordinateMatrix.from_column_major(value, d, k)
+    assert new.bits == old.bits
+    assert new.column_major_value() == value
+    assert new.to_cell() == old.to_cell()
+    assert CoordinateMatrix.from_cell(old.to_cell(), k).bits == old.bits
+    for old_op, new_op in zip(OLD_OPS, NEW_OPS):
+        assert new_op(new).bits == old_op(old).bits, (new_op.__name__, d, k, value)
+    for kind in FIVE_KINDS:
+        want = old_rank_of_cell(kind, old)
+        got = rank_of_cell(kind, new)
+        assert (got.value, got.width) == (want.value, want.width), (kind, d, k, value)
+        unranked = cell_of_rank(kind, RankWord(value, d * k), d, k)
+        assert unranked.bits == old_cell_of_rank(kind, OldRankWord(value, d * k), d, k).bits
+
+
+SMALL_SHAPES = [(d, k) for d in range(1, 13) for k in range(1, 13) if d * k <= 12]
+
+
+def _compose(images, recipe, value):
+    for op in recipe:
+        value = images[op][value]
+    return value
+
+
+@pytest.mark.parametrize("d,k", SMALL_SHAPES)
+def test_word_operations_match_old_module_exhaustively(d, k):
+    """Every matrix of the shape, through every operation and the rank
+    and unrank recipes.  The old recipes are composed from the tables of
+    the old operations' images, as ``old_rank_of_cell`` applies them."""
+    values = range(1 << (d * k))
+    olds = [OldCoordinateMatrix.from_column_major(v, d, k) for v in values]
+    news = [CoordinateMatrix.from_column_major(v, d, k) for v in values]
+    for v, old, new in zip(values, olds, news):
+        assert new.bits == old.bits
+        assert new.column_major_value() == v
+        assert new.to_cell() == old.to_cell()
+        assert CoordinateMatrix.from_cell(old.to_cell(), k).bits == old.bits
+    images = {op: [op(x).column_major_value() for x in olds] for op in OLD_OPS}
+    for old_op, new_op in zip(OLD_OPS, NEW_OPS):
+        got = [new_op(x).bits for x in news]
+        assert got == [olds[i].bits for i in images[old_op]], new_op.__name__
+    for kind in FIVE_KINDS:
+        for v, new in zip(values, news):
+            rank = rank_of_cell(kind, new)
+            want = _compose(images, OLD_RANK_RECIPES[kind], v)
+            assert (rank.value, rank.width) == (want, d * k), (kind, v)
+            back = _compose(images, _OLD_UNRANK_RECIPES[kind], v)
+            assert cell_of_rank(kind, RankWord(v, d * k), d, k).bits == olds[back].bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 40), st.data())
+def test_word_operations_match_old_module_on_large_shapes(d, k, data):
+    _assert_matches_old(data.draw(st.integers(0, (1 << (d * k)) - 1)), d, k)
+
+
+def test_recipes_are_the_public_operations():
+    assert RANK_RECIPES == {
+        "z": (),
+        "u": (op_column_ranking,),
+        "gray": (op_ranking,),
+        "double-gray": (op_row_coding, op_ranking),
+        "inside-out": (op_inversion, op_row_coding, op_ranking),
+    }
+
+
+# -- bad input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [((0, 1.0), (1, 0)), ((0, 2), (1, 0)), ((0, -1), (1, 0)), ((0, "1"), (1, 0))],
+)
+def test_matrix_entries_must_be_int_bits(bits):
+    with pytest.raises(ValueError, match="entries must be bits"):
+        CoordinateMatrix(bits)
+
+
+def test_bool_entries_are_bits():
+    x = CoordinateMatrix(((False, True), (True, False)))
+    assert x.column_major_value() == 0b0110
+    assert rank_of_cell("u", x).value == 0b0111  # column ranking gives rows 01, 11
+
+
+@pytest.mark.parametrize("level", [0, -1, 1.0])
+def test_from_cell_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="level must be an int of at least 1"):
+        CoordinateMatrix.from_cell((1, 0), level)
+
+
+def test_from_cell_rejects_non_int_index():
+    with pytest.raises(ValueError, match="cell index 1.0 is not an int"):
+        CoordinateMatrix.from_cell((1.0, 0), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        CoordinateMatrix.from_cell((4, 0), 2)
+
+
+@pytest.mark.parametrize("d,level", [(-1, -3), (0, 3), (3, 0), (1.5, 2)])
+def test_cell_of_rank_rejects_bad_shape(d, level):
+    with pytest.raises(ValueError, match="d and level must be ints of at least 1"):
+        cell_of_rank("z", RankWord(0, 3), d, level)
+
+
+@pytest.mark.parametrize("value,rows,cols", [(1.0, 2, 2), (16, 2, 2), (-1, 2, 2), (0, 0, 2)])
+def test_from_column_major_rejects_bad_input(value, rows, cols):
+    with pytest.raises(ValueError, match="value does not fit|at least one row"):
+        CoordinateMatrix.from_column_major(value, rows, cols)
+
+
+def test_rank_word_rejects_bad_width_and_value():
+    with pytest.raises(ValueError, match="rank width must be a non-negative int"):
+        RankWord(1, -1)
+    with pytest.raises(ValueError, match="rank value must be an int"):
+        RankWord(1.0, 3)
+    with pytest.raises(ValueError, match="rank does not fit its width"):
+        RankWord(8, 3)

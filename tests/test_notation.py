@@ -524,6 +524,17 @@ def test_centres_must_be_exact():
     )
 
 
+def test_every_centre_has_dimension_coordinates():
+    # Both used to be accepted: the agreement with the moves compares
+    # coordinates pairwise and stops at the shorter centre.
+    p, q = perm(1, 2), perm(2, -1, reverse=True)
+    with pytest.raises(ValueError, match="centre 1 has 1 coordinates, expected 2"):
+        TraversalDefinition(2, 2, (SignedPermutation((1, 2)),), (), 2, ((F(1, 4),),))
+    stray = ((F(-1, 4), F(-1, 4), F(1, 2)), (F(1, 4), F(-1, 4)))
+    with pytest.raises(ValueError, match="centre 1 has 3 coordinates, expected 2"):
+        TraversalDefinition(2, 2, (p, q), (Move((1,)),), 2, stray)
+
+
 def test_int_displacement_counts_steps_per_axis():
     assert Move((1, -2, -2, 3)).int_displacement(3) == (1, -2, 1)
     assert Move(()).int_displacement(2) == (0, 0)
