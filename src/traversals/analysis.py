@@ -14,7 +14,12 @@ component counts come from one offline sweep over the path (see
 O((n·d + Q) log n) for n points and Q sections.  Section bounding
 boxes come from a second offline sweep that keeps a monotonic minimum
 and maximum stack per axis (see :func:`max_bbox_ratio`), exact at
-O(n·d + Q·d log n).
+O(n·d + Q·d log n).  Dominance is exact over all cell pairs: when the
+first-visited cells fill their bounding box it is decided by comparing
+each cell with its lower face-neighbours, O(m·d) for m cells; other
+cell sets, and boxes that fail, go to a scan over all pairs in visit
+order, which reports the first failing pair (see
+:func:`check_dominance`).
 """
 
 from __future__ import annotations
@@ -106,19 +111,21 @@ def adjacency_profile(path: Path) -> AdjacencyProfile:
     pts = path.points
     w = path.cell_units
     face = other = 0
-    max_jump = Fraction(0)
+    widest = 0  # largest Chebyshev distance in point units
     first_jump = None
     for k in range(len(pts) - 1):
         a, b = pts[k], pts[k + 1]
         diffs = [abs(x - y) for x, y in zip(a, b)]
-        max_jump = max(max_jump, Fraction(max(diffs), w))
-        if max(diffs) == w and sum(1 for x in diffs if x) == 1:
+        step = max(diffs)
+        if step > widest:
+            widest = step
+        if step == w and sum(1 for x in diffs if x) == 1:
             face += 1
         else:
             other += 1
             if first_jump is None:
                 first_jump = (k, k + 1)
-    return AdjacencyProfile(face, other, max_jump, first_jump)
+    return AdjacencyProfile(face, other, Fraction(widest, w), first_jump)
 
 
 class SectionAuditor:
@@ -186,6 +193,17 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     section [a, b], which therefore has
     (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
     tree counts F_b's edges by weight.
+
+    Each edge (q, b) costs at most two accesses.  Between two trees it
+    is linked under q's node, with b's node everted first unless b has
+    no edge yet.  Within one tree, q's node is everted and b's node
+    accessed, so b's splay tree is the cycle's path and its least-key
+    node the lightest edge e.  If e is lighter than q, e is cut out of
+    that path; the part holding q's node keeps it as its root and e as
+    its path parent, so e becomes the new edge by hanging under b's node,
+    with no further evert.  The node fields live in Python lists, not
+    arrays: a list read returns the int object it holds, where an array
+    read boxes a new one, and the kernel does little else.
     """
     n = len(cell_of_pos)
     n_sections = len(sections_a)
@@ -202,53 +220,21 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     # subtree; up is the splay parent or, at a splay root, the path
     # parent; flip marks a subtree whose left and right are swapped.
     size = 2 * n
-    left = array.array("i", bytes(4 * size))
-    right = array.array("i", bytes(4 * size))
-    up = array.array("i", bytes(4 * size))
-    flip = bytearray(size)
-    key = array.array("i", [n]) * size
-    low = array.array("i", range(size))
-
-    def pull(x):
-        m = x
-        y = low[left[x]]
-        if key[y] < key[m]:
-            m = y
-        y = low[right[x]]
-        if key[y] < key[m]:
-            m = y
-        low[x] = m
-
-    def rotate(x):
-        p = up[x]
-        g = up[p]
-        if left[g] == p:
-            left[g] = x
-        elif right[g] == p:
-            right[g] = x
-        up[x] = g
-        if left[p] == x:
-            c = right[x]
-            left[p] = c
-            right[x] = p
-        else:
-            c = left[x]
-            right[p] = c
-            left[x] = p
-        if c:
-            up[c] = p
-        up[p] = x
-        pull(p)
+    left = [0] * size
+    right = [0] * size
+    up = [0] * size
+    flip = [0] * size
+    key = [n] * size
+    low = list(range(size))
 
     def splay(x):
         chain = [x]
         y = x
-        while True:
-            p = up[y]
-            if left[p] != y and right[p] != y:
-                break
+        p = up[y]
+        while left[p] == y or right[p] == y:
             chain.append(p)
             y = p
+            p = up[y]
         for y in reversed(chain):  # push pending flips down to x
             if flip[y]:
                 l = left[y]
@@ -260,30 +246,71 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 flip[y] = 0
         while True:
             p = up[x]
-            if left[p] != x and right[p] != x:
+            is_left = left[p] == x
+            if not is_left and right[p] != x:
                 break
             g = up[p]
-            if left[g] == p or right[g] == p:
-                rotate(p if (left[g] == p) == (left[p] == x) else x)
-            rotate(x)
-        pull(x)
+            if left[g] == p:
+                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
+            elif right[g] == p:
+                order = (x, x) if is_left else (p, x)
+            else:
+                order = (x,)  # zig: p is the root
+            for y in order:  # rotate y over its parent p
+                p = up[y]
+                g = up[p]
+                if left[g] == p:
+                    left[g] = y
+                elif right[g] == p:
+                    right[g] = y
+                up[y] = g
+                if left[p] == y:
+                    c = right[y]
+                    left[p] = c
+                    right[y] = p
+                else:
+                    c = left[y]
+                    right[p] = c
+                    left[y] = p
+                if c:
+                    up[c] = p
+                up[p] = y
+                low[y] = low[p]  # y's subtree is p's old one
+                m = p
+                k = key[p]
+                z = low[left[p]]
+                if key[z] < k:
+                    m = z
+                    k = key[z]
+                z = low[right[p]]
+                if key[z] < k:
+                    m = z
+                low[p] = m
 
-    def evert(x):  # make x the root of its tree, at the root of its splay tree
+    def access(x):  # make root..x one splay tree, with x at its root
         last = 0
         y = x
         while y:
             splay(y)
             right[y] = last
-            pull(y)
+            m = y
+            k = key[y]
+            z = low[left[y]]
+            if key[z] < k:
+                m = z
+                k = key[z]
+            z = low[last]
+            if key[z] < k:
+                m = z
+            low[y] = m
             last = y
             y = up[y]
         splay(x)
-        flip[x] ^= 1
 
     # union-find over positions: the components of F_b, which a swap of
     # one forest edge for another never changes
-    comp = array.array("i", range(n))
-    fenwick = array.array("i", bytes(4 * (n + 1)))  # forest edges by weight
+    comp = list(range(n))
+    fenwick = [0] * (n + 1)  # forest edges by weight
     forest = 0
     spare = n + 1  # next unused edge node
     last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
@@ -298,6 +325,7 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
             if q > prev:
                 lower.append(q)
         v = b + 1
+        single = True  # v has no edge yet
         for q in lower:
             u = q + 1
             r = q
@@ -308,25 +336,34 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 e = spare
                 spare += 1
                 forest += 1
+                key[e] = q
+                up[e] = u
+                if not single:
+                    access(v)
+                    flip[v] ^= 1  # v becomes the root of its tree
+                up[v] = e
+                single = False
             else:
-                evert(u)
-                evert(v)  # the splay tree of v is now the path v..u
+                access(u)
+                flip[u] ^= 1  # u becomes the root of its tree
+                access(v)  # the splay tree of v is now the path u..v
                 e = low[v]
                 w = key[e]
                 if w >= q:
                     continue
+                # Cut e out of the path.  Its left part keeps u as the
+                # root of its tree and e as its path parent, so e becomes
+                # the new edge by hanging under v.
                 splay(e)
-                up[left[e]] = up[right[e]] = 0
+                up[right[e]] = 0
                 left[e] = right[e] = 0
+                key[e] = q
+                low[e] = e
+                up[e] = v
                 i = w + 1
                 while i <= n:
                     fenwick[i] -= 1
                     i += i & -i
-            key[e] = q
-            low[e] = e
-            up[e] = u
-            evert(v)
-            up[v] = e
             i = q + 1
             while i <= n:
                 fenwick[i] += 1
@@ -431,15 +468,22 @@ def check_palindromic(
 def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
     """Coordinate-wise domination must imply a later visit.
 
-    Exhaustive over all cell pairs; cells are taken at their first
-    visit.  The witness of a failure is (dominated cell, earlier cell).
+    Exact over all cell pairs; cells are taken at their first visit.
+    When the cells exactly fill their bounding box, the product order on
+    the box is generated by unit steps, so dominance holds iff every
+    cell comes after each of its lower face-neighbours: O(m·d) for m
+    cells.  Otherwise, or when that test fails, a scan over all pairs in
+    visit order, O(m²), finds the first failing pair.  The witness of a
+    failure is (dominated cell, earlier cell).
     """
     seen: dict[tuple[int, ...], int] = {}
     w = path.cell_units
     for k, p in enumerate(path.points):
         seen.setdefault(tuple(x // w for x in p), k)
-    cells = sorted(seen, key=seen.get)  # visit order
+    cells = list(seen)  # in visit order
     d = path.dimension
+    if _box_dominance(cells):
+        return PropertyReport("dominance", kind, d, path.depth, "holds")
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
@@ -449,6 +493,38 @@ def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
                     "dominance", kind, d, path.depth, "fails", (b, a)
                 )
     return PropertyReport("dominance", kind, d, path.depth, "holds")
+
+
+def _box_dominance(cells: Sequence[tuple[int, ...]]) -> bool:
+    """True if ``cells`` (distinct, in visit order) exactly fill their
+    bounding box and each one comes after its lower face-neighbours.
+
+    Cells are numbered by their offset in the box, so the neighbour one
+    step down axis j is ``stride`` places back and each test is one list
+    read.
+    """
+    axes = []  # (lowest coordinate, stride) per axis
+    volume = 1
+    for coords in zip(*cells):
+        lo = min(coords)
+        axes.append((lo, volume))
+        volume *= max(coords) - lo + 1
+    if volume != len(cells):
+        return False
+    offsets = [0] * len(cells)
+    visit = [0] * volume  # visit rank by box offset
+    for t, c in enumerate(cells):
+        i = 0
+        for x, (lo, stride) in zip(c, axes):
+            i += (x - lo) * stride
+        offsets[t] = i
+        visit[i] = t
+    for t, c in enumerate(cells):
+        i = offsets[t]
+        for x, (lo, stride) in zip(c, axes):
+            if lo < x and visit[i - stride] > t:
+                return False
+    return True
 
 
 def check_straight_jumping(

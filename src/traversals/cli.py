@@ -21,6 +21,8 @@ output pipe closed by the reader (as in ``traversals path z 3 --depth 5
 ``path`` streams its points in every origin mode and with ``--cells``,
 in memory that does not grow with the depth; ``--exponent 2`` holds
 only the depth-``DEPTH`` path that the squared points select from.
+``check`` and ``plot`` hold the whole path, so they refuse (exit 2) a
+depth whose path would have more than ``MAX_HELD_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ _KNOWN = ", ".join(KIND_SLUGS + generators.FIXED_NAMES)
 
 # 128 + SIGPIPE: the status a shell shows for a writer killed by the signal.
 EXIT_CLOSED_PIPE = 141
+
+# The most points ``check`` and ``plot`` hold in memory at once.
+MAX_HELD_POINTS = 2**22
 
 
 class _UsageError(Exception):
@@ -80,6 +85,18 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
         line for line in text.splitlines() if not line.lstrip().startswith("#")
     )
     return parse_definition(body), None
+
+
+def _require_held_size(defn: TraversalDefinition, depth: int, command: str) -> None:
+    """Refuse a depth whose whole path would exceed ``MAX_HELD_POINTS``."""
+    # Every rule of two or more entries exceeds the bound by this depth,
+    # so the power stays small however large the depth.
+    levels = min(depth, MAX_HELD_POINTS.bit_length())
+    if len(defn.entries) ** levels > MAX_HELD_POINTS:
+        raise _UsageError(
+            f"--depth {depth} gives more than {MAX_HELD_POINTS} points, "
+            f"which {command} would hold in memory; 'path' streams them"
+        )
 
 
 def _out_stream(args):
@@ -162,6 +179,8 @@ _PROPERTIES = (
     "components",
     "well-folded",
 )
+# the properties checked on the whole enumerated path
+_WHOLE_PATH = frozenset(_PROPERTIES) - {"base-pattern", "well-folded"}
 
 
 def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
@@ -206,6 +225,8 @@ def _cmd_check(args) -> int:
     props = [p.strip() for p in args.property.split(",") if p.strip()]
     if not props:
         raise _UsageError("no property given")
+    if _WHOLE_PATH.intersection(props):
+        _require_held_size(defn, args.depth, "check")
     all_hold = True
     for prop in props:
         report = _run_property(prop, defn, label, args.depth, args.seed)
@@ -243,6 +264,7 @@ def _cmd_plot(args) -> int:
     d = defn.dimension
     if d > 3:
         raise _UsageError("plotting supports 2 or 3 dimensions only")
+    _require_held_size(defn, args.depth, "plot")
     path = engine.generate_full_path(defn, args.depth, "corner")
     if d == 3:
         # fixed oblique projection

@@ -1,6 +1,7 @@
 """Property checks against the claimed behaviour of each family."""
 
 import array
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from traversals.analysis import (
     KERNEL_BACKEND,
+    AdjacencyProfile,
+    PropertyReport,
     SectionAuditor,
+    _box_dominance,
     _seeded_sections,
     adjacency_profile,
     check_base_pattern,
@@ -24,11 +28,39 @@ from traversals.analysis import (
     section_component_audit,
 )
 from traversals.engine import Path, generate_full_path
-from traversals.generators import builtin_fixed, gen_z, generate
+from traversals.generators import (
+    FIXED_NAMES,
+    BetaUndefinedError,
+    TraversalKind,
+    builtin_fixed,
+    gen_z,
+    generate,
+)
 
 
 def path_of(kind, d, depth):
     return generate_full_path(generate(kind, d), depth, "corner")
+
+
+def family_paths(origin="corner"):
+    """Every family at d = 2 and d = 3, depths 0..3 (the scale-3 families
+    at d = 3 to depth 2), then the five fixed curves at depths 1..2."""
+    for d in (2, 3):
+        for kind in TraversalKind:
+            try:
+                defn = generate(kind, d)
+            except BetaUndefinedError:
+                continue
+            for depth in range(3 if defn.scale == 3 and d == 3 else 4):
+                yield kind.value, generate_full_path(defn, depth, origin)
+    for name in FIXED_NAMES:
+        for depth in (1, 2):
+            yield name, generate_full_path(builtin_fixed(name), depth, origin)
+
+
+def cell_path(cells):
+    """A path through explicit cells, one point unit per cell."""
+    return Path(tuple(cells), len(cells[0]), 2, 1, "centre", 1)
 
 
 # -- base pattern ------------------------------------------------------
@@ -64,6 +96,33 @@ def test_face_steps_count_all_steps_for_continuous_curves():
     prof = adjacency_profile(path_of("harmonious", 2, 3))
     assert prof.face_steps == 4**3 - 1
     assert prof.max_jump == 1
+
+
+def fraction_adjacency_profile(path: Path) -> AdjacencyProfile:
+    """The profile with one Fraction per step, kept as its oracle."""
+    pts = path.points
+    w = path.cell_units
+    face = other = 0
+    max_jump = Fraction(0)
+    first_jump = None
+    for k in range(len(pts) - 1):
+        a, b = pts[k], pts[k + 1]
+        diffs = [abs(x - y) for x, y in zip(a, b)]
+        max_jump = max(max_jump, Fraction(max(diffs), w))
+        if max(diffs) == w and sum(1 for x in diffs if x) == 1:
+            face += 1
+        else:
+            other += 1
+            if first_jump is None:
+                first_jump = (k, k + 1)
+    return AdjacencyProfile(face, other, max_jump, first_jump)
+
+
+def test_adjacency_profile_matches_fraction_oracle():
+    for kind, p in family_paths():
+        prof = adjacency_profile(p)
+        assert prof == fraction_adjacency_profile(p), (kind, p.dimension, p.depth)
+        assert isinstance(prof.max_jump, Fraction)
 
 
 # -- components --------------------------------------------------------
@@ -170,6 +229,37 @@ def test_section_sweep_matches_union_find():
         assert auditor.counts(sections) == union_find_counts(auditor, sections), kind
 
 
+@st.composite
+def walk_paths(draw):
+    """Walks of up to 60 positions in d = 1..3: unit steps, which link
+    positions, mixed with jumps, which leave gaps and return to visited
+    cells; coordinates go negative."""
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 3))
+    box = st.tuples(*[st.integers(-3, 3)] * d)
+    cell = draw(box)
+    cells = [cell]
+    for _ in range(draw(st.integers(0, 59))):
+        if draw(st.integers(0, 3)):
+            axis = draw(st.integers(0, d - 1))
+            step = draw(st.sampled_from((-1, 1)))
+            cell = cell[:axis] + (cell[axis] + step,) + cell[axis + 1:]
+        else:
+            cell = draw(st.sampled_from(cells) | box)
+        cells.append(cell)
+    points = tuple(tuple(x * w for x in c) for c in cells)
+    return Path(points, d, 2, 1, "centre", w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_paths())
+def test_section_sweep_matches_union_find_on_walks(p):
+    auditor = SectionAuditor(p)
+    n = auditor.length
+    sections = [(a, b) for a in range(n) for b in range(a, n)]
+    assert auditor.counts(sections) == union_find_counts(auditor, sections)
+
+
 # -- palindromic --------------------------------------------------------
 
 
@@ -219,6 +309,113 @@ def test_u_dominance_fails_with_witness():
 
 def test_single_cell_dominance_vacuous():
     assert check_dominance(path_of("z", 2, 0)).holds
+
+
+def scan_dominance(path: Path, *, kind: str = "") -> PropertyReport:
+    """The scan over all cell pairs that the box test leads, kept as its
+    oracle."""
+    seen: dict[tuple[int, ...], int] = {}
+    w = path.cell_units
+    for k, p in enumerate(path.points):
+        seen.setdefault(tuple(x // w for x in p), k)
+    cells = sorted(seen, key=seen.get)  # visit order
+    d = path.dimension
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            a, b = cells[i], cells[j]
+            # b visited after a; fails if b is dominated by a
+            if all(x >= y for x, y in zip(a, b)) and a != b:
+                return PropertyReport(
+                    "dominance", kind, d, path.depth, "fails", (b, a)
+                )
+    return PropertyReport("dominance", kind, d, path.depth, "holds")
+
+
+def first_cells(path):
+    seen = {}
+    for p in path.points:
+        seen.setdefault(tuple(x // path.cell_units for x in p), None)
+    return list(seen)
+
+
+def fills_box(cells):
+    volume = 1
+    for coords in zip(*cells):
+        volume *= max(coords) - min(coords) + 1
+    return volume == len(cells)
+
+
+@pytest.mark.parametrize("origin", ["corner", "centre"])
+def test_dominance_matches_pair_scan(origin):
+    lowest = boxes = 0
+    for kind, p in family_paths(origin):
+        report = check_dominance(p, kind=kind)
+        expected = scan_dominance(p, kind=kind)
+        assert report.line() == expected.line(), (kind, p.dimension, p.depth)
+        cells = first_cells(p)
+        if fills_box(cells):  # the box test alone decides
+            assert _box_dominance(cells) == expected.holds
+            boxes += 1
+        lowest = min(lowest, *map(min, cells))
+    assert boxes >= 100
+    assert (lowest < 0) == (origin == "centre")
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 0), (1, 0), (0, 1), (1, 1), (3, 0)],  # a gap: holds
+    [(0, 0), (2, 0), (1, 0)],  # a gap filled late: fails
+    [(0, 0), (1, 0), (0, 1)],  # an L: holds
+    [(1, 0), (0, 0), (0, 1)],  # an L: fails
+    [(1, 1), (0, 0)],  # two corners of a box: fails
+    [(1, 1, 1), (0, 0, 0), (1, 0, 1), (0, 1, 0)],  # no box in 3-d: fails
+    [(0, 0), (1, 0), (0, 0), (0, 1), (1, 1), (1, 0)],  # revisits: holds
+    [(0, 1), (0, 0), (0, 1), (1, 1), (1, 0)],  # revisits: fails
+    [(-1, -1), (-1, 0), (0, -1), (0, 0)],  # a box below zero: holds
+    [(0, 0), (-1, 0), (0, -1), (-1, -1)],  # a box below zero: fails
+    [(1, 0), (0, 0), (1, 1), (0, 1)],  # a box: fails
+    [(2,), (0,), (1,)],  # a box: fails
+    [(0,), (1,), (2,)],  # a box: holds
+])
+def test_dominance_on_hand_made_cells(cells):
+    p = cell_path(cells)
+    assert check_dominance(p).line() == scan_dominance(p).line()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-2, 1)] * d), min_size=1, max_size=20)))
+def test_dominance_matches_pair_scan_on_cell_lists(cells):
+    p = cell_path(cells)
+    assert check_dominance(p).line() == scan_dominance(p).line()
+
+
+@st.composite
+def box_orders(draw):
+    """The cells of a box of 1..3 cells per axis, possibly below zero, in
+    lexicographic order (dominance holds) or shuffled (it mostly fails)."""
+    d = draw(st.integers(1, 3))
+    ranges = []
+    for _ in range(d):
+        lo = draw(st.integers(-2, 1))
+        ranges.append(range(lo, lo + draw(st.integers(1, 3))))
+    cells = list(itertools.product(*ranges))
+    return cells if draw(st.booleans()) else draw(st.permutations(cells))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_orders())
+def test_dominance_on_box_orders_gives_the_scan_witness(cells):
+    p = cell_path(cells)
+    report = check_dominance(p)
+    assert report.line() == scan_dominance(p).line()
+    assert _box_dominance(cells) == report.holds
+
+
+def test_z_depth_four_dominance_holds():
+    p = path_of("z", 3, 4)
+    assert len(p.points) == 4096
+    assert check_dominance(p).line() == "dominance - 3 4 holds"
+    assert _box_dominance(first_cells(p))
 
 
 # -- straight jumping ------------------------------------------------------

@@ -12,7 +12,13 @@ import pytest
 
 import traversals
 from traversals import engine
-from traversals.cli import EXIT_CLOSED_PIPE, main
+from traversals.cli import (
+    EXIT_CLOSED_PIPE,
+    MAX_HELD_POINTS,
+    _require_held_size,
+    _UsageError,
+    main,
+)
 from traversals.engine import generate_full_path
 from traversals.generators import generate
 from traversals.notation import parse_definition
@@ -339,6 +345,40 @@ def test_path_flag_conflicts_exit_before_enumerating(argv, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "z", "3", "--property", "components", "--depth", "1000"],
+    ["check", "z", "3", "--property", "base-pattern,dominance", "--depth", "1000"],
+    ["check", "peano", "2", "--property", "bbox", "--depth", "8"],
+    ["plot", "z", "2", "--depth", "1000"],
+    ["plot", "polya2d", "--depth", "12"],
+])
+def test_whole_path_commands_refuse_a_huge_depth_before_enumerating(argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path beyond the held-points bound")
+
+    monkeypatch.setattr(engine, "iter_path", refuse)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --depth {argv[-1]} gives more than {MAX_HELD_POINTS} points")
+    assert err.count("\n") == 1
+
+
+def test_rule_level_checks_take_any_depth(monkeypatch):
+    monkeypatch.setattr(engine, "iter_path", None)
+    code, out, _ = run(["check", "u", "3", "--property", "base-pattern,well-folded",
+                        "--depth", "1000"])
+    assert code == 0
+    assert out == "base-pattern u 3 1 holds G2\nwell-folded-rank u 3 1 holds\n"
+
+
+def test_held_points_bound_is_exact():
+    z2 = generate("z", 2)  # 4**11 == 2**22 points
+    _require_held_size(z2, 11, "check")
+    with pytest.raises(_UsageError):
+        _require_held_size(z2, 12, "check")
+    _require_held_size(parse_definition("d=1 s=2 [1}"), 10**9, "plot")  # one point
 
 
 @pytest.mark.parametrize("argv", [
