@@ -414,7 +414,7 @@ def _facet_pairs(d: int):
 
 
 def palindromic_on_cells(
-    cells: Sequence[tuple[int, ...]], d: int, depth: int, *, name="palindromic", kind=""
+    cells: Sequence[tuple[int, ...]], d: int, depth: int, *, kind=""
 ) -> PropertyReport:
     """Palindromicity of an explicit cell visit order (scale-2 cube).
 
@@ -449,9 +449,9 @@ def palindromic_on_cells(
                 (k for k in range(common) if sa[k] != sb[len(sb) - 1 - k]), common
             )
             return PropertyReport(
-                name, kind, d, depth, "fails", (low, high, axis + 1, k)
+                "palindromic", kind, d, depth, "fails", (low, high, axis + 1, k)
             )
-    return PropertyReport(name, kind, d, depth, "holds")
+    return PropertyReport("palindromic", kind, d, depth, "holds")
 
 
 def check_palindromic(

@@ -51,8 +51,16 @@ class _UsageError(Exception):
     pass
 
 
+def _kind_slug(name: str) -> str | None:
+    """The canonical slug of a family or fixed-curve name, or None."""
+    slug = name.lower()
+    return slug if slug in KIND_SLUGS else generators._fixed_slug(name)
+
+
 def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
-    slug = kind.lower()
+    slug = _kind_slug(kind)
+    if slug is None:
+        raise _UsageError(f"unknown kind {kind!r}; known kinds: {_KNOWN}")
     if slug in KIND_SLUGS:
         if d is None:
             raise _UsageError(f"kind {kind!r} needs a dimension argument")
@@ -60,10 +68,7 @@ def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
             return generators.generate(slug, d), slug
         except generators.BetaUndefinedError as exc:
             raise _UsageError(str(exc)) from None
-    try:
-        defn = generators.builtin_fixed(slug)
-    except ValueError:
-        raise _UsageError(f"unknown kind {kind!r}; known kinds: {_KNOWN}") from None
+    defn = generators.builtin_fixed(slug)
     if d is not None and d != defn.dimension:
         raise _UsageError(f"{kind} is a fixed {defn.dimension}-dimensional curve")
     return defn, slug
@@ -71,7 +76,7 @@ def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
 
 def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str | None]:
     """The rule SOURCE names, and its kind slug (None for a definition)."""
-    if source.lower() in KIND_SLUGS + generators.FIXED_NAMES:
+    if _kind_slug(source) is not None:
         return _load_kind(source, d)
     if source == "-":
         text = sys.stdin.read()
@@ -81,10 +86,7 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
         raise _UsageError(
             f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
         )
-    body = "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    )
-    return parse_definition(body), None
+    return parse_definition(text), None
 
 
 def _require_held_size(defn: TraversalDefinition, depth: int, command: str) -> None:
@@ -275,11 +277,8 @@ def _cmd_plot(args) -> int:
         pts = [(p[0], p[1]) for p in path.points]
     else:
         pts = [(p[0], 0) for p in path.points]
-    svg = _svg_polyline(pts)
-    if args.out:
-        FsPath(args.out).write_text(svg)
-    else:
-        _write(sys.stdout, svg)
+    with _out_stream(args) as out:
+        _write(out, _svg_polyline(pts))
     return 0
 
 

@@ -20,11 +20,11 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterator
 
-from .notation import SignedPermutation, TraversalDefinition, Vector, _cube_symmetries
+from .notation import SignedPermutation, TraversalDefinition, Vector
+from .notation import _cube_symmetries, _lattice
 
 __all__ = [
     "Path",
@@ -79,32 +79,22 @@ class Path:
         return tuple(tuple(x // w for x in p) for p in self.points)
 
 
-def _scaled_centres(defn: TraversalDefinition) -> tuple[list[tuple[int, ...]], int]:
-    """Centres as integer vectors on the 2*scale*m lattice, plus m."""
-    den = lcm(1, *(x.denominator for c in defn.centres for x in c))
-    m = lcm(den, 2 * defn.scale) // (2 * defn.scale)
-    unit = 2 * defn.scale * m
-    scaled = [tuple(x.numerator * (unit // x.denominator) for x in c) for c in defn.centres]
-    return scaled, m
-
-
 class _Table:
     """A rule compiled to integers: the state table every descent follows.
 
     A state is the running signed permutation (a tuple) plus the
     direction flag; ``states[i]`` is the state with id ``i`` and the root
     has id 0.  ``row(i)`` lists, for each child in visit order, its
-    centre offset on the lattice of :func:`_scaled_centres` and its state
-    id; rows are built the first time a state is reached.  ``entries``,
-    when given, replace the rule's entries at its centres.
+    centre offset on the rule's lattice (a first-level cell is ``2 * m``
+    wide) and its state id; rows are built when a state is first reached.
     """
 
-    def __init__(self, defn: TraversalDefinition, entries=None):
-        entries = defn.entries if entries is None else entries
-        self.d, self.s, self.n = defn.dimension, defn.scale, len(entries)
-        self.centres, self.m = _scaled_centres(defn)
-        self.perms = [e.entries for e in entries]
-        self.flips = [e.reverse for e in entries]
+    def __init__(self, defn: TraversalDefinition):
+        self.d, self.s, self.n = defn.dimension, defn.scale, len(defn.entries)
+        unit, self.centres = _lattice(2 * self.s, defn.centres)
+        self.m = unit // (2 * self.s)
+        self.perms = [e.entries for e in defn.entries]
+        self.flips = [e.reverse for e in defn.entries]
         self.states: list = []
         self.rows: list = []  # by state id: the row, or None until reached
         self._ids: dict = {}
@@ -394,9 +384,11 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     """Self-similar rule for the squared traversal, in d*d dimensions.
 
     Requires the rule to be symmetric (reversal-free after rewriting
-    every reversed entry through the reversal symmetry).  Each entry of
+    every reversed entry through the reversal symmetry σ).  Each entry of
     the result combines the accumulated depth-d transform with the
-    first-level entries selected by the cell's coordinates.
+    first-level entries selected by the cell's coordinates.  The cells
+    and transforms come from a depth-d descent of the rule's own table,
+    where a reversed state ``rot`` stands for the forward copy ``rot∘σ``.
     """
     _require_cubic(defn)
     sigma = find_reversal_symmetry(defn)
@@ -410,14 +402,16 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     ]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
-    table = _Table(defn, forward)  # not the rule's own table: other entries
+    table = _table(defn)
     w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list[Vector] = []
     for seq in itertools.product(range(D), repeat=d):
         pos, i = table.descend(seq)
-        acc = table.states[i][0]
+        acc, fwd = table.states[i]
+        if not fwd:
+            acc = SignedPermutation(acc).compose(sigma).entries
         x = [(v + corner) // w for v in pos]  # 0-based cells
         ent = [0] * (d * d)
         for j in range(d):

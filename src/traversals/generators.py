@@ -470,17 +470,9 @@ def gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinitio
 
 # -- fixed-dimension curves --------------------------------------------
 
+# Name (lower case, no '-' or '_') -> canonical slug of a fixed curve;
+# its bundled file is the slug with '_' for '-'.
 _FIXED = {
-    "polya2d": "polya2d.txt",
-    "prism3d": "prism3d.txt",
-    "palindromic-tetra": "palindromic_tetra.txt",
-    "sub8": "sub8.txt",
-    "meander2d": "meander2d.txt",
-}
-
-FIXED_NAMES = tuple(_FIXED)
-
-_FIXED_ALIASES = {
     "polya2d": "polya2d",
     "prism3d": "prism3d",
     "prismcurve3d": "prism3d",
@@ -489,21 +481,21 @@ _FIXED_ALIASES = {
     "meander2d": "meander2d",
 }
 
+FIXED_NAMES = tuple(dict.fromkeys(_FIXED.values()))
+
+
+def _fixed_slug(name: str) -> str | None:
+    """The canonical slug of the fixed curve ``name`` denotes, or None."""
+    return _FIXED.get(name.lower().replace("-", "").replace("_", ""))
+
 
 def builtin_fixed(name: str) -> TraversalDefinition:
     """One of the bundled fixed-dimension curves, by name."""
-    key = name.lower().replace("-", "").replace("_", "")
-    try:
-        slug = _FIXED_ALIASES[key]
-    except KeyError:
-        raise ValueError(f"unknown fixed curve {name!r}") from None
-    text = (
-        resources.files("traversals") / "definitions" / _FIXED[slug]
-    ).read_text()
-    body = "\n".join(
-        line for line in text.splitlines() if not line.lstrip().startswith("#")
-    )
-    return parse_definition(body)
+    slug = _fixed_slug(name)
+    if slug is None:
+        raise ValueError(f"unknown fixed curve {name!r}")
+    file = slug.replace("-", "_") + ".txt"
+    return parse_definition((resources.files("traversals") / "definitions" / file).read_text())
 
 
 # -- dispatch ----------------------------------------------------------

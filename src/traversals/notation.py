@@ -10,12 +10,14 @@ one tile centre to the next.  The text form is:
     entry      := "[" ints "}"        forward sub-traversal
                 | "{" ints "]"        reversed sub-traversal
     header     := "d=<int> s=<int> [u=<int>]"
+    comment    := "#" … end of line
 
-Whitespace and commas both separate tokens.  ``[1 2 3}`` is the identity
-on three axes, ``{3 1 -2]`` rotates, reflects and runs its sub-traversal
-backwards, and bare integers between entries are moves (``-1 2`` steps
-back along axis 1 and forward along axis 2 simultaneously).  Two
-adjacent entries with no integers between them share a centre point.
+Whitespace, commas and comments all separate tokens.  ``[1 2 3}`` is
+the identity on three axes, ``{3 1 -2]`` rotates, reflects and runs its
+sub-traversal backwards, and bare integers between entries are moves
+(``-1 2`` steps back along axis 1 and forward along axis 2
+simultaneously).  Two adjacent entries with no integers between them
+share a centre point.
 
 All geometry is exact: centres are vectors of `fractions.Fraction`.
 Rules are built and validated on the integer lattice: the step counts of
@@ -461,21 +463,9 @@ def format_definition(defn: TraversalDefinition) -> str:
     return " ".join(parts)
 
 
-_TOKEN = re.compile(r"([dsu])=(\d+)|(-?\d+)|([\[\]{}])|(\S)")
-
-
-def _tokenize(text: str) -> Iterator[tuple[str, object]]:
-    for m in _TOKEN.finditer(text.replace(",", " ")):
-        key, val, num, bracket, junk = m.groups()
-        if key is not None:
-            yield "header", (key, int(val))
-        elif num is not None:
-            yield "int", int(num)
-        elif bracket is not None:
-            yield "bracket", bracket
-        else:
-            raise ParseError(f"unexpected character {junk!r}")
-
+# A comment (skipped), a header field, an integer, a bracket, or any
+# other character, which is an error; whitespace and commas separate.
+_TOKEN = re.compile(r"#.*|([dsu])=(\d+)|(-?\d+)|([\[\]{}])|([^\s,])")
 
 _CLOSER = {"[": "}", "{": "]"}
 
@@ -486,75 +476,57 @@ def parse_definition(text: str) -> TraversalDefinition:
     The dimension is taken from the first entry (and checked against a
     ``d=`` header if present); the scale comes from the header, or is
     inferred when the entry count is an exact power ``k^d``, or defaults
-    to 2.  Centres are placed with their mean at the origin.
+    to 2.  Centres are placed with their mean at the origin.  Every
+    rejection, the rule constructor's included, is a `ParseError`.
     """
     header: dict[str, int] = {}
     entries: list[SignedPermutation] = []
     moves: list[Move] = []
-    pending: list[int] = []
-
-    tokens = list(_tokenize(text))
-    pos = 0
-    while pos < len(tokens):
-        kind, val = tokens[pos]
-        if kind == "header":
-            if entries or pending:
-                raise ParseError("header fields must precede the first entry")
-            key, num = val  # type: ignore[misc]
-            header[key] = num
-            pos += 1
-        elif kind == "int":
-            pending.append(val)  # type: ignore[arg-type]
-            pos += 1
-        else:
-            opener = val
-            if opener not in _CLOSER:
-                raise ParseError(f"unexpected {opener!r}; an entry must open with [ or {{")
-            pos += 1
-            body: list[int] = []
-            while pos < len(tokens) and tokens[pos][0] == "int":
-                body.append(tokens[pos][1])  # type: ignore[arg-type]
-                pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "bracket":
-                raise ParseError("entry is not closed")
-            closer = tokens[pos][1]
-            if closer != _CLOSER[opener]:
-                raise ParseError(
-                    f"malformed bracket pairing: {opener!r} closed by {closer!r}"
-                )
-            pos += 1
-            if entries:
-                moves.append(Move(tuple(pending)))
-                pending = []
-            elif pending:
+    ints: list[int] = []  # the move or entry being read
+    opener = None  # the bracket of the open entry
+    try:
+        for m in _TOKEN.finditer(text):
+            key, val, num, bracket, junk = m.groups()
+            if num is not None:
+                ints.append(int(num))
+            elif key is not None:
+                if entries or ints or opener:
+                    raise ParseError("header fields must precede the first entry")
+                header[key] = int(val)
+            elif junk is not None:
+                raise ParseError(f"unexpected character {junk!r}")
+            elif bracket is None:  # a comment
+                continue
+            elif opener:
+                if bracket != _CLOSER[opener]:
+                    raise ParseError(f"malformed bracket pairing: {opener!r} closed by {bracket!r}")
+                entries.append(SignedPermutation(tuple(ints), reverse=opener == "{"))
+                opener, ints = None, []
+            elif bracket not in _CLOSER:
+                raise ParseError(f"unexpected {bracket!r}; an entry must open with [ or {{")
+            elif ints and not entries:
                 raise ParseError("moves may not precede the first entry")
-            try:
-                entries.append(SignedPermutation(tuple(body), reverse=opener == "{"))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from None
-
-    if pending:
-        raise ParseError("no move is allowed after the last entry")
-    if not entries:
-        raise ParseError("definition contains no entries")
-
-    d = entries[0].dimension
-    if "d" in header and header["d"] != d:
-        raise ParseError(f"header says d={header['d']} but entries have length {d}")
-    for e in entries:
-        if e.dimension != d:
-            raise ParseError("inconsistent entry lengths")
-    scale = header.get("s", _inferred_scale(len(entries), d))
-    if scale < 2:
-        raise ParseError(f"scale s={scale} must be at least 2")
-    step_den = header.get("u", scale)
-    if step_den < 1:
-        raise ParseError(f"step denominator u={step_den} must be positive")
-    for m in moves:
-        try:
-            m.check_dimension(d)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return TraversalDefinition.from_moves(
-        entries, moves, scale=scale, step_den=step_den
-    )
+            else:
+                if entries:
+                    moves.append(Move(tuple(ints)))
+                opener, ints = bracket, []
+        if opener:
+            raise ParseError("entry is not closed")
+        if ints:
+            raise ParseError("no move is allowed after the last entry")
+        if not entries:
+            raise ParseError("definition contains no entries")
+        d = entries[0].dimension
+        if header.get("d", d) != d:
+            raise ParseError(f"header says d={header['d']} but entries have length {d}")
+        # u defaults to s and the constructor checks u first: check s here.
+        scale = header.get("s", _inferred_scale(len(entries), d))
+        if scale < 2:
+            raise ParseError(f"scale s={scale} must be at least 2")
+        for mv in moves:  # from_moves indexes the moves by axis unchecked
+            mv.check_dimension(d)
+        return TraversalDefinition.from_moves(
+            entries, moves, scale=scale, step_den=header.get("u")
+        )
+    except ValueError as exc:  # a ParseError keeps its type and text
+        raise ParseError(str(exc)) from None

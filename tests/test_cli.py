@@ -329,6 +329,41 @@ def test_every_command_resolves_its_source_alike(argv, tmp_path):
         assert err.startswith(f"error: unknown kind or definition file {source!r}; known kinds: z, ")
 
 
+def test_path_reads_a_trailing_comment():
+    rule = "[1 2} 1 {1 2] 2 [1 2} -1 {1 2]"
+    want = run(["path", "-", "--depth", "2"], stdin=rule)
+    assert want[0] == 0
+    commented = f"# the Hilbert order\n{rule}  # four entries\n# end\n"
+    assert run(["path", "-", "--depth", "2"], stdin=commented) == want
+
+
+@pytest.mark.parametrize("alias,name", [
+    ("prismcurve3d", "prism3d"),
+    ("Prism-3D", "prism3d"),
+    ("palindromic_tetra", "palindromic-tetra"),
+])
+@pytest.mark.parametrize("argv", [
+    ["path", "--depth", "2"],
+    ["path", "3", "--depth", "1", "--origin", "first"],
+    ["check", "--property", "continuity,bbox,components", "--depth", "2"],
+    ["plot", "--depth", "2"],
+    ["describe"],
+])
+def test_every_command_takes_every_fixed_curve_name(alias, name, argv):
+    command, *flags = argv
+    want = run([command, name, *flags])
+    assert want[0] in (0, 1) and want[1] and not want[2]
+    assert run([command, alias, *flags]) == want
+
+
+def test_plot_writes_the_same_svg_to_a_file(tmp_path):
+    f = tmp_path / "meander.svg"
+    code, svg, _ = run(["plot", "meander2d", "--depth", "2"])
+    assert code == 0
+    assert run(["plot", "meander2d", "--depth", "2", "--out", str(f)]) == (0, "", "")
+    assert f.read_bytes() == svg.encode()
+
+
 # -- streamed path output ---------------------------------------------------
 
 

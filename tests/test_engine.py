@@ -6,6 +6,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from conftest import UNEVEN_RULES, differential_rules
@@ -18,7 +19,6 @@ from traversals.engine import (
     Path,
     _plus_with_sign,
     _require_cubic,
-    _scaled_centres,
     _table,
     cell_units,
     find_reversal_symmetry,
@@ -48,6 +48,29 @@ from traversals.notation import (
 )
 
 F = Fraction
+
+
+def _scaled_centres(defn: TraversalDefinition) -> tuple[list[tuple[int, ...]], int]:
+    """Centres as integer vectors on the 2*scale*m lattice, plus m."""
+    den = lcm(1, *(x.denominator for c in defn.centres for x in c))
+    m = lcm(den, 2 * defn.scale) // (2 * defn.scale)
+    unit = 2 * defn.scale * m
+    scaled = [tuple(x.numerator * (unit // x.denominator) for x in c) for c in defn.centres]
+    return scaled, m
+
+
+def test_table_lattice_is_the_scaled_centres_lattice():
+    """The table's lattice comes from ``notation._lattice``; the former
+    ``engine._scaled_centres``, kept above verbatim as the oracle of the
+    tests below, computed the same integers."""
+    rules = 0
+    for label, defn in differential_rules():
+        table = _table(defn)
+        centres, m = _scaled_centres(defn)
+        assert table.m == m, label
+        assert [tuple(c) for c in table.centres] == centres, label
+        rules += 1
+    assert rules == 120
 
 
 # -- enumeration -------------------------------------------------------
@@ -370,8 +393,6 @@ def test_depth_two_blocks_are_transformed_depth_one_paths():
     every definition entry against the recursive enumeration, for every
     family and every bundled curve.
     """
-    from traversals.engine import _scaled_centres
-
     for label, defn in _all_test_definitions():
         n = len(defn.entries)
         s = defn.scale
@@ -756,8 +777,8 @@ def test_locate_matches_per_call_table():
 
 
 def test_one_rule_object_serves_every_operation_like_fresh_ones():
-    """The rule's cached table is shared by ``locate``, ``iter_path`` and
-    ``cell_units``, never by the reversal-free table of the squaring."""
+    """The rule's cached table is shared by ``locate``, ``iter_path``,
+    ``cell_units`` and the squaring descent."""
     defn = generate("harmonious", 3)
     assert any(e.reverse for e in defn.entries)
     t = F(5, 17)

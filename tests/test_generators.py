@@ -1,5 +1,6 @@
 """The sixteen families against their printed forms and stated rules."""
 
+from importlib import resources
 from math import comb
 
 import pytest
@@ -337,6 +338,28 @@ def test_fixed_simplex_box_multiplicities_match_tiling_geometry():
         path = generate_full_path(defn, 2, "corner")
         counts = Counter(path.points)
         assert dict(Counter(counts.values())) == hist, name
+
+
+def test_bundled_files_parse_as_they_are():
+    # each file opens with '#' comment lines, which parse_definition skips
+    folder = resources.files("traversals") / "definitions"
+    files = sorted(f.name for f in folder.iterdir() if f.name.endswith(".txt"))
+    assert files == sorted(name.replace("-", "_") + ".txt" for name in FIXED_NAMES)
+    for name in FIXED_NAMES:
+        text = (folder / (name.replace("-", "_") + ".txt")).read_text()
+        assert text.startswith("#"), name
+        assert parse_definition(text) == builtin_fixed(name), name
+
+
+@pytest.mark.parametrize("alias,name", [
+    ("prismcurve3d", "prism3d"),
+    ("Prism-3D", "prism3d"),
+    ("palindromic_tetra", "palindromic-tetra"),
+    ("PalindromicTetra", "palindromic-tetra"),
+    ("POLYA_2D", "polya2d"),
+])
+def test_fixed_aliases_name_the_same_curve(alias, name):
+    assert builtin_fixed(alias) == builtin_fixed(name)
 
 
 def test_unknown_fixed_name():
