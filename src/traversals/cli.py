@@ -23,6 +23,9 @@ in memory that does not grow with the depth; ``--exponent 2`` holds
 only the depth-``DEPTH`` path that the squared points select from.
 ``check`` and ``plot`` hold the whole path, so they refuse (exit 2) a
 depth whose path would have more than ``MAX_HELD_POINTS`` points.
+``path``, ``plot`` and the whole-path checks of ``check`` also refuse
+(exit 2) a depth with more than ``MAX_CELLS_PER_AXIS`` (2**64) cells per
+axis.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from pathlib import Path as FsPath
 from . import analysis, engine, generators
 from .notation import ParseError, TraversalDefinition, format_definition, parse_definition
 
-KIND_SLUGS = tuple(k.value for k in generators.TraversalKind)
-_KNOWN = ", ".join(KIND_SLUGS + generators.FIXED_NAMES)
+_KNOWN = ", ".join(
+    [k.value for k in generators.TraversalKind] + list(generators.FIXED_NAMES)
+)
 
 # 128 + SIGPIPE: the status a shell shows for a writer killed by the signal.
 EXIT_CLOSED_PIPE = 141
@@ -46,22 +50,20 @@ EXIT_CLOSED_PIPE = 141
 # The most points ``check`` and ``plot`` hold in memory at once.
 MAX_HELD_POINTS = 2**22
 
+# The most cells per axis (``scale ** depth``) ``path``, ``check`` and
+# ``plot`` accept.
+MAX_CELLS_PER_AXIS = 2**64
+
 
 class _UsageError(Exception):
     pass
 
 
-def _kind_slug(name: str) -> str | None:
-    """The canonical slug of a family or fixed-curve name, or None."""
-    slug = name.lower()
-    return slug if slug in KIND_SLUGS else generators._fixed_slug(name)
-
-
 def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
-    slug = _kind_slug(kind)
+    slug = generators._slug(kind)
     if slug is None:
         raise _UsageError(f"unknown kind {kind!r}; known kinds: {_KNOWN}")
-    if slug in KIND_SLUGS:
+    if slug not in generators.FIXED_NAMES:
         if d is None:
             raise _UsageError(f"kind {kind!r} needs a dimension argument")
         try:
@@ -76,7 +78,7 @@ def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
 
 def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str | None]:
     """The rule SOURCE names, and its kind slug (None for a definition)."""
-    if _kind_slug(source) is not None:
+    if generators._slug(source) is not None:
         return _load_kind(source, d)
     if source == "-":
         text = sys.stdin.read()
@@ -98,6 +100,17 @@ def _require_held_size(defn: TraversalDefinition, depth: int, command: str) -> N
         raise _UsageError(
             f"--depth {depth} gives more than {MAX_HELD_POINTS} points, "
             f"which {command} would hold in memory; 'path' streams them"
+        )
+
+
+def _require_cells_per_axis(defn: TraversalDefinition, depth: int) -> None:
+    """Refuse a depth with more than ``MAX_CELLS_PER_AXIS`` cells per axis."""
+    # Every scale (at least 2) exceeds the bound by this depth, so the
+    # power stays small however large the depth.
+    levels = min(depth, MAX_CELLS_PER_AXIS.bit_length())
+    if defn.scale**levels > MAX_CELLS_PER_AXIS:
+        raise _UsageError(
+            f"--depth {depth} gives more than {MAX_CELLS_PER_AXIS} cells per axis"
         )
 
 
@@ -137,6 +150,7 @@ def _cmd_path(args) -> int:
         raise _UsageError("squared paths are emitted with corner origin")
     if args.cells and args.origin != "corner":
         raise _UsageError("cell indices are defined for corner-origin paths")
+    _require_cells_per_axis(defn, args.depth)
     d = defn.dimension
     if args.exponent == 2:
         d *= d
@@ -229,6 +243,7 @@ def _cmd_check(args) -> int:
         raise _UsageError("no property given")
     if _WHOLE_PATH.intersection(props):
         _require_held_size(defn, args.depth, "check")
+        _require_cells_per_axis(defn, args.depth)
     all_hold = True
     for prop in props:
         report = _run_property(prop, defn, label, args.depth, args.seed)
@@ -267,6 +282,7 @@ def _cmd_plot(args) -> int:
     if d > 3:
         raise _UsageError("plotting supports 2 or 3 dimensions only")
     _require_held_size(defn, args.depth, "plot")
+    _require_cells_per_axis(defn, args.depth)
     path = engine.generate_full_path(defn, args.depth, "corner")
     if d == 3:
         # fixed oblique projection

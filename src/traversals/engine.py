@@ -1,17 +1,17 @@
 """Executing traversal definitions: enumeration, location, squaring.
 
 All three follow one integer table compiled from the rule
-(:class:`_Table`).  A state is the running transform (a signed
-permutation) plus the direction flag, interned to a small integer id the
-first time it is reached; its row lists, in visit order, the centre
-offset and the state id of each child, multiplying the transform by the
-entry's signed permutation.  A rule's table is compiled once and kept on
-the rule object (:func:`_table`), so repeated calls on one rule share
-its rows.  Enumeration walks the table depth first; location and
-squaring descend it one child per level.  All arithmetic is exact; the
-emitted points are integers on a lattice where one lowest-level cell is
-two units wide, so cube-tile centres land on odd coordinates in corner
-origin mode.
+(:class:`_Table`).  A state is the running transform, a
+:class:`~.notation.SignedPermutation` whose ``reverse`` flag is the
+direction, interned to a small integer id the first time it is reached.
+Its row lists, in visit order, each child's centre offset (the state
+applied to the child's centre) and state id (the state composed with the
+child's entry).  A rule's table is compiled once and kept on the rule
+object (:func:`_table`), so repeated calls on one rule share its rows.
+Enumeration walks the table depth first; location and squaring descend
+it one child per level.  All arithmetic is exact; the emitted points are
+integers on a lattice where one lowest-level cell is two units wide, so
+cube-tile centres land on odd coordinates in corner origin mode.
 """
 
 from __future__ import annotations
@@ -82,26 +82,26 @@ class Path:
 class _Table:
     """A rule compiled to integers: the state table every descent follows.
 
-    A state is the running signed permutation (a tuple) plus the
-    direction flag; ``states[i]`` is the state with id ``i`` and the root
-    has id 0.  ``row(i)`` lists, for each child in visit order, its
-    centre offset on the rule's lattice (a first-level cell is ``2 * m``
-    wide) and its state id; rows are built when a state is first reached.
+    A state is a :class:`SignedPermutation` whose ``reverse`` flag is the
+    direction; ``states[i]`` is the state with id ``i`` and the root, the
+    identity, has id 0.  ``row(i)`` lists, for each child in visit order,
+    its centre offset on the rule's lattice (a first-level cell is
+    ``2 * m`` wide) and its state id; rows are built when a state is
+    first reached.
     """
 
     def __init__(self, defn: TraversalDefinition):
         self.d, self.s, self.n = defn.dimension, defn.scale, len(defn.entries)
         unit, self.centres = _lattice(2 * self.s, defn.centres)
         self.m = unit // (2 * self.s)
-        self.perms = [e.entries for e in defn.entries]
-        self.flips = [e.reverse for e in defn.entries]
-        self.states: list = []
+        self.children = list(zip(self.centres, defn.entries))
+        self.states: list[SignedPermutation] = []
         self.rows: list = []  # by state id: the row, or None until reached
         self._ids: dict = {}
         self._lock = threading.Lock()
-        self.root = self._intern((tuple(range(1, self.d + 1)), True))
+        self.root = self._intern(SignedPermutation.identity(self.d))
 
-    def _intern(self, state) -> int:
+    def _intern(self, state: SignedPermutation) -> int:
         i = self._ids.get(state)
         if i is None:
             with self._lock:
@@ -118,19 +118,9 @@ class _Table:
         ``i``, in visit order."""
         r = self.rows[i]
         if r is None:
-            rot, forward = self.states[i]
-            r = []
-            for k in range(self.n):
-                c = k if forward else self.n - 1 - k
-                off = [0] * self.d
-                for v, p in zip(self.centres[c], rot):
-                    if p > 0:
-                        off[p - 1] = v
-                    else:
-                        off[-p - 1] = -v
-                nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[c])
-                r.append((tuple(off), self._intern((nrot, forward != self.flips[c]))))
-            self.rows[i] = r
+            t = self.states[i]
+            kids = self.children[::-1] if t.reverse else self.children
+            r = self.rows[i] = [(t.apply(c), self._intern(t.compose(e))) for c, e in kids]
         return r
 
     def descend(self, digits):
@@ -211,19 +201,15 @@ def iter_path(
         # Per-axis extremes of the subtree of height e in the root frame;
         # a child's subtree is the one of height e - 1 under its entry.
         lo = hi = (0,) * d
-        for e in range(1, depth + 1):
-            f = s ** (e - 1)
+        for e in range(depth):
+            f = s**e
             lows, highs = [], []
-            for c, perm in zip(table.centres, table.perms):
-                low, high = [0] * d, [0] * d
-                for a, p in enumerate(perm):
-                    j = abs(p) - 1
-                    x, y = (lo[a], hi[a]) if p > 0 else (-hi[a], -lo[a])
-                    low[j], high[j] = f * c[j] + x, f * c[j] + y
-                lows.append(low)
-                highs.append(high)
-            lo = tuple(min(col) for col in zip(*lows))
-            hi = tuple(max(col) for col in zip(*highs))
+            for c, entry in table.children:
+                a, b = entry.apply(lo), entry.apply(hi)
+                lows.append([f * x + min(u, v) for x, u, v in zip(c, a, b)])
+                highs.append([f * x + max(u, v) for x, u, v in zip(c, a, b)])
+            lo = tuple(map(min, zip(*lows)))
+            hi = tuple(map(max, zip(*highs)))
         start = tuple(m - x for x in lo)
     elif origin == "centre":
         start = (0,) * d
@@ -234,12 +220,10 @@ def iter_path(
     def emit(base, state):
         return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(state))])
 
-    root = table.root
-    if depth == leaf_levels:
-        yield from emit(start, root)
-        return
+    # The walk starts one frame above the root, whose only child is the
+    # root, so a path of one leaf block is emitted like every other block.
     leaf_f = s**leaf_levels
-    stack = [(iter(row(root)), start, s ** (depth - 1))]
+    stack = [(iter([((0,) * d, table.root)]), start, s**depth)]
     while stack:
         children, base, f = stack[-1]
         for off, child in children:
@@ -396,10 +380,7 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
         raise NotSymmetricError("the rule is not symmetric; squaring is not self-similar")
     d, s = defn.dimension, defn.scale
     D = len(defn.entries)
-    forward = [
-        e if not e.reverse else SignedPermutation(e.compose(sigma).entries)
-        for e in defn.entries
-    ]
+    forward = [e.compose(sigma) if e.reverse else e for e in defn.entries]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
     table = _table(defn)
@@ -409,9 +390,8 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     sq_centres: list[Vector] = []
     for seq in itertools.product(range(D), repeat=d):
         pos, i = table.descend(seq)
-        acc, fwd = table.states[i]
-        if not fwd:
-            acc = SignedPermutation(acc).compose(sigma).entries
+        state = table.states[i]
+        acc = (state.compose(sigma) if state.reverse else state).entries
         x = [(v + corner) // w for v in pos]  # 0-based cells
         ent = [0] * (d * d)
         for j in range(d):

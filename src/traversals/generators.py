@@ -484,15 +484,21 @@ _FIXED = {
 FIXED_NAMES = tuple(dict.fromkeys(_FIXED.values()))
 
 
-def _fixed_slug(name: str) -> str | None:
-    """The canonical slug of the fixed curve ``name`` denotes, or None."""
-    return _FIXED.get(name.lower().replace("-", "").replace("_", ""))
+# Name (lower case, no '-' or '_') -> canonical slug of every family and
+# fixed curve.
+_SLUGS = {k.value.replace("-", ""): k.value for k in TraversalKind} | _FIXED
+
+
+def _slug(name: str) -> str | None:
+    """The canonical slug of the family or fixed curve ``name`` denotes,
+    or None; case, '-' and '_' do not matter."""
+    return _SLUGS.get(name.lower().replace("-", "").replace("_", ""))
 
 
 def builtin_fixed(name: str) -> TraversalDefinition:
     """One of the bundled fixed-dimension curves, by name."""
-    slug = _fixed_slug(name)
-    if slug is None:
+    slug = _slug(name)
+    if slug not in FIXED_NAMES:
         raise ValueError(f"unknown fixed curve {name!r}")
     file = slug.replace("-", "_") + ".txt"
     return parse_definition((resources.files("traversals") / "definitions" / file).read_text())

@@ -14,7 +14,9 @@ import traversals
 from traversals import engine
 from traversals.cli import (
     EXIT_CLOSED_PIPE,
+    MAX_CELLS_PER_AXIS,
     MAX_HELD_POINTS,
+    _require_cells_per_axis,
     _require_held_size,
     _UsageError,
     main,
@@ -356,6 +358,26 @@ def test_every_command_takes_every_fixed_curve_name(alias, name, argv):
     assert run([command, alias, *flags]) == want
 
 
+@pytest.mark.parametrize("alias,name,d", [
+    ("Double_Gray", "double-gray", "2"),
+    ("HILL_Z", "hill-z", "2"),
+    ("halfcoil", "half-coil", "2"),
+    ("Inside_Out", "inside-out", "3"),
+])
+@pytest.mark.parametrize("argv", [
+    ["describe"],
+    ["path", "--depth", "2"],
+    ["check", "--property", "continuity,bbox", "--depth", "2"],
+    ["plot", "--depth", "2"],
+])
+def test_every_command_takes_every_family_name(alias, name, d, argv):
+    """Case, '-' and '_' do not matter in a family name either."""
+    command, *flags = argv
+    want = run([command, name, d, *flags])
+    assert want[0] in (0, 1) and want[1] and not want[2]
+    assert run([command, alias, d, *flags]) == want
+
+
 def test_plot_writes_the_same_svg_to_a_file(tmp_path):
     f = tmp_path / "meander.svg"
     code, svg, _ = run(["plot", "meander2d", "--depth", "2"])
@@ -414,6 +436,41 @@ def test_held_points_bound_is_exact():
     with pytest.raises(_UsageError):
         _require_held_size(z2, 12, "check")
     _require_held_size(parse_definition("d=1 s=2 [1}"), 10**9, "plot")  # one point
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["path", "-", "--depth", "1000000000"], "d=1 s=2 [1}"),
+    (["path", "-", "--depth", "1000000000", "--origin", "centre"], "d=1 s=2 [1}"),
+    (["check", "-", "--property", "continuity", "--depth", "1000000000"], "d=1 s=2 [1}"),
+    (["plot", "-", "--depth", "1000000000"], "d=1 s=2 [1}"),
+    (["path", "z", "2", "--depth", "1000000000"], ""),
+    (["path", "z", "2", "--depth", "100000", "--origin", "centre"], ""),
+    (["path", "z", "2", "--depth", "65"], ""),
+    (["path", "peano", "2", "--depth", "41"], ""),
+])
+def test_commands_refuse_more_than_2_64_cells_per_axis(argv, stdin, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path beyond the cells-per-axis bound")
+
+    monkeypatch.setattr(engine, "iter_path", refuse)
+    code, out, err = run(argv, stdin)
+    depth = argv[argv.index("--depth") + 1]
+    assert (code, out) == (2, "")
+    assert err == f"error: --depth {depth} gives more than {MAX_CELLS_PER_AXIS} cells per axis\n"
+
+
+@pytest.mark.parametrize("kind,depth", [("z", 64), ("peano", 40)])
+def test_cells_per_axis_bound_is_exact(kind, depth, monkeypatch):
+    defn = generate(kind, 2)
+    assert defn.scale**depth <= MAX_CELLS_PER_AXIS < defn.scale ** (depth + 1)
+    _require_cells_per_axis(defn, depth)
+    with pytest.raises(_UsageError):
+        _require_cells_per_axis(defn, depth + 1)
+    # the command passes the depth on to the walk
+    monkeypatch.setattr(engine, "iter_path", lambda defn, depth, origin: iter([(1, 1)]))
+    code, out, _ = run(["path", kind, "2", "--depth", str(depth)])
+    assert code == 0
+    assert out == f"# kind={kind} d=2 depth={depth} origin=corner units=half-cell/1\n1 1\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -776,6 +776,40 @@ def test_locate_matches_per_call_table():
     assert cases == 120
 
 
+def test_table_rows_match_per_call_table():
+    """Every row of the cached table, whose states are signed permutations
+    with the direction as their ``reverse`` flag, equals the per-call
+    table's ``child`` steps from the same state in tuple form: for every
+    reachable state of a rule of at most 27 entries, else for the states
+    of the first two levels."""
+
+    def as_tuple(t):
+        return t.entries, not t.reverse
+
+    rules = 0
+    for label, defn in differential_rules():
+        table, oracle = _table(defn), PerCallTable(defn)
+        n = len(defn.entries)
+        levels = float("inf") if n <= 27 else 2
+        frontier, seen = [table.root], {table.root}
+        assert table.states[table.root] == SignedPermutation.identity(defn.dimension)
+        while frontier and levels:
+            nxt = []
+            for i in frontier:
+                row = table.row(i)
+                state = as_tuple(table.states[i])
+                want = [oracle.child(state, k) for k in range(n)]
+                assert [(off, as_tuple(table.states[j])) for off, j in row] == want, label
+                for _, j in row:
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+            levels -= 1
+        rules += 1
+    assert rules == 120
+
+
 def test_one_rule_object_serves_every_operation_like_fresh_ones():
     """The rule's cached table is shared by ``locate``, ``iter_path``,
     ``cell_units`` and the squaring descent."""
@@ -805,9 +839,7 @@ def test_one_rule_object_serves_every_operation_like_fresh_ones():
     assert list(run(defn)) == want
     table = _table(defn)
     assert table is _table(defn)
-    assert table.perms == [e.entries for e in defn.entries]
-    assert table.flips == [e.reverse for e in defn.entries]
-    assert table.states[table.root] == ((1, 2, 3), True)
+    assert table.states[table.root] == SignedPermutation.identity(3)
 
 
 def test_cached_table_leaves_equality_hash_repr_and_pickle_alone():
