@@ -35,6 +35,9 @@ Bits enter and leave the words only at the API boundary: a rank reads
 the matrix once and interleaves its words once, an unrank
 de-interleaves once and builds one matrix, so each step of a recipe
 costs O(d) word operations.
+Input is checked once, where it comes in; the matrices built by ``_matrix``
+and the ranks of :func:`rank_of_cell` are not checked again.  The module
+imports nothing else from the package: it is an independent oracle.
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ class CoordinateMatrix:
         """Matrix for the cell with the given per-axis indices in [0, 2^level)."""
         if not isinstance(level, int) or level < 1:
             raise ValueError(f"level must be an int of at least 1, got {level!r}")
+        if not cell:
+            raise ValueError("matrix must have at least one row and column")
         words = cell[::-1]  # row 1 is the highest axis
         for n in words:
             if not isinstance(n, int):
@@ -169,8 +174,11 @@ class RankWord:
 
 
 def _matrix(words, k: int) -> CoordinateMatrix:
+    """The matrix of checked row words of ``k`` bits, left unchecked."""
     bits = iter("".join(map(format, words, repeat(f"0{k}b"))).encode().translate(_TO_BITS))
-    return CoordinateMatrix(tuple(zip(*[bits] * k)))  # rows of k bits
+    m = object.__new__(CoordinateMatrix)
+    object.__setattr__(m, "bits", tuple(zip(*[bits] * k)))  # rows of k bits
+    return m
 
 
 def _interleave(words: list[int], k: int) -> int:
@@ -300,7 +308,10 @@ def rank_of_cell(kind: str, corner_bits: CoordinateMatrix) -> RankWord:
     words = _words(bits)
     for op in recipe:
         words = op(words, k)
-    return RankWord(_interleave(words, k), len(bits) * k)
+    rank = object.__new__(RankWord)  # read from a checked matrix, left unchecked
+    object.__setattr__(rank, "value", _interleave(words, k))
+    object.__setattr__(rank, "width", len(bits) * k)
+    return rank
 
 
 def cell_of_rank(kind: str, rank: RankWord, d: int, level: int) -> CoordinateMatrix:

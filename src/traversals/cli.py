@@ -19,13 +19,12 @@ output pipe closed by the reader (as in ``traversals path z 3 --depth 5
 | head -2``); it then stops without a message.
 
 ``path`` streams its points in every origin mode and with ``--cells``,
-in memory that does not grow with the depth; ``--exponent 2`` holds
-only the depth-``DEPTH`` path that the squared points select from.
-``check`` and ``plot`` hold the whole path, so they refuse (exit 2) a
-depth whose path would have more than ``MAX_HELD_POINTS`` points.
-``path``, ``plot`` and the whole-path checks of ``check`` also refuse
-(exit 2) a depth with more than ``MAX_CELLS_PER_AXIS`` (2**64) cells per
-axis.
+in memory that does not grow with the depth.  Refused with exit 2 and
+one ``error:`` line, before any output: more than ``MAX_HELD_POINTS``
+held points (``check``, ``plot``, and ``path --exponent 2``, which holds
+the path its squared points select from); more than ``MAX_CELLS_PER_AXIS``
+(2**64) cells per axis (``path``, ``plot``, whole-path checks); a family
+rule of more than ``MAX_RULE_ENTRIES`` (2**16) entries (every command).
 """
 
 from __future__ import annotations
@@ -54,6 +53,9 @@ MAX_HELD_POINTS = 2**22
 # ``plot`` accept.
 MAX_CELLS_PER_AXIS = 2**64
 
+# The most entries (``scale ** d``) of a family rule any command builds.
+MAX_RULE_ENTRIES = 2**16
+
 
 class _UsageError(Exception):
     pass
@@ -66,10 +68,11 @@ def _load_kind(kind: str, d: int | None) -> tuple[TraversalDefinition, str]:
     if slug not in generators.FIXED_NAMES:
         if d is None:
             raise _UsageError(f"kind {kind!r} needs a dimension argument")
-        try:
-            return generators.generate(slug, d), slug
-        except generators.BetaUndefinedError as exc:
-            raise _UsageError(str(exc)) from None
+        _require_at_most(
+            generators._scale(slug), d, MAX_RULE_ENTRIES,
+            f"kind {kind!r} in {d} dimensions has more than {MAX_RULE_ENTRIES} entries",
+        )
+        return generators.generate(slug, d), slug
     defn = generators.builtin_fixed(slug)
     if d is not None and d != defn.dimension:
         raise _UsageError(f"{kind} is a fixed {defn.dimension}-dimensional curve")
@@ -91,27 +94,29 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
     return parse_definition(text), None
 
 
-def _require_held_size(defn: TraversalDefinition, depth: int, command: str) -> None:
+def _require_at_most(base: int, exponent: int, bound: int, message: str) -> None:
+    """Refuse with ``message`` when ``base ** exponent`` exceeds ``bound``."""
+    # Any base of 2 or more passes the bound by exponent bound.bit_length().
+    if base ** min(exponent, bound.bit_length()) > bound:
+        raise _UsageError(message)
+
+
+def _require_held_size(defn: TraversalDefinition, depth: int, command: str,
+                       note: str = "; 'path' streams them") -> None:
     """Refuse a depth whose whole path would exceed ``MAX_HELD_POINTS``."""
-    # Every rule of two or more entries exceeds the bound by this depth,
-    # so the power stays small however large the depth.
-    levels = min(depth, MAX_HELD_POINTS.bit_length())
-    if len(defn.entries) ** levels > MAX_HELD_POINTS:
-        raise _UsageError(
-            f"--depth {depth} gives more than {MAX_HELD_POINTS} points, "
-            f"which {command} would hold in memory; 'path' streams them"
-        )
+    _require_at_most(
+        len(defn.entries), depth, MAX_HELD_POINTS,
+        f"--depth {depth} gives more than {MAX_HELD_POINTS} points, "
+        f"which {command} would hold in memory{note}",
+    )
 
 
 def _require_cells_per_axis(defn: TraversalDefinition, depth: int) -> None:
     """Refuse a depth with more than ``MAX_CELLS_PER_AXIS`` cells per axis."""
-    # Every scale (at least 2) exceeds the bound by this depth, so the
-    # power stays small however large the depth.
-    levels = min(depth, MAX_CELLS_PER_AXIS.bit_length())
-    if defn.scale**levels > MAX_CELLS_PER_AXIS:
-        raise _UsageError(
-            f"--depth {depth} gives more than {MAX_CELLS_PER_AXIS} cells per axis"
-        )
+    _require_at_most(
+        defn.scale, depth, MAX_CELLS_PER_AXIS,
+        f"--depth {depth} gives more than {MAX_CELLS_PER_AXIS} cells per axis",
+    )
 
 
 def _out_stream(args):
@@ -153,6 +158,7 @@ def _cmd_path(args) -> int:
     _require_cells_per_axis(defn, args.depth)
     d = defn.dimension
     if args.exponent == 2:
+        _require_held_size(defn, args.depth, "path --exponent 2", note="")
         d *= d
         points = engine.iter_squared_path(defn, args.depth)
     else:

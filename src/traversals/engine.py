@@ -401,7 +401,7 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
             base = (abs(pj) - 1) * d
             for j2 in range(d):
                 ent[j * d + j2] = _plus_with_sign(base, low.entries[j2])
-        sq_entries.append(SignedPermutation(tuple(ent)))
+        sq_entries.append(SignedPermutation._of(tuple(ent)))
         cvec: list[Fraction] = []
         for j in range(d):
             cvec.extend(centres[x[j]])

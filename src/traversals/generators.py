@@ -422,6 +422,13 @@ def gen_butz(d: int) -> TraversalDefinition:
 
 # -- Peano family (scale 3) --------------------------------------------
 
+_PEANO_FAMILY = {TraversalKind(k) for k in ("peano", "coil", "half-coil", "meurthe")}
+
+
+def _scale(kind: str | TraversalKind) -> int:
+    """Tiles per axis of the family ``kind``: 3 for the Peano family, else 2."""
+    return 3 if TraversalKind(kind) in _PEANO_FAMILY else 2
+
 
 def _peano_signs(perm: list[int], t: tuple[int, ...]) -> list[int]:
     parity = sum(t) & 1
@@ -439,12 +446,7 @@ def gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinitio
     different parity; no entry is ever reversed.
     """
     kind = TraversalKind(variant) if not isinstance(variant, TraversalKind) else variant
-    if kind not in (
-        TraversalKind.PEANO,
-        TraversalKind.COIL,
-        TraversalKind.HALF_COIL,
-        TraversalKind.MEURTHE,
-    ):
+    if _scale(kind) != 3:
         raise ValueError(f"{kind} is not a scale-3 variant")
     entries = []
     for i in range(1, 3**d + 1):

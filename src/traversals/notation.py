@@ -28,6 +28,9 @@ and safe to share across threads; data derived from a rule (its
 ``fills_cube`` verdict, the engine's compiled state table) is computed
 once and kept on the rule object, outside its fields, so equality,
 hashing, ``repr``, copying and pickling see the fields alone.
+Input is checked once, by the public constructors and `parse_definition`;
+permutations derived from checked ones are built by
+``SignedPermutation._of`` and not checked again.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ class ParseError(ValueError):
     """Raised when definition text does not follow the grammar."""
 
 
-def _sign(x: int) -> int:
-    return -1 if x < 0 else 1
-
-
 @dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """A signed axis permutation with a traversal direction.
@@ -84,6 +83,14 @@ class SignedPermutation:
                 f"absolute values of {self.entries} are not a permutation of 1..{d}"
             )
 
+    @classmethod
+    def _of(cls, entries: tuple[int, ...], reverse: bool = False) -> "SignedPermutation":
+        """A permutation derived from checked ones, left unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "entries", entries)
+        object.__setattr__(p, "reverse", reverse)
+        return p
+
     @property
     def dimension(self) -> int:
         return len(self.entries)
@@ -104,10 +111,11 @@ class SignedPermutation:
         The result has ``out[|p[j]|] = sign(p[j]) * v[j]``; works for any
         numeric coordinate type.
         """
-        if len(v) != self.dimension:
-            raise ValueError(f"dimension mismatch: {self.dimension} vs {len(v)}")
-        out = [None] * self.dimension
-        for j, e in enumerate(self.entries):
+        entries = self.entries
+        if len(v) != len(entries):
+            raise ValueError(f"dimension mismatch: {len(entries)} vs {len(v)}")
+        out = [None] * len(entries)
+        for j, e in enumerate(entries):
             out[abs(e) - 1] = v[j] if e > 0 else -v[j]
         return tuple(out)
 
@@ -117,25 +125,26 @@ class SignedPermutation:
         ``compose(p, q).apply(v) == p.apply(q.apply(v))``; the direction
         flag of the result is the xor of the operand flags.
         """
-        if other.dimension != self.dimension:
+        mine = self.entries
+        if len(other.entries) != len(mine):
             raise ValueError("dimension mismatch in composition")
-        ent = tuple(
-            _sign(e) * self.entries[abs(e) - 1] for e in other.entries
+        return SignedPermutation._of(
+            tuple(mine[e - 1] if e > 0 else -mine[-e - 1] for e in other.entries),
+            self.reverse ^ other.reverse,
         )
-        return SignedPermutation(ent, self.reverse ^ other.reverse)
 
     def inverse(self) -> "SignedPermutation":
         """Matrix transpose; direction flag is preserved."""
         out = [0] * self.dimension
         for j, e in enumerate(self.entries):
-            out[abs(e) - 1] = _sign(e) * (j + 1)
-        return SignedPermutation(tuple(out), self.reverse)
+            out[abs(e) - 1] = j + 1 if e > 0 else -j - 1
+        return SignedPermutation._of(tuple(out), self.reverse)
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         d = self.dimension
         rows = [[0] * d for _ in range(d)]
         for j, e in enumerate(self.entries):
-            rows[abs(e) - 1][j] = _sign(e)
+            rows[abs(e) - 1][j] = 1 if e > 0 else -1
         return tuple(tuple(r) for r in rows)
 
     def __str__(self) -> str:
@@ -148,7 +157,7 @@ def _cube_symmetries(d: int) -> Iterator[SignedPermutation]:
     the unsigned permutations lexicographically, each with every sign mask."""
     for unsigned in itertools.permutations(range(1, d + 1)):
         for mask in range(1 << d):
-            yield SignedPermutation(
+            yield SignedPermutation._of(
                 tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned))
             )
 
@@ -184,7 +193,7 @@ class Move:
 
     def transformed(self, p: SignedPermutation) -> "Move":
         """The move as seen after mapping space through ``p``."""
-        return Move(tuple(_sign(e) * p.entries[abs(e) - 1] for e in self.steps))
+        return Move(tuple(p.entries[e - 1] if e > 0 else -p.entries[-e - 1] for e in self.steps))
 
     def negated(self) -> "Move":
         return Move(tuple(-e for e in self.steps))
@@ -404,8 +413,7 @@ class TraversalDefinition:
     def reversed(self) -> "TraversalDefinition":
         """The same traversal run backwards."""
         entries = tuple(
-            SignedPermutation(e.entries, not e.reverse)
-            for e in reversed(self.entries)
+            SignedPermutation._of(e.entries, not e.reverse) for e in reversed(self.entries)
         )
         moves = tuple(m.negated() for m in reversed(self.moves))
         centres = tuple(reversed(self.centres))
@@ -416,7 +424,7 @@ class TraversalDefinition:
     def transformed(self, p: SignedPermutation) -> "TraversalDefinition":
         """Map the whole rule through the cube symmetry ``p``."""
         entries = tuple(
-            SignedPermutation(p.compose(e).entries, e.reverse) for e in self.entries
+            SignedPermutation._of(p.compose(e).entries, e.reverse) for e in self.entries
         )
         moves = tuple(m.transformed(p) for m in self.moves)
         centres = tuple(p.apply(c) for c in self.centres)

@@ -1,6 +1,7 @@
 """Gray codes, the coordinate-matrix operations, and rank computation."""
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -571,6 +572,22 @@ def test_recipes_are_the_public_operations():
         "double-gray": (op_row_coding, op_ranking),
         "inside-out": (op_inversion, op_row_coding, op_ranking),
     }
+
+
+def test_built_matrices_and_ranks_equal_their_checked_rebuilds():
+    """On a seeded sample of shapes; an empty cell is still refused."""
+    rng = random.Random(5)
+    for d, k in [(rng.randint(1, 12), rng.randint(1, 40)) for _ in range(40)]:
+        value, cell = rng.randrange(1 << (d * k)), [rng.randrange(1 << k) for _ in range(d)]
+        built = [CoordinateMatrix.from_cell(cell, k)]
+        built += [CoordinateMatrix.from_column_major(value, d, k)]
+        built += [op(m) for m in built[:2] for op in NEW_OPS]
+        built += [cell_of_rank(kind, RankWord(value, d * k), d, k) for kind in FIVE_KINDS]
+        assert all(CoordinateMatrix(m.bits) == m for m in built), (d, k)
+        ranks = [rank_of_cell(kind, m) for kind in FIVE_KINDS for m in built]
+        assert all(RankWord(r.value, r.width) == r for r in ranks), (d, k)
+    with pytest.raises(ValueError, match="at least one row and column"):
+        CoordinateMatrix.from_cell((), 2)
 
 
 # -- bad input ------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path as FsPath
 import pytest
 
 import traversals
-from traversals import engine
+from traversals import cli, engine, generators
 from traversals.cli import (
     EXIT_CLOSED_PIPE,
     MAX_CELLS_PER_AXIS,
@@ -471,6 +471,36 @@ def test_cells_per_axis_bound_is_exact(kind, depth, monkeypatch):
     code, out, _ = run(["path", kind, "2", "--depth", str(depth)])
     assert code == 0
     assert out == f"# kind={kind} d=2 depth={depth} origin=corner units=half-cell/1\n1 1\n"
+
+
+@pytest.mark.parametrize("small,argv,err", [
+    (False, "check z 40 --property base-pattern", "kind 'z' in 40 dimensions"),
+    (False, "path z 64 --depth 1", "kind 'z' in 64 dimensions"),
+    (False, "describe z 18", "kind 'z' in 18 dimensions"),
+    (False, "path z 2 --depth 40 --exponent 2", "--depth 40 gives more than 4194304"),
+    (True, "path harmonious 2 --depth 4 --exponent 2", None),
+    (True, "path harmonious 2 --depth 5 --exponent 2", "--depth 5 gives more than 256"),
+    (True, "describe z 6", None),
+    (True, "describe z 7", "kind 'z' in 7 dimensions"),
+    (True, "describe peano 3", None),
+    (True, "describe peano 4", "kind 'peano' in 4 dimensions"),
+])
+def test_huge_rules_and_held_squares_are_refused_before_building(small, argv, err, monkeypatch):
+    """Refused unbuilt and unwalked; with small bounds, one step less passes."""
+    if small:
+        monkeypatch.setattr(cli, "MAX_HELD_POINTS", 2**8)
+        monkeypatch.setattr(cli, "MAX_RULE_ENTRIES", 2**6)
+    if err is None:
+        assert run(argv.split())[0] == 0
+        return
+    monkeypatch.setattr(engine, "iter_path", None)
+    monkeypatch.setattr(engine, "iter_squared_path", None)
+    if "dimensions" in err:
+        monkeypatch.setattr(generators, "generate", None)
+        err += f" has more than {cli.MAX_RULE_ENTRIES} entries"
+    else:
+        err += " points, which path --exponent 2 would hold in memory"
+    assert run(argv.split()) == (2, "", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("argv", [

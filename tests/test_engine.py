@@ -220,7 +220,7 @@ def test_locate_rejects_out_of_domain():
     for t, depth, side in ((F(-1, 3), 2, "plus"), (F(1), 2, "plus"), (F(0), 2, "minus"),
                            (F(4, 3), 2, "minus"), (F(1, 2), 2, "middle")):
         with pytest.raises(ValueError) as want:
-            per_call_locate(defn, t, depth, side)
+            fraction_locate(defn, t, depth, side)
         with pytest.raises(ValueError) as got:
             locate(defn, t, depth, side)
         assert str(got.value) == str(want.value)
@@ -698,68 +698,10 @@ def test_squared_definition_matches_fraction_squaring():
     assert squared >= 15
 
 
-# -- the cached table against the per-call table it replaced -------------------
+# -- every differential rule, and the cached table ----------------------------
 
 
-class PerCallTable:
-    """The ``_Table`` built afresh by every call, with states as tuples and
-    one ``child`` step, kept verbatim as the oracle of the cached table."""
-
-    def __init__(self, defn: TraversalDefinition, entries=None):
-        entries = defn.entries if entries is None else entries
-        self.d, self.s, self.n = defn.dimension, defn.scale, len(entries)
-        self.centres, self.m = _scaled_centres(defn)
-        self.perms = [e.entries for e in entries]
-        self.flips = [e.reverse for e in entries]
-        self.root = (tuple(range(1, self.d + 1)), True)
-
-    def child(self, state, k):
-        """(centre offset at unit scale, state) of the ``k``-th child visited."""
-        rot, forward = state
-        i = k if forward else self.n - 1 - k
-        off = [0] * self.d
-        for v, p in zip(self.centres[i], rot):
-            if p > 0:
-                off[p - 1] = v
-            else:
-                off[-p - 1] = -v
-        nrot = tuple(rot[p - 1] if p > 0 else -rot[-p - 1] for p in self.perms[i])
-        return tuple(off), (nrot, forward != self.flips[i])
-
-    def descend(self, digits):
-        """Centred-frame point and state of the cell reached from the root."""
-        s, pos, state = self.s, (0,) * self.d, self.root
-        for k in digits:
-            off, state = self.child(state, k)
-            pos = [x * s + o for x, o in zip(pos, off)]
-        return pos, state
-
-
-def per_call_locate(defn, t, depth, side="plus"):
-    """``locate`` over a table built per call, kept verbatim as its oracle."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    t = Fraction(t)
-    D = len(defn.entries)
-    N = D**depth
-    if side == "plus":
-        if not 0 <= t < 1:
-            raise ValueError("plus side needs t in [0, 1)")
-        i = (t * N).__floor__()
-    elif side == "minus":
-        if not 0 < t <= 1:
-            raise ValueError("minus side needs t in (0, 1]")
-        i = -((-t * N).__floor__()) - 1
-    else:
-        raise ValueError("side must be 'plus' or 'minus'")
-
-    table = PerCallTable(defn)
-    pos, _ = table.descend(i // D**e % D for e in range(depth - 1, -1, -1))
-    unit = 2 * table.m * defn.scale**depth
-    return tuple(Fraction(x, unit) for x in pos)
-
-
-def test_locate_matches_per_call_table():
+def test_locate_matches_fraction_locate_on_every_differential_rule():
     rng = random.Random(12)
     cases = 0
     for label, defn in differential_rules():
@@ -769,45 +711,28 @@ def test_locate_matches_per_call_table():
                 i = rng.randrange(n)
                 for t, side in ((F(2 * i + 1, 2 * n), "plus"), (F(i, n), "plus"),
                                 (F(2 * i + 1, 2 * n), "minus"), (F(i + 1, n), "minus")):
-                    want = per_call_locate(defn, t, depth, side)
+                    want = fraction_locate(defn, t, depth, side)
                     assert repr(locate(defn, t, depth, side)) == repr(want), (label, depth, t)
-        assert cell_units(defn) == 2 * PerCallTable(defn).m, label
+        assert cell_units(defn) == 2 * _scaled_centres(defn)[1], label
         cases += 1
     assert cases == 120
 
 
-def test_table_rows_match_per_call_table():
-    """Every row of the cached table, whose states are signed permutations
-    with the direction as their ``reverse`` flag, equals the per-call
-    table's ``child`` steps from the same state in tuple form: for every
-    reachable state of a rule of at most 27 entries, else for the states
-    of the first two levels."""
-
-    def as_tuple(t):
-        return t.entries, not t.reverse
-
-    rules = 0
-    for label, defn in differential_rules():
-        table, oracle = _table(defn), PerCallTable(defn)
-        n = len(defn.entries)
-        levels = float("inf") if n <= 27 else 2
-        frontier, seen = [table.root], {table.root}
-        assert table.states[table.root] == SignedPermutation.identity(defn.dimension)
-        while frontier and levels:
-            nxt = []
-            for i in frontier:
-                row = table.row(i)
-                state = as_tuple(table.states[i])
-                want = [oracle.child(state, k) for k in range(n)]
-                assert [(off, as_tuple(table.states[j])) for off, j in row] == want, label
-                for _, j in row:
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-            levels -= 1
-        rules += 1
-    assert rules == 120
+def test_derived_permutations_equal_their_checked_rebuilds():
+    """The cube symmetries, the states a depth-2 walk meets, ``compose``,
+    ``inverse``, ``reversed``, ``transformed`` and the squared entries."""
+    rng, built = random.Random(3), []
+    for d in range(1, 5):
+        built += _cube_symmetries(d)
+    for _, defn in differential_rules():
+        table = _table(defn)
+        assert len(list(iter_path(defn, 2))) == len(defn) ** 2
+        p, q = rng.choices(table.states, k=2)
+        built += table.states + [p.compose(q), p.inverse(), *defn.reversed().entries]
+        built += defn.transformed(p).entries
+    for kind, d in (("z", 2), ("peano", 2), ("harmonious", 3), ("inside-out", 3)):
+        built += squared_definition(generate(kind, d)).entries
+    assert [p for p in built if SignedPermutation(p.entries, p.reverse) != p] == []
 
 
 def test_one_rule_object_serves_every_operation_like_fresh_ones():
