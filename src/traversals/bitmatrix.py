@@ -31,9 +31,11 @@ the parity of all columns left of c, so
 
     g^-1(w)[r] = (gray_inverse(P) >> 1) ^ w[1] ^ ... ^ w[r].
 
-Bits enter and leave the words only at the API boundary: a rank reads
-the matrix once and interleaves its words once, an unrank
-de-interleaves once and builds one matrix, so each step of a recipe
+A :class:`CoordinateMatrix` *is* its row words and its column count;
+``.bits`` is derived from them only when someone reads it.  So cells,
+operations, ranks and unranks stay integers from input to output: a
+cell's indices are the row words in reverse order, a rank interleaves
+the words once, an unrank de-interleaves once, and each step of a recipe
 costs O(d) word operations.
 Input is checked once, where it comes in; the matrices built by ``_matrix``
 and the ranks of :func:`rank_of_cell` are not checked again.  The module
@@ -42,7 +44,7 @@ imports nothing else from the package: it is an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
 from operator import xor
@@ -98,34 +100,72 @@ _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 _BIT_VALUES = frozenset((0, 1))
 
 
-def _words(rows) -> list[int]:
+def _pack(rows) -> tuple[int, ...]:
     """Each row of bits as one int, its first bit most significant."""
     digits = map(bytes.translate, map(bytes, rows), repeat(_TO_DIGITS))
-    return list(map(int, digits, repeat(2)))
+    return tuple(map(int, digits, repeat(2)))
 
 
-@dataclass(frozen=True, slots=True)
 class CoordinateMatrix:
-    """A d-by-k matrix of coordinate bits."""
+    """A d-by-k matrix of coordinate bits, held as its d row words.
 
-    bits: tuple[tuple[int, ...], ...]
+    Compared, hashed, printed and frozen like a dataclass whose one field
+    is ``bits``:
 
-    def __post_init__(self):
-        if not self.bits or not self.bits[0]:
+    >>> x = CoordinateMatrix(((0, 1, 1), (1, 0, 0)))
+    >>> x
+    CoordinateMatrix(bits=((0, 1, 1), (1, 0, 0)))
+    >>> x == CoordinateMatrix.from_cell((4, 3), 3), x.rows, x.cols
+    (True, 2, 3)
+    """
+
+    __slots__ = ("_words", "_cols")
+
+    def __init__(self, bits: tuple[tuple[int, ...], ...]):
+        if not bits or not bits[0]:
             raise ValueError("matrix must have at least one row and column")
-        if len(set(map(len, self.bits))) != 1:
+        if len(set(map(len, bits))) != 1:
             raise ValueError("ragged matrix")
-        entries = list(chain.from_iterable(self.bits))
+        entries = list(chain.from_iterable(bits))
         if not all(map(isinstance, entries, repeat(int))) or not _BIT_VALUES.issuperset(entries):
             raise ValueError("entries must be bits")
+        object.__setattr__(self, "_words", _pack(bits))
+        object.__setattr__(self, "_cols", len(bits[0]))
+
+    @property
+    def bits(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of bits, row 1 first, built from the words when read."""
+        k = self._cols
+        digits = "".join(map(format, self._words, repeat(f"0{k}b"))).encode()
+        return tuple(zip(*[iter(digits.translate(_TO_BITS))] * k))  # rows of k bits
 
     @property
     def rows(self) -> int:
-        return len(self.bits)
+        return len(self._words)
 
     @property
     def cols(self) -> int:
-        return len(self.bits[0])
+        return self._cols
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._cols == other._cols and self._words == other._words
+
+    def __hash__(self) -> int:
+        return hash((self._words, self._cols))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(bits={self.bits!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _matrix, (self._words, self._cols)
 
     @classmethod
     def from_cell(cls, cell: tuple[int, ...], level: int) -> "CoordinateMatrix":
@@ -140,13 +180,13 @@ class CoordinateMatrix:
                 raise ValueError(f"cell index {n!r} is not an int")
             if not 0 <= n < (1 << level):
                 raise ValueError(f"cell index {n} out of range for level {level}")
-        return _matrix(words, level)
+        return _matrix(map(int, words), level)  # bools become ints
 
     def to_cell(self) -> tuple[int, ...]:
-        return tuple(_words(reversed(self.bits)))
+        return self._words[::-1]
 
     def column_major_value(self) -> int:
-        return _words([chain.from_iterable(zip(*self.bits))])[0]
+        return _interleave(self._words)
 
     @classmethod
     def from_column_major(cls, value: int, rows: int, cols: int) -> "CoordinateMatrix":
@@ -174,20 +214,34 @@ class RankWord:
 
 
 def _matrix(words, k: int) -> CoordinateMatrix:
-    """The matrix of checked row words of ``k`` bits, left unchecked."""
-    bits = iter("".join(map(format, words, repeat(f"0{k}b"))).encode().translate(_TO_BITS))
+    """The matrix of checked int row words of ``k`` bits, left unchecked."""
     m = object.__new__(CoordinateMatrix)
-    object.__setattr__(m, "bits", tuple(zip(*[bits] * k)))  # rows of k bits
+    object.__setattr__(m, "_words", tuple(words))
+    object.__setattr__(m, "_cols", k)
     return m
 
 
-def _interleave(words: list[int], k: int) -> int:
-    """The column-major reading of the row words, as one number."""
-    d, fmt = len(words), f"0{k}b"
-    digits = bytearray(d * k)
-    for r, w in enumerate(words):
-        digits[r::d] = format(w, fmt).encode()
-    return int(digits, 2)
+@cache
+def _spread(d: int) -> list[int]:
+    """By byte value: the byte with its bit j moved to bit ``j*d``."""
+    return [sum(1 << (j * d) for j in range(8) if b >> j & 1) for b in range(256)]
+
+
+def _interleave(words) -> int:
+    """The column-major reading of the row words, as one number.
+
+    Bit j of row r (bits counted from 0 at the right, rows from 1) lands
+    at bit ``j*d + d-r``; each byte of a word is spread by one table lookup.
+    """
+    d = len(words)
+    spread, step, value = _spread(d), 8 * d, 0
+    for r, w in enumerate(words, 1):
+        shift = d - r
+        while w:
+            value |= spread[w & 255] << shift
+            w >>= 8
+            shift += step
+    return value
 
 
 def _deinterleave(value: int, d: int, k: int) -> list[int]:
@@ -277,8 +331,8 @@ def _on_matrix(word_op):
     """The :class:`CoordinateMatrix` form of a word operation (one per op)."""
 
     def op(x: CoordinateMatrix) -> CoordinateMatrix:
-        k = x.cols
-        return _matrix(word_op(_words(x.bits), k), k)
+        k = x._cols
+        return _matrix(word_op(x._words, k), k)
 
     op.__name__ = op.__qualname__ = "op" + word_op.__name__
     op.__doc__ = word_op.__doc__.partition("\n\n")[0]  # the summary, not a doctest
@@ -303,14 +357,12 @@ def rank_of_cell(kind: str, corner_bits: CoordinateMatrix) -> RankWord:
         recipe = _RANK[kind]
     except KeyError:
         raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
-    bits = corner_bits.bits
-    k = len(bits[0])
-    words = _words(bits)
+    words, k = corner_bits._words, corner_bits._cols
     for op in recipe:
         words = op(words, k)
     rank = object.__new__(RankWord)  # read from a checked matrix, left unchecked
-    object.__setattr__(rank, "value", _interleave(words, k))
-    object.__setattr__(rank, "width", len(bits) * k)
+    object.__setattr__(rank, "value", _interleave(words))
+    object.__setattr__(rank, "width", len(words) * k)
     return rank
 
 

@@ -14,9 +14,10 @@ ORIGIN < definition`` maps to ``traversals path - --depth DEPTH
 --exponent E --origin O``.
 
 Exit codes: 0 on success (all properties hold), 1 when a checked
-property fails, 2 on usage or parse errors, 141 when ``path`` finds its
-output pipe closed by the reader (as in ``traversals path z 3 --depth 5
-| head -2``); it then stops without a message.
+property fails, 2 on usage or parse errors, 141 when ``path``,
+``describe`` or ``plot`` finds its output pipe closed by the reader (as
+in ``traversals path z 3 --depth 5 | head -2``); it then stops without a
+message.
 
 ``path`` streams its points in every origin mode and with ``--cells``,
 in memory that does not grow with the depth.  Refused with exit 2 and
@@ -137,11 +138,27 @@ def _write(out, text: str) -> None:
         out.write(text[i : i + _PIECE])
 
 
+def _closed_pipe() -> int:
+    """The reader closed the pipe.  Point stdout at the null device so
+    that the interpreter's flush at exit does not report it again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_CLOSED_PIPE
+
+
+def _emit(args, text: str) -> int:
+    """Write ``text`` to the command's output; exit status as for ``path``."""
+    try:
+        with _out_stream(args) as out:
+            _write(out, text)
+            out.flush()
+    except BrokenPipeError:
+        return _closed_pipe()
+    return 0
+
+
 def _cmd_describe(args) -> int:
     defn, _ = _load_kind(args.kind, args.dimension)
-    with _out_stream(args) as out:
-        _write(out, format_definition(defn) + "\n")
-    return 0
+    return _emit(args, format_definition(defn) + "\n")
 
 
 # Points are formatted this many at a time.
@@ -184,10 +201,7 @@ def _cmd_path(args) -> int:
                 _write(out, fmt * (len(coords) // d) % coords)
             out.flush()
     except BrokenPipeError:
-        # The reader closed the pipe.  Point stdout at the null device so
-        # that the interpreter's flush at exit does not report it again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_CLOSED_PIPE
+        return _closed_pipe()
     return 0
 
 
@@ -299,9 +313,7 @@ def _cmd_plot(args) -> int:
         pts = [(p[0], p[1]) for p in path.points]
     else:
         pts = [(p[0], 0) for p in path.points]
-    with _out_stream(args) as out:
-        _write(out, _svg_polyline(pts))
-    return 0
+    return _emit(args, _svg_polyline(pts))
 
 
 def _build_parser() -> argparse.ArgumentParser:

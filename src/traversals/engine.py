@@ -16,11 +16,12 @@ cube-tile centres land on odd coordinates in corner origin mode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterator
 
 from .notation import SignedPermutation, TraversalDefinition, Vector
@@ -124,16 +125,29 @@ class _Table:
         return r
 
     def descend(self, digits):
-        """Centred-frame point and state id of the cell reached from the root.
+        """Centred-frame point (a list of d ints) and state id of the cell
+        reached from the root.
 
         ``digits`` are the visit positions, top level first; the point
         is on the lattice where a cell of that level is ``2*m`` wide.
+        The descent collects the offset of each of the L levels and sums
+        each axis once: the point is the sum over levels of the offset
+        times ``s**(L-1)``, ..., ``s**0``.
         """
-        s, pos, i, rows = self.s, (0,) * self.d, self.root, self.rows
+        i, rows, offsets = self.root, self.rows, []
         for k in digits:
             off, i = (rows[i] or self.row(i))[k]
-            pos = [x * s + o for x, o in zip(pos, off)]
-        return pos, i
+            offsets.append(off)
+        if not offsets:
+            return [0] * self.d, i
+        powers = _powers(self.s, len(offsets))
+        return [sum(map(mul, column, powers)) for column in zip(*offsets)], i
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(s: int, n: int) -> tuple[int, ...]:
+    """``s**(n-1), ..., s, 1``: the weights of the levels of an n-level descent."""
+    return tuple([s**e for e in range(n - 1, -1, -1)])
 
 
 def _table(defn: TraversalDefinition) -> _Table:

@@ -574,20 +574,76 @@ def test_recipes_are_the_public_operations():
     }
 
 
+def _matrices_of_every_origin(d, k, rng):
+    """Matrices of one shape from each constructor, operation and unrank."""
+    value, cell = rng.randrange(1 << (d * k)), [rng.randrange(1 << k) for _ in range(d)]
+    built = [CoordinateMatrix.from_cell(cell, k), CoordinateMatrix.from_column_major(value, d, k)]
+    built += [op(m) for m in built[:2] for op in NEW_OPS]
+    built += [cell_of_rank(kind, RankWord(value, d * k), d, k) for kind in FIVE_KINDS]
+    return built
+
+
 def test_built_matrices_and_ranks_equal_their_checked_rebuilds():
     """On a seeded sample of shapes; an empty cell is still refused."""
     rng = random.Random(5)
     for d, k in [(rng.randint(1, 12), rng.randint(1, 40)) for _ in range(40)]:
-        value, cell = rng.randrange(1 << (d * k)), [rng.randrange(1 << k) for _ in range(d)]
-        built = [CoordinateMatrix.from_cell(cell, k)]
-        built += [CoordinateMatrix.from_column_major(value, d, k)]
-        built += [op(m) for m in built[:2] for op in NEW_OPS]
-        built += [cell_of_rank(kind, RankWord(value, d * k), d, k) for kind in FIVE_KINDS]
+        built = _matrices_of_every_origin(d, k, rng)
         assert all(CoordinateMatrix(m.bits) == m for m in built), (d, k)
         ranks = [rank_of_cell(kind, m) for kind in FIVE_KINDS for m in built]
         assert all(RankWord(r.value, r.width) == r for r in ranks), (d, k)
     with pytest.raises(ValueError, match="at least one row and column"):
         CoordinateMatrix.from_cell((), 2)
+
+
+# -- value semantics of the word-backed matrix --------------------------------
+
+
+def test_matrices_compare_and_hash_as_their_checked_rebuilds():
+    rng = random.Random(8)
+    for d, k in [(1, 1), (3, 4), (4, 8), (2, 33), (7, 5)]:
+        for m in _matrices_of_every_origin(d, k, rng):
+            rebuilt = CoordinateMatrix(m.bits)
+            assert m == rebuilt and rebuilt == m and not m != rebuilt, (d, k)
+            assert hash(m) == hash(rebuilt), (d, k)
+            assert len({m, rebuilt}) == 1
+            assert (m.rows, m.cols) == (rebuilt.rows, rebuilt.cols) == (d, k)
+    # equal row words, different column counts
+    assert CoordinateMatrix(((1,),)) != CoordinateMatrix(((0, 1),))
+    assert CoordinateMatrix.from_cell((1, 2), 2) != CoordinateMatrix.from_cell((1, 2), 3)
+    assert X0 != X0.bits and X0 != OldCoordinateMatrix(X0.bits)
+
+
+def test_matrix_repr_is_the_dataclass_repr():
+    assert repr(X0) == "CoordinateMatrix(bits=((0, 1, 1, 0), (1, 0, 1, 1), (0, 0, 0, 1)))"
+    rng = random.Random(9)
+    for d, k in [(1, 1), (1, 7), (3, 4), (5, 2)]:
+        for m in _matrices_of_every_origin(d, k, rng):
+            old = OldCoordinateMatrix(m.bits)
+            assert repr(m) == repr(old).replace("OldCoordinateMatrix", "CoordinateMatrix", 1)
+
+
+def test_matrix_is_frozen_and_survives_pickle_and_copy():
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    m = CoordinateMatrix.from_cell((5, 2, 7), 3)
+    for name in ("bits", "rows", "_words", "_cols", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, ((1,),))
+        with pytest.raises(FrozenInstanceError):
+            delattr(m, name)
+    assert m.to_cell() == (5, 2, 7)
+    for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert back == m and back.to_cell() == (5, 2, 7) and repr(back) == repr(m)
+
+
+def test_bool_input_gives_int_cells_and_words():
+    for m in (CoordinateMatrix.from_cell((True, 0), 1), CoordinateMatrix(((False,), (True,)))):
+        assert m.to_cell() == (1, 0)
+        assert [type(n) for n in m.to_cell()] == [int, int]
+        assert [type(w) for w in m._words] == [int, int]
+        assert rank_of_cell("z", m).value == 0b01
 
 
 # -- bad input ------------------------------------------------------------

@@ -533,6 +533,29 @@ def test_path_stops_quietly_when_the_reader_closes_the_pipe():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv,head", [
+    (["describe", "z", "12"], b"[1 2 3 4 5"),
+    (["plot", "harmonious", "2", "--depth", "7"], b"<svg xmlns"),
+], ids=["describe", "plot"])
+def test_describe_and_plot_stop_quietly_when_the_reader_closes_the_pipe(argv, head):
+    """``traversals describe z 12 | head -c 10``: exit status 141 and no
+    traceback, as for ``path``."""
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "traversals.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    got = proc.stdout.read(10)
+    proc.stdout.close()  # 139 kB and 225 kB do not fit in the pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
+    assert got == head
+    assert err == b""
+
+
 def test_path_streams_in_bounded_memory(tmp_path):
     """The peak of traced allocations does not grow with the depth.
 

@@ -718,6 +718,30 @@ def test_locate_matches_fraction_locate_on_every_differential_rule():
     assert cases == 120
 
 
+def per_level_descend(table, digits):
+    """``_Table.descend`` as it was when it rebuilt the point at every
+    level, kept verbatim as the oracle of the per-axis sum."""
+    s, pos, i, rows = table.s, (0,) * table.d, table.root, table.rows
+    for k in digits:
+        off, i = (rows[i] or table.row(i))[k]
+        pos = [x * s + o for x, o in zip(pos, off)]
+    return pos, i
+
+
+def test_descent_matches_the_per_level_loop_on_every_differential_rule():
+    rng = random.Random(13)
+    for label, defn in differential_rules():
+        table = _table(defn)
+        for depth in range(7):
+            for _ in range(4):
+                digits = [rng.randrange(table.n) for _ in range(depth)]
+                pos, i = per_level_descend(table, digits)
+                assert table.descend(digits) == (list(pos), i), (label, digits)
+        for depth in (0, 1):
+            pos, _ = table.descend([table.n - 1] * depth)
+            assert type(pos) is list and len(pos) == table.d, (label, depth)
+
+
 def test_derived_permutations_equal_their_checked_rebuilds():
     """The cube symmetries, the states a depth-2 walk meets, ``compose``,
     ``inverse``, ``reversed``, ``transformed`` and the squared entries."""
