@@ -4,101 +4,89 @@ Sixteen traversal families (Morton/Z order, U order, Gray-code orders,
 simplex orders, five Hilbert-curve generalizations and four Peano-curve
 variants) in one signed-permutation notation, with exact enumeration,
 bit-matrix ranking, squaring, and property verification.
+
+The public names are loaded lazily (PEP 562): ``import traversals``
+imports no submodule, and the first use of a name imports the one
+submodule that defines it, so a program pays only for the modules it
+runs.  ``traversals.engine`` and the other submodules that define
+public names resolve the same way.
 """
 
-from .analysis import (
-    AdjacencyProfile,
-    PropertyReport,
-    adjacency_profile,
-    check_base_pattern,
-    check_dominance,
-    check_facet_order,
-    check_palindromic,
-    check_straight_jumping,
-    check_well_folded_rank,
-    component_count,
-    max_bbox_ratio,
-    section_component_audit,
-)
-from .bitmatrix import (
-    CoordinateMatrix,
-    RankWord,
-    cell_of_rank,
-    gray,
-    gray_inverse,
-    rank_of_cell,
-)
-from .engine import (
-    NotCubicError,
-    NotSymmetricError,
-    Path,
-    find_reversal_symmetry,
-    generate_full_path,
-    generate_path,
-    iter_path,
-    locate,
-    squared_definition,
-    squared_path,
-)
-from .generators import (
-    BetaUndefinedError,
-    FIXED_NAMES,
-    TraversalKind,
-    builtin_fixed,
-    gen_base_pattern,
-    generate,
-)
-from .notation import (
-    Move,
-    ParseError,
-    SignedPermutation,
-    TraversalDefinition,
-    format_definition,
-    parse_definition,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyProfile",
-    "BetaUndefinedError",
-    "CoordinateMatrix",
-    "FIXED_NAMES",
-    "Move",
-    "NotCubicError",
-    "NotSymmetricError",
-    "ParseError",
-    "Path",
-    "PropertyReport",
-    "RankWord",
-    "SignedPermutation",
-    "TraversalDefinition",
-    "TraversalKind",
-    "adjacency_profile",
-    "builtin_fixed",
-    "cell_of_rank",
-    "check_base_pattern",
-    "check_dominance",
-    "check_facet_order",
-    "check_palindromic",
-    "check_straight_jumping",
-    "check_well_folded_rank",
-    "component_count",
-    "find_reversal_symmetry",
-    "format_definition",
-    "gen_base_pattern",
-    "generate",
-    "generate_full_path",
-    "generate_path",
-    "gray",
-    "gray_inverse",
-    "iter_path",
-    "locate",
-    "max_bbox_ratio",
-    "parse_definition",
-    "rank_of_cell",
-    "section_component_audit",
-    "squared_definition",
-    "squared_path",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "analysis": (
+            "AdjacencyProfile",
+            "PropertyReport",
+            "adjacency_profile",
+            "check_base_pattern",
+            "check_dominance",
+            "check_facet_order",
+            "check_palindromic",
+            "check_straight_jumping",
+            "check_well_folded_rank",
+            "component_count",
+            "max_bbox_ratio",
+            "section_component_audit",
+        ),
+        "bitmatrix": (
+            "CoordinateMatrix",
+            "RankWord",
+            "cell_of_rank",
+            "gray",
+            "gray_inverse",
+            "rank_of_cell",
+        ),
+        "engine": (
+            "NotCubicError",
+            "NotSymmetricError",
+            "Path",
+            "find_reversal_symmetry",
+            "generate_full_path",
+            "generate_path",
+            "iter_path",
+            "locate",
+            "squared_definition",
+            "squared_path",
+        ),
+        "generators": (
+            "BetaUndefinedError",
+            "FIXED_NAMES",
+            "TraversalKind",
+            "builtin_fixed",
+            "gen_base_pattern",
+            "generate",
+        ),
+        "notation": (
+            "Move",
+            "ParseError",
+            "SignedPermutation",
+            "TraversalDefinition",
+            "format_definition",
+            "parse_definition",
+        ),
+    }.items()
+    for name in names
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

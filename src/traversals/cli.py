@@ -36,9 +36,13 @@ import itertools
 import os
 import sys
 from pathlib import Path as FsPath
+from typing import TYPE_CHECKING
 
-from . import analysis, engine, generators
+from . import engine, generators
 from .notation import ParseError, TraversalDefinition, format_definition, parse_definition
+
+if TYPE_CHECKING:
+    from . import analysis
 
 _KNOWN = ", ".join(
     [k.value for k in generators.TraversalKind] + list(generators.FIXED_NAMES)
@@ -87,7 +91,10 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
     if source == "-":
         text = sys.stdin.read()
     elif FsPath(source).is_file():
-        text = FsPath(source).read_text()
+        try:
+            text = FsPath(source).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {source!r}: {exc.strerror}") from None
     else:
         raise _UsageError(
             f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
@@ -122,7 +129,10 @@ def _require_cells_per_axis(defn: TraversalDefinition, depth: int) -> None:
 
 def _out_stream(args):
     if getattr(args, "out", None):
-        return open(args.out, "w")
+        try:
+            return open(args.out, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from None
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -177,25 +187,21 @@ def _cmd_path(args) -> int:
     if args.exponent == 2:
         _require_held_size(defn, args.depth, "path --exponent 2", note="")
         d *= d
-        points = engine.iter_squared_path(defn, args.depth)
+        points = engine.iter_squared_path(defn, args.depth, cells=args.cells)
     else:
-        points = engine.iter_path(defn, args.depth, args.origin)
+        points = engine.iter_path(defn, args.depth, args.origin, cells=args.cells)
     # the first point raises the engine's errors before any output
     points = itertools.chain((next(points),), points)
-    w = engine.cell_units(defn)
     fmt = " ".join(["%d"] * d) + "\n"
+    units = "cell" if args.cells else f"half-cell/{engine.cell_units(defn) // 2}"
     try:
         with _out_stream(args) as out:
-            units = "cell" if args.cells else f"half-cell/{w // 2}"
             out.write(
                 f"# kind={label} d={d} depth={args.depth} "
                 f"origin={args.origin} units={units}\n"
             )
             while True:
-                coords = itertools.chain.from_iterable(itertools.islice(points, _BATCH))
-                if args.cells:
-                    coords = map(w.__rfloordiv__, coords)
-                coords = tuple(coords)
+                coords = tuple(itertools.chain.from_iterable(itertools.islice(points, _BATCH)))
                 if not coords:
                     break
                 _write(out, fmt * (len(coords) // d) % coords)
@@ -220,6 +226,8 @@ _WHOLE_PATH = frozenset(_PROPERTIES) - {"base-pattern", "well-folded"}
 
 
 def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
+    from . import analysis  # only ``check`` needs it
+
     d = defn.dimension
     if prop == "base-pattern":
         cls = analysis.check_base_pattern(defn)

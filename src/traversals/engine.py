@@ -8,16 +8,22 @@ Its row lists, in visit order, each child's centre offset (the state
 applied to the child's centre) and state id (the state composed with the
 child's entry).  A rule's table is compiled once and kept on the rule
 object (:func:`_table`), so repeated calls on one rule share its rows.
-Enumeration walks the table depth first; location and squaring descend
-it one child per level.  All arithmetic is exact; the emitted points are
+Enumeration walks the table depth first, down to blocks of the lowest
+levels that are expanded once per state (the fewest levels holding at
+least ``_BLOCK_POINTS`` points, within a memory budget); location and squaring descend it one
+child per level.  All arithmetic is exact; the emitted points are
 integers on a lattice where one lowest-level cell is two units wide, so
-cube-tile centres land on odd coordinates in corner origin mode.
+cube-tile centres land on odd coordinates in corner origin mode.  With
+``cells`` the walk emits 0-based cell indices instead, from blocks of
+cell offsets, so no point is converted after it is built; the squared
+path selects its coordinate groups by the cells of such a walk.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,9 +165,15 @@ def _table(defn: TraversalDefinition) -> _Table:
     return t
 
 
-# The walk expands the lowest levels under a node into one block of at
-# most this many leaf offsets (at least one level), built once per state.
+# The walk expands the lowest levels under a node into one block of leaf
+# offsets, built once per state: the fewest levels (at least one) that hold
+# at least _BLOCK_POINTS points, unless the blocks of every state the rule
+# could reach (2 * d! * 2**d signed permutations with a direction) would
+# then hold more than _BLOCK_BUDGET points.  Without the budget, a rule with
+# many states (Maehara at d = 5 has 7 680) builds a block for nearly every
+# node it expands and keeps them all.
 _BLOCK_POINTS = 64
+_BLOCK_BUDGET = 2**18
 
 
 def cell_units(defn: TraversalDefinition) -> int:
@@ -170,16 +182,24 @@ def cell_units(defn: TraversalDefinition) -> int:
 
 
 def iter_path(
-    defn: TraversalDefinition, depth: int, origin: str = "centre"
+    defn: TraversalDefinition, depth: int, origin: str = "centre", *, cells: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Stream the lattice points of the traversal in visit order.
 
     ``origin`` translates the points as in :func:`generate_full_path`.
+    With ``cells`` (corner origin only) each point is replaced by the
+    0-based per-axis indices of its cell, ``x // cell_units(defn)``.
     The walk follows the rule's state table (see :class:`_Table`), whose
     rows are built the first time a state is met and kept with the rule.
     The lowest levels come from a block of leaf offsets per state, built
     once per call, so a point costs one tuple addition, and memory stays
-    O(depth) plus the rows of the states met.
+    O(depth) plus the rows and blocks of the states met.  A block spans
+    the fewest levels that hold at least ``_BLOCK_POINTS`` points (all
+    levels of a shallower path), within ``_BLOCK_BUDGET`` over all the
+    states the rule could reach.  Cell blocks are kept per state and per
+    residue of the block root modulo the cell width ``w``, since
+    ``(base + x) // w == base // w + (base % w + x) // w``; this is exact
+    for every rule, including those whose points are off the cell centres.
     The shift of ``origin`` is taken from the rule: ``first``/``last``
     descend through the first/last child, ``corner`` takes the per-axis
     minimum over the refinement levels.
@@ -188,19 +208,29 @@ def iter_path(
         raise ValueError("depth must be non-negative")
     if origin not in ORIGIN_MODES:
         raise ValueError(f"unknown origin mode {origin!r}")
+    if cells and origin != "corner":
+        raise ValueError("cell indices are defined for corner-origin paths")
     table = _table(defn)
     d, s, n, m, row = table.d, table.s, table.n, table.m, table.row
+    w = 2 * m
     blocks: dict = {}
 
+    states = 2 ** (d + 1) * math.factorial(d)
     leaf_levels = min(depth, 1)
-    while leaf_levels < depth and n ** (leaf_levels + 1) <= _BLOCK_POINTS:
+    while (
+        leaf_levels < depth
+        and n**leaf_levels < _BLOCK_POINTS
+        and states * n ** (leaf_levels + 1) <= _BLOCK_BUDGET
+    ):
         leaf_levels += 1
 
-    def block(state):
-        """Per-axis columns of the leaf offsets under a block root."""
-        b = blocks.get(state)
+    def block(key):
+        """Per-axis columns under a block root: the leaf offsets of the
+        state ``key[0]``, or with ``cells`` their cell offsets from a root
+        whose coordinates are ``key[1:]`` modulo ``w``."""
+        b = blocks.get(key)
         if b is None:
-            pts = [((0,) * d, state)]
+            pts = [((0,) * d, key[0])]
             for level in range(leaf_levels, 0, -1):
                 f = s ** (level - 1)
                 pts = [
@@ -208,7 +238,10 @@ def iter_path(
                     for c, st in pts
                     for off, child in row(st)
                 ]
-            b = blocks[state] = tuple(zip(*(c for c, _ in pts)))
+            b = tuple(zip(*(c for c, _ in pts)))
+            if cells:
+                b = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], b))
+            blocks[key] = b
         return b
 
     if origin == "corner":
@@ -232,7 +265,12 @@ def iter_path(
         start = tuple(-x for x in table.descend([k] * depth)[0])
 
     def emit(base, state):
-        return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(state))])
+        if cells:
+            key = (state, *[x % w for x in base])
+            base = [x // w for x in base]
+        else:
+            key = (state,)
+        return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(key))])
 
     # The walk starts one frame above the root, whose only child is the
     # root, so a path of one leaf block is emitted like every other block.
@@ -315,21 +353,21 @@ def _require_cubic(defn: TraversalDefinition) -> None:
 
 
 def iter_squared_path(
-    defn: TraversalDefinition, depth: int
+    defn: TraversalDefinition, depth: int, *, cells: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Stream the points of :func:`squared_path` in visit order.
 
     The depth-``depth`` path is held in memory (one point per cell of a
-    coordinate axis of the square); the depth ``d * depth`` path that
-    selects from it is streamed.
+    coordinate axis of the square, or its cell indices with ``cells``);
+    the depth ``d * depth`` path that selects from it is walked in cell
+    indices and streamed.
     """
     _require_cubic(defn)
     if depth < 1:
         raise ValueError("squared paths need depth >= 1")
-    w = cell_units(defn)
-    xs = tuple(iter_path(defn, depth, "corner"))
-    for qp in iter_path(defn, defn.dimension * depth, "corner"):
-        yield tuple(itertools.chain.from_iterable([xs[x // w] for x in qp]))
+    xs = tuple(iter_path(defn, depth, "corner", cells=cells))
+    for cell in iter_path(defn, defn.dimension * depth, "corner", cells=True):
+        yield sum(map(xs.__getitem__, cell), ())
 
 
 def squared_path(defn: TraversalDefinition, depth: int) -> Path:

@@ -664,7 +664,7 @@ def test_bool_entries_are_bits():
     assert rank_of_cell("u", x).value == 0b0111  # column ranking gives rows 01, 11
 
 
-@pytest.mark.parametrize("level", [0, -1, 1.0])
+@pytest.mark.parametrize("level", [0, -1, 1.0, True])
 def test_from_cell_rejects_bad_level(level):
     with pytest.raises(ValueError, match="level must be an int of at least 1"):
         CoordinateMatrix.from_cell((1, 0), level)
@@ -677,21 +677,25 @@ def test_from_cell_rejects_non_int_index():
         CoordinateMatrix.from_cell((4, 0), 2)
 
 
-@pytest.mark.parametrize("d,level", [(-1, -3), (0, 3), (3, 0), (1.5, 2)])
+@pytest.mark.parametrize("d,level", [(-1, -3), (0, 3), (3, 0), (1.5, 2), (True, 3), (3, True)])
 def test_cell_of_rank_rejects_bad_shape(d, level):
     with pytest.raises(ValueError, match="d and level must be ints of at least 1"):
         cell_of_rank("z", RankWord(0, 3), d, level)
 
 
-@pytest.mark.parametrize("value,rows,cols", [(1.0, 2, 2), (16, 2, 2), (-1, 2, 2), (0, 0, 2)])
+@pytest.mark.parametrize("value,rows,cols", [
+    (1.0, 2, 2), (16, 2, 2), (-1, 2, 2), (0, 0, 2), (0, 2.0, 2), (0, 2, True), (0, True, 2),
+])
 def test_from_column_major_rejects_bad_input(value, rows, cols):
-    with pytest.raises(ValueError, match="value does not fit|at least one row"):
+    with pytest.raises(ValueError, match="value does not fit|at least one row|rows and cols must be ints"):
         CoordinateMatrix.from_column_major(value, rows, cols)
 
 
 def test_rank_word_rejects_bad_width_and_value():
     with pytest.raises(ValueError, match="rank width must be a non-negative int"):
         RankWord(1, -1)
+    with pytest.raises(ValueError, match="rank width must be a non-negative int"):
+        RankWord(1, True)
     with pytest.raises(ValueError, match="rank value must be an int"):
         RankWord(1.0, 3)
     with pytest.raises(ValueError, match="rank does not fit its width"):

@@ -1,5 +1,6 @@
 """The command-line surface: output fidelity and exit codes."""
 
+import hashlib
 import io
 import os
 import subprocess
@@ -162,6 +163,15 @@ def test_path_exponent_two_matches_squared_hilbert_order(golden):
     assert got == expect
 
 
+def test_path_squared_cells_output_is_unchanged():
+    """The digest of this output before the squared path walked in cells."""
+    code, out, _ = run(["path", "harmonious", "2", "--depth", "3", "--exponent", "2", "--cells"])
+    assert code == 0
+    assert out.count("\n") == 1 + 4**6
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8a7590a90e268c4bf948f35d0de4753a50fe80c6bbdf837f852267d608bfe0c8"
+
+
 def test_path_exponent_two_rejects_shape_definitions():
     _, definition, _ = run(["describe", "polya2d"])
     code, _, err = run(
@@ -302,6 +312,34 @@ def test_path_centre_origin_is_symmetric():
     pts = [tuple(int(x) for x in l.split())
            for l in out.splitlines() if not l.startswith("#")]
     assert pts == [(-1, -1), (1, -1), (1, 1), (-1, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "z", "2"],
+    ["path", "z", "2"],
+    ["plot", "z", "2"],
+])
+@pytest.mark.parametrize("target", ["missing/x", "."])
+def test_unwritable_out_is_a_usage_error(argv, target, tmp_path):
+    out_path = tmp_path / target
+    code, out, err = run([*argv, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(out_path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_definition_file_is_a_usage_error(tmp_path, monkeypatch):
+    rule = tmp_path / "rule.txt"
+    rule.write_text("[1 2} 1 [1 2} 2 [1 2} -1 [1 2}")
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(FsPath, "read_text", refuse)
+    for command in ("path", "check --property well-folded", "plot"):
+        code, out, err = run([*command.split(), str(rule)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {str(rule)!r}: Permission denied\n"
 
 
 def test_describe_out_flag_writes_file(tmp_path):
@@ -467,7 +505,7 @@ def test_cells_per_axis_bound_is_exact(kind, depth, monkeypatch):
     with pytest.raises(_UsageError):
         _require_cells_per_axis(defn, depth + 1)
     # the command passes the depth on to the walk
-    monkeypatch.setattr(engine, "iter_path", lambda defn, depth, origin: iter([(1, 1)]))
+    monkeypatch.setattr(engine, "iter_path", lambda defn, depth, origin, cells=False: iter([(1, 1)]))
     code, out, _ = run(["path", kind, "2", "--depth", str(depth)])
     assert code == 0
     assert out == f"# kind={kind} d=2 depth={depth} origin=corner units=half-cell/1\n1 1\n"
@@ -608,3 +646,55 @@ def test_output_survives_signals_on_an_unbuffered_pipe(argv):
     assert proc.wait(timeout=60) == 0
     _, want, _ = run(argv)
     assert b"".join(got).decode() == want
+
+
+# -- what a process loads ----------------------------------------------------
+
+
+def _fresh_process(script: str) -> str:
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_path_loads_neither_analysis_nor_bitmatrix():
+    script = (
+        "import contextlib, io, sys\n"
+        "import traversals\n"
+        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+        "from traversals.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['path', 'z', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+    )
+    before, after = _fresh_process(script).splitlines()
+    assert before == "['traversals']"
+    assert "traversals.engine" in after
+    assert "traversals.analysis" not in after
+    assert "traversals.bitmatrix" not in after
+
+
+def test_every_public_name_resolves():
+    from traversals import analysis, bitmatrix, notation
+
+    for name in traversals.__all__:
+        assert getattr(traversals, name) is not None, name
+    assert traversals.iter_path is engine.iter_path
+    assert traversals.rank_of_cell is bitmatrix.rank_of_cell
+    assert traversals.PropertyReport is analysis.PropertyReport
+    assert traversals.ParseError is notation.ParseError
+    assert set(traversals.__all__) <= set(dir(traversals))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        traversals.nonexistent
+    namespace: dict = {}
+    exec("from traversals import *", namespace)
+    assert set(traversals.__all__) <= set(namespace)
+    script = "from traversals import *\nprint(generate_path(generate('z', 2), 1).points)"
+    assert _fresh_process(script) == "((-1, -1), (1, -1), (-1, 1), (1, 1))\n"

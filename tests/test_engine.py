@@ -555,6 +555,58 @@ def test_streamed_square_matches_materialised_square():
             assert tuple(iter_squared_path(defn, depth)) == want.points
 
 
+def test_cell_walk_matches_floor_divided_point_walk():
+    """``cells=True`` against the conversion it replaced, ``x // w`` of
+    each point of the corner walk, on every rule at depths 0-4 (paths of
+    at most 4096 points)."""
+    cases = 0
+    for label, defn in differential_rules():
+        w = cell_units(defn)
+        for depth in range(5):
+            if len(defn.entries) ** depth > 4096:
+                break
+            want = [tuple(x // w for x in p) for p in iter_path(defn, depth, "corner")]
+            assert list(iter_path(defn, depth, "corner", cells=True)) == want, (label, depth)
+            cases += 1
+    assert cases > 400
+
+
+def test_cell_walk_needs_corner_origin():
+    for origin in ("centre", "first", "last"):
+        with pytest.raises(ValueError, match="corner-origin"):
+            next(iter_path(generate("z", 2), 1, origin, cells=True))
+
+
+def held_squared_path(defn, depth):
+    """``iter_squared_path`` as it was before it walked in cells, kept
+    verbatim."""
+    _require_cubic(defn)
+    if depth < 1:
+        raise ValueError("squared paths need depth >= 1")
+    w = cell_units(defn)
+    xs = tuple(iter_path(defn, depth, "corner"))
+    for qp in iter_path(defn, defn.dimension * depth, "corner"):
+        yield tuple(itertools.chain.from_iterable([xs[x // w] for x in qp]))
+
+
+@pytest.mark.parametrize("kind,d,depths", [
+    ("harmonious", 2, (1, 2, 3, 4)),
+    ("z", 2, (1, 2, 3, 4)),
+    ("inside-out", 2, (1, 2, 3, 4)),
+    ("peano", 2, (1, 2)),
+    ("harmonious", 3, (1, 2)),
+])
+def test_squared_walk_in_cells_matches_held_square(kind, d, depths):
+    defn = generate(kind, d)
+    w = cell_units(defn)
+    for depth in depths:
+        want = list(held_squared_path(defn, depth))
+        assert list(iter_squared_path(defn, depth)) == want, (kind, d, depth)
+        if depth <= 2:
+            cells = [tuple(x // w for x in p) for p in want]
+            assert list(iter_squared_path(defn, depth, cells=True)) == cells, (kind, d, depth)
+
+
 def test_walk_rejects_bad_arguments():
     defn = generate("z", 2)
     with pytest.raises(ValueError):

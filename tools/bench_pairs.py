@@ -23,6 +23,9 @@ won.  The metrics and their better direction come from the change tree's
 whether the claim holds: the change wins at least nine pairs in ten and
 the medians differ by more than the base's interquartile range.  With
 ``--traced`` it adds one traced pass (``--trace 1``) per workload and side.
+As context, not gated, it records once per tree the wall time of the
+Tier-1 suite (the ROADMAP command) and of each ``tests/test_*.py`` file
+run alone, in the same bytecode state.
 Standard library only.
 """
 
@@ -36,6 +39,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("base", "change")
@@ -71,11 +75,15 @@ def environment() -> dict:
     }
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``, from an empty bytecode cache."""
-    for top in ("src", "perfbench"):
+def clear_bytecode(tree: Path) -> None:
+    for top in ("src", "perfbench", "tests"):
         for cache in (tree / top).rglob("__pycache__"):
             shutil.rmtree(cache)
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``, from an empty bytecode cache."""
+    clear_bytecode(tree)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -90,6 +98,25 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+
+
+def tier1_times(tree: Path) -> dict:
+    """Wall time of the Tier-1 suite in ``tree`` and of each test file run
+    alone, each from an empty bytecode cache; with pytest's last line."""
+    pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=pythonpath)
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+    def timed(*paths: str) -> dict:
+        clear_bytecode(tree)
+        t0 = time.perf_counter()
+        proc = subprocess.run([*argv, *paths], cwd=tree, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - t0
+        lines = proc.stdout.strip().splitlines()
+        return {"exit": proc.returncode, "wall_s": wall, "summary": lines[-1] if lines else ""}
+
+    files = sorted((tree / "tests").glob("test_*.py"))
+    return {"suite": timed(), "files": {f.name: timed(f"tests/{f.name}") for f in files}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -154,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         "trees": {side: git_state(tree) for side, tree in trees.items()},
         "seconds": args.seconds,
         "bytecode": "no __pycache__; PYTHONDONTWRITEBYTECODE=1",
+        "tier1": {side: tier1_times(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     k = 0
