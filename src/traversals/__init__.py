@@ -9,10 +9,12 @@ The public names are loaded lazily (PEP 562): ``import traversals``
 imports no submodule, and the first use of a name imports the one
 submodule that defines it, so a program pays only for the modules it
 runs.  ``traversals.engine`` and the other submodules that define
-public names resolve the same way.
+public names resolve the same way.  Static type checkers read the same
+names from imports that run only under ``TYPE_CHECKING``.
 """
 
 import importlib
+from typing import TYPE_CHECKING
 
 __version__ = "0.1.0"
 
@@ -76,6 +78,58 @@ _EXPORTS = {
 _SUBMODULES = frozenset(_EXPORTS.values())
 
 __all__ = [*sorted(_EXPORTS), "__version__"]
+
+if TYPE_CHECKING:  # the same names, imported eagerly for static checkers
+    from .analysis import (
+        AdjacencyProfile,
+        PropertyReport,
+        adjacency_profile,
+        check_base_pattern,
+        check_dominance,
+        check_facet_order,
+        check_palindromic,
+        check_straight_jumping,
+        check_well_folded_rank,
+        component_count,
+        max_bbox_ratio,
+        section_component_audit,
+    )
+    from .bitmatrix import (
+        CoordinateMatrix,
+        RankWord,
+        cell_of_rank,
+        gray,
+        gray_inverse,
+        rank_of_cell,
+    )
+    from .engine import (
+        NotCubicError,
+        NotSymmetricError,
+        Path,
+        find_reversal_symmetry,
+        generate_full_path,
+        generate_path,
+        iter_path,
+        locate,
+        squared_definition,
+        squared_path,
+    )
+    from .generators import (
+        BetaUndefinedError,
+        FIXED_NAMES,
+        TraversalKind,
+        builtin_fixed,
+        gen_base_pattern,
+        generate,
+    )
+    from .notation import (
+        Move,
+        ParseError,
+        SignedPermutation,
+        TraversalDefinition,
+        format_definition,
+        parse_definition,
+    )
 
 
 def __getattr__(name: str):

@@ -100,12 +100,6 @@ _TO_BITS = bytes.maketrans(b"01", b"\0\1")
 _BIT_VALUES = frozenset((0, 1))
 
 
-def _is_count(n) -> bool:
-    """``n`` is an int and not a bool: a shape (rows, cols, d, level or
-    width), where ``True`` would pass for 1."""
-    return isinstance(n, int) and not isinstance(n, bool)
-
-
 def _pack(rows) -> tuple[int, ...]:
     """Each row of bits as one int, its first bit most significant."""
     digits = map(bytes.translate, map(bytes, rows), repeat(_TO_DIGITS))
@@ -176,7 +170,7 @@ class CoordinateMatrix:
     @classmethod
     def from_cell(cls, cell: tuple[int, ...], level: int) -> "CoordinateMatrix":
         """Matrix for the cell with the given per-axis indices in [0, 2^level)."""
-        if not _is_count(level) or level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError(f"level must be an int of at least 1, got {level!r}")
         if not cell:
             raise ValueError("matrix must have at least one row and column")
@@ -196,7 +190,7 @@ class CoordinateMatrix:
 
     @classmethod
     def from_column_major(cls, value: int, rows: int, cols: int) -> "CoordinateMatrix":
-        if not (_is_count(rows) and _is_count(cols)):
+        if type(rows) is not int or type(cols) is not int:
             raise ValueError(f"rows and cols must be ints, got {rows!r} and {cols!r}")
         if rows < 1 or cols < 1:
             raise ValueError("matrix must have at least one row and column")
@@ -213,7 +207,7 @@ class RankWord:
     width: int
 
     def __post_init__(self):
-        if not _is_count(self.width) or self.width < 0:
+        if type(self.width) is not int or self.width < 0:
             raise ValueError(f"rank width must be a non-negative int, got {self.width!r}")
         if not isinstance(self.value, int):
             raise ValueError(f"rank value must be an int, got {self.value!r}")
@@ -380,7 +374,7 @@ def cell_of_rank(kind: str, rank: RankWord, d: int, level: int) -> CoordinateMat
         recipe = _UNRANK[kind]
     except KeyError:
         raise ValueError(f"no bit-matrix recipe for kind {kind!r}") from None
-    if not (_is_count(d) and _is_count(level) and d >= 1 and level >= 1):
+    if not (type(d) is int and type(level) is int and d >= 1 and level >= 1):
         raise ValueError(f"d and level must be ints of at least 1, got {d!r} and {level!r}")
     if rank.width != d * level:
         raise ValueError("rank width does not match d*level")

@@ -10,8 +10,8 @@ child's entry).  A rule's table is compiled once and kept on the rule
 object (:func:`_table`), so repeated calls on one rule share its rows.
 Enumeration walks the table depth first, down to blocks of the lowest
 levels that are expanded once per state (the fewest levels holding at
-least ``_BLOCK_POINTS`` points, within a memory budget); location and squaring descend it one
-child per level.  All arithmetic is exact; the emitted points are
+least ``_BLOCK_POINTS`` points, up to ``_BLOCK_MAX``); location and squaring
+descend it one child per level.  All arithmetic is exact; the emitted points are
 integers on a lattice where one lowest-level cell is two units wide, so
 cube-tile centres land on odd coordinates in corner origin mode.  With
 ``cells`` the walk emits 0-based cell indices instead, from blocks of
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,13 +166,14 @@ def _table(defn: TraversalDefinition) -> _Table:
 
 # The walk expands the lowest levels under a node into one block of leaf
 # offsets, built once per state: the fewest levels (at least one) that hold
-# at least _BLOCK_POINTS points, unless the blocks of every state the rule
-# could reach (2 * d! * 2**d signed permutations with a direction) would
-# then hold more than _BLOCK_BUDGET points.  Without the budget, a rule with
-# many states (Maehara at d = 5 has 7 680) builds a block for nearly every
-# node it expands and keeps them all.
+# at least _BLOCK_POINTS points, while a block holds at most _BLOCK_MAX.
+# Peano at d = 3 gets two levels (729 points); a rule with 32 children
+# keeps one, as its blocks over all its states (7 680 for Maehara at d = 5)
+# would otherwise hold millions of points.  Larger blocks cost more to
+# build than they save where a rule meets many states: blocks of 512
+# points slow Harmonious and Maehara at d = 3 by a third or more.
 _BLOCK_POINTS = 64
-_BLOCK_BUDGET = 2**18
+_BLOCK_MAX = 729
 
 
 def cell_units(defn: TraversalDefinition) -> int:
@@ -194,9 +194,9 @@ def iter_path(
     The lowest levels come from a block of leaf offsets per state, built
     once per call, so a point costs one tuple addition, and memory stays
     O(depth) plus the rows and blocks of the states met.  A block spans
-    the fewest levels that hold at least ``_BLOCK_POINTS`` points (all
-    levels of a shallower path), within ``_BLOCK_BUDGET`` over all the
-    states the rule could reach.  Cell blocks are kept per state and per
+    the fewest levels that hold at least ``_BLOCK_POINTS`` points while it
+    holds at most ``_BLOCK_MAX`` (at least one level, at most the depth).
+    Cell blocks are kept per state and per
     residue of the block root modulo the cell width ``w``, since
     ``(base + x) // w == base // w + (base % w + x) // w``; this is exact
     for every rule, including those whose points are off the cell centres.
@@ -215,13 +215,8 @@ def iter_path(
     w = 2 * m
     blocks: dict = {}
 
-    states = 2 ** (d + 1) * math.factorial(d)
     leaf_levels = min(depth, 1)
-    while (
-        leaf_levels < depth
-        and n**leaf_levels < _BLOCK_POINTS
-        and states * n ** (leaf_levels + 1) <= _BLOCK_BUDGET
-    ):
+    while leaf_levels < depth and n**leaf_levels < _BLOCK_POINTS and n ** (leaf_levels + 1) <= _BLOCK_MAX:
         leaf_levels += 1
 
     def block(key):

@@ -681,6 +681,15 @@ def test_path_loads_neither_analysis_nor_bitmatrix():
     assert "traversals.bitmatrix" not in after
 
 
+def test_type_checking_imports_match_the_lazy_map():
+    import ast
+
+    tree = ast.parse(FsPath(traversals.__file__).read_text())
+    (guard,) = [n for n in tree.body if isinstance(n, ast.If) and ast.unparse(n.test) == "TYPE_CHECKING"]
+    imported = {alias.name: node.module for node in guard.body for alias in node.names}
+    assert imported == traversals._EXPORTS
+
+
 def test_every_public_name_resolves():
     from traversals import analysis, bitmatrix, notation
 
