@@ -1,10 +1,13 @@
 """Finite-depth verification of traversal properties.
 
-Every check here works on enumerated paths (or definitions, enumerating
-internally) and returns either raw numbers or a
-:class:`PropertyReport` whose failing verdicts always carry a
-reproducible witness.  "Touching" means sharing a (d-1)-facet
-throughout; corner contact counts as a jump.
+Checks that need only the cells in visit order take a definition and
+read its walk as a stream (``iter_path(..., "corner", cells=True)``):
+palindromicity, straight jumping and facet order.  Checks that must
+hold the whole path take a :class:`~.engine.Path`: continuity
+(:func:`adjacency_profile`), dominance, bounding boxes and section
+components.  Each returns raw numbers or a :class:`PropertyReport` whose
+failing verdicts carry a reproducible witness.  "Touching" means sharing
+a (d-1)-facet throughout; corner contact counts as a jump.
 
 Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
@@ -25,15 +28,16 @@ order, which reports the first failing pair (see
 from __future__ import annotations
 
 import array
+import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .engine import Path, generate_full_path
+from .engine import Path, iter_path
 from .generators import gen_base_pattern
-from .notation import TraversalDefinition, _cube_symmetries
+from .notation import TraversalDefinition, _symmetries_mapping
 
 KERNEL_BACKEND = "python"
 
@@ -179,6 +183,17 @@ class SectionAuditor:
         return self.counts([(a, b)])[0]
 
 
+def _by_upper_end(n: int, upper_ends: Iterable[int]):
+    """Sections bucketed by upper end, one linked list per position: ``first[b]``
+    is the last section ending at b and ``after[s]`` the one before s (-1: none)."""
+    first = array.array("i", [-1]) * n
+    after = array.array("i")
+    for s, b in enumerate(upper_ends):
+        after.append(first[b])
+        first[b] = s
+    return first, after
+
+
 def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     """Component counts of the sections [a, b] by one sweep over b.
 
@@ -206,13 +221,7 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     read boxes a new one, and the kernel does little else.
     """
     n = len(cell_of_pos)
-    n_sections = len(sections_a)
-    # sections bucketed by upper end, as one linked list per position
-    first = array.array("i", [-1]) * n
-    after = array.array("i", bytes(4 * n_sections))
-    for s in range(n_sections):
-        after[s] = first[sections_b[s]]
-        first[sections_b[s]] = s
+    first, after = _by_upper_end(n, sections_b)
 
     # Link-cut tree: position p is node p + 1, forest edges take nodes
     # n + 1 .. 2n - 1, node 0 is null.  key is an edge's weight (n for
@@ -314,7 +323,7 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     forest = 0
     spare = n + 1  # next unused edge node
     last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
-    out = array.array("i", bytes(4 * n_sections))
+    out = array.array("i", bytes(4 * len(sections_a)))
     for b in range(n):
         c = cell_of_pos[b]
         prev = last_visit[c]
@@ -414,14 +423,14 @@ def _facet_pairs(d: int):
 
 
 def palindromic_on_cells(
-    cells: Sequence[tuple[int, ...]], d: int, depth: int, *, kind=""
+    cells: Iterable[tuple[int, ...]], d: int, depth: int, *, kind=""
 ) -> PropertyReport:
     """Palindromicity of an explicit cell visit order (scale-2 cube).
 
     For each facet between two level-1 cells, the visit sequences of the
     depth-level cells touching the facet from either side must be exact
     reverses of each other, position by position across the facet.  One
-    pass over ``cells`` builds all the facet sequences.
+    pass over ``cells`` (any iterable) builds all the facet sequences.
     """
     half = 2**depth // 2  # cells per axis in one level-1 cell
     # facet_seqs[level1 * d + axis]: the cells of level-1 cell `level1`
@@ -459,10 +468,8 @@ def check_palindromic(
 ) -> PropertyReport:
     if defn.scale != 2 or not defn.fills_cube:
         raise ValueError("palindromicity is checked on scale-2 cube rules")
-    path = generate_full_path(defn, depth, "corner")
-    return palindromic_on_cells(
-        path.cell_indices(), defn.dimension, depth, kind=kind
-    )
+    cells = iter_path(defn, depth, "corner", cells=True)
+    return palindromic_on_cells(cells, defn.dimension, depth, kind=kind)
 
 
 def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
@@ -531,11 +538,9 @@ def check_straight_jumping(
     defn: TraversalDefinition, depth: int, *, kind: str = ""
 ) -> PropertyReport:
     """Consecutive cells must differ in exactly one coordinate axis."""
-    path = generate_full_path(defn, depth, "corner")
-    cells = path.cell_indices()
-    for k in range(len(cells) - 1):
-        changed = sum(1 for x, y in zip(cells[k], cells[k + 1]) if x != y)
-        if changed != 1:
+    cells = iter_path(defn, depth, "corner", cells=True)
+    for k, (a, b) in enumerate(itertools.pairwise(cells)):
+        if sum(x != y for x, y in zip(a, b)) != 1:
             return PropertyReport(
                 "straight-jumping", kind, defn.dimension, depth, "fails", (k, k + 1)
             )
@@ -562,30 +567,24 @@ def check_facet_order(
     if defn_dminus1.dimension != d - 1:
         raise ValueError("the comparison rule must have one dimension less")
     n_side = defn_d.scale**depth
-    cells = generate_full_path(defn_d, depth, "corner").cell_indices()
     boundary = n_side - 1 if side > 0 else 0
-    seq = [
-        tuple(x for j, x in enumerate(c) if j != axis - 1)
-        for c in cells
-        if c[axis - 1] == boundary
-    ]
-    target = generate_full_path(defn_dminus1, depth, "corner").cell_indices()
-    if len(seq) != len(target):
-        return PropertyReport(
-            "facet-order", kind, d, depth, "inconclusive", (axis, side)
-        )
 
     def centred(c):  # odd lattice, symmetric about 0
         return tuple(2 * x - (n_side - 1) for x in c)
 
-    seq_c = [centred(c) for c in seq]
-    tgt_c = [centred(c) for c in target]
-    for g in _cube_symmetries(d - 1):
-        if g.apply(seq_c[0]) != tgt_c[0]:
-            continue
-        if all(g.apply(a) == b for a, b in zip(seq_c, tgt_c)):
-            return PropertyReport("facet-order", kind, d, depth, "holds")
-    return PropertyReport("facet-order", kind, d, depth, "fails", (axis, side))
+    seq = [
+        centred(x for j, x in enumerate(c) if j != axis - 1)
+        for c in iter_path(defn_d, depth, "corner", cells=True)
+        if c[axis - 1] == boundary
+    ]
+    target = [centred(c) for c in iter_path(defn_dminus1, depth, "corner", cells=True)]
+    if len(seq) != len(target):
+        return PropertyReport(
+            "facet-order", kind, d, depth, "inconclusive", (axis, side)
+        )
+    if next(_symmetries_mapping(d - 1, seq, target), None) is None:
+        return PropertyReport("facet-order", kind, d, depth, "fails", (axis, side))
+    return PropertyReport("facet-order", kind, d, depth, "holds")
 
 
 def max_bbox_ratio(
@@ -607,14 +606,12 @@ def max_bbox_ratio(
     n = len(cells)
     if max_section_count is None or n <= 512:
         return _max_bbox_ratio(cells, lambda b: range(b + 1))
-    # sampled sections bucketed by upper end, as one linked list per position
-    first = array.array("i", [-1]) * n
-    after = array.array("i")
     lower = array.array("i")
+    upper = array.array("i")
     for a, b in _seeded_sections(n, max_section_count, seed):
-        after.append(first[b])
-        first[b] = len(lower)
         lower.append(a)
+        upper.append(b)
+    first, after = _by_upper_end(n, upper)
 
     def sampled(b):
         s = first[b]

@@ -99,7 +99,10 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
         raise _UsageError(
             f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
         )
-    return parse_definition(text), None
+    defn = parse_definition(text)
+    if d is not None and d != defn.dimension:
+        raise _UsageError(f"the definition is {defn.dimension}-dimensional, not {d}")
+    return defn, None
 
 
 def _require_at_most(base: int, exponent: int, bound: int, message: str) -> None:
@@ -258,9 +261,7 @@ def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
         mx, _ = analysis.section_component_audit(path, 10000, seed)
         verdict = "holds" if mx <= 2 else "fails"
         return analysis.PropertyReport("components", kind, d, depth, verdict, (mx,))
-    if prop == "well-folded":
-        return analysis.check_well_folded_rank(defn, kind=kind)
-    raise _UsageError(f"unknown property {prop!r}; known: {', '.join(_PROPERTIES)}")
+    return analysis.check_well_folded_rank(defn, kind=kind)  # well-folded
 
 
 def _cmd_check(args) -> int:
@@ -269,6 +270,9 @@ def _cmd_check(args) -> int:
     props = [p.strip() for p in args.property.split(",") if p.strip()]
     if not props:
         raise _UsageError("no property given")
+    for prop in props:
+        if prop not in _PROPERTIES:
+            raise _UsageError(f"unknown property {prop!r}; known: {', '.join(_PROPERTIES)}")
     if _WHOLE_PATH.intersection(props):
         _require_held_size(defn, args.depth, "check")
         _require_cells_per_axis(defn, args.depth)
@@ -311,16 +315,14 @@ def _cmd_plot(args) -> int:
         raise _UsageError("plotting supports 2 or 3 dimensions only")
     _require_held_size(defn, args.depth, "plot")
     _require_cells_per_axis(defn, args.depth)
-    path = engine.generate_full_path(defn, args.depth, "corner")
+    points = engine.iter_path(defn, args.depth, "corner")
     if d == 3:
         # fixed oblique projection
-        pts = [
-            (p[0] + 0.35 * p[2], p[1] + 0.2 * p[2]) for p in path.points
-        ]
+        pts = [(p[0] + 0.35 * p[2], p[1] + 0.2 * p[2]) for p in points]
     elif d == 2:
-        pts = [(p[0], p[1]) for p in path.points]
+        pts = list(points)
     else:
-        pts = [(p[0], 0) for p in path.points]
+        pts = [(p[0], 0) for p in points]
     return _emit(args, _svg_polyline(pts))
 
 

@@ -26,11 +26,11 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Iterator
 
 from .notation import SignedPermutation, TraversalDefinition, Vector
-from .notation import _cube_symmetries, _lattice
+from .notation import _lattice, _symmetries_mapping
 
 __all__ = [
     "Path",
@@ -388,22 +388,13 @@ def find_reversal_symmetry(
     depth 3), or None when no such symmetry exists.
     """
     _require_cubic(defn)
-    d = defn.dimension
-    pts2 = generate_path(defn, 2).points
+    pts2 = tuple(iter_path(defn, 2))
     pts3 = None
-    n = len(pts2)
-    first, last = pts2[0], pts2[-1]
-    for cand in _cube_symmetries(d):
-        if cand.apply(first) != last:
-            continue
-        if all(cand.apply(pts2[k]) == pts2[n - 1 - k] for k in range(n)):
-            if pts3 is None:
-                pts3 = generate_path(defn, 3).points
-            n3 = len(pts3)
-            if all(
-                cand.apply(pts3[k]) == pts3[n3 - 1 - k] for k in range(n3)
-            ):
-                return cand
+    for cand in _symmetries_mapping(defn.dimension, pts2, pts2[::-1]):
+        if pts3 is None:
+            pts3 = tuple(iter_path(defn, 3))
+        if all(map(eq, map(cand.apply, pts3), reversed(pts3))):
+            return cand
     return None
 
 

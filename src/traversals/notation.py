@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, sub
+from operator import add, eq, sub
 from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -160,6 +160,15 @@ def _cube_symmetries(d: int) -> Iterator[SignedPermutation]:
             yield SignedPermutation._of(
                 tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned))
             )
+
+
+def _symmetries_mapping(d: int, src: Sequence, dst: Sequence) -> Iterator[SignedPermutation]:
+    """The cube symmetries g with ``g.apply(src[k]) == dst[k]`` for every k
+    (``src`` and ``dst`` equally long), in the order of :func:`_cube_symmetries`.
+    A candidate is dropped at its first mismatch."""
+    for g in _cube_symmetries(d):
+        if all(map(eq, map(g.apply, src), dst)):
+            yield g
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,6 +28,7 @@ from traversals.analysis import (
     section_component_audit,
 )
 from traversals.engine import Path, generate_full_path
+from traversals.notation import _cube_symmetries
 from traversals.generators import (
     FIXED_NAMES,
     BetaUndefinedError,
@@ -599,3 +600,117 @@ def test_report_line_format():
 
 def test_backend_is_reported():
     assert KERNEL_BACKEND == "python"
+
+
+# -- the streamed checks against their Path-based forms -------------------------
+#
+# The three functions below are the checks as they read a whole Path,
+# kept verbatim (apart from their names) as oracles for the checks that
+# read the walk as a stream.
+
+
+def path_check_palindromic(
+    defn, depth: int, *, kind: str = ""
+) -> PropertyReport:
+    if defn.scale != 2 or not defn.fills_cube:
+        raise ValueError("palindromicity is checked on scale-2 cube rules")
+    path = generate_full_path(defn, depth, "corner")
+    return palindromic_on_cells(
+        path.cell_indices(), defn.dimension, depth, kind=kind
+    )
+
+
+def path_check_straight_jumping(
+    defn, depth: int, *, kind: str = ""
+) -> PropertyReport:
+    """Consecutive cells must differ in exactly one coordinate axis."""
+    path = generate_full_path(defn, depth, "corner")
+    cells = path.cell_indices()
+    for k in range(len(cells) - 1):
+        changed = sum(1 for x, y in zip(cells[k], cells[k + 1]) if x != y)
+        if changed != 1:
+            return PropertyReport(
+                "straight-jumping", kind, defn.dimension, depth, "fails", (k, k + 1)
+            )
+    return PropertyReport("straight-jumping", kind, defn.dimension, depth, "holds")
+
+
+def path_check_facet_order(
+    defn_d,
+    defn_dminus1,
+    facet: tuple[int, int],
+    depth: int,
+    *,
+    kind: str = "",
+) -> PropertyReport:
+    axis, side = facet
+    d = defn_d.dimension
+    if defn_dminus1.dimension != d - 1:
+        raise ValueError("the comparison rule must have one dimension less")
+    n_side = defn_d.scale**depth
+    cells = generate_full_path(defn_d, depth, "corner").cell_indices()
+    boundary = n_side - 1 if side > 0 else 0
+    seq = [
+        tuple(x for j, x in enumerate(c) if j != axis - 1)
+        for c in cells
+        if c[axis - 1] == boundary
+    ]
+    target = generate_full_path(defn_dminus1, depth, "corner").cell_indices()
+    if len(seq) != len(target):
+        return PropertyReport(
+            "facet-order", kind, d, depth, "inconclusive", (axis, side)
+        )
+
+    def centred(c):  # odd lattice, symmetric about 0
+        return tuple(2 * x - (n_side - 1) for x in c)
+
+    seq_c = [centred(c) for c in seq]
+    tgt_c = [centred(c) for c in target]
+    for g in _cube_symmetries(d - 1):
+        if g.apply(seq_c[0]) != tgt_c[0]:
+            continue
+        if all(g.apply(a) == b for a, b in zip(seq_c, tgt_c)):
+            return PropertyReport("facet-order", kind, d, depth, "holds")
+    return PropertyReport("facet-order", kind, d, depth, "fails", (axis, side))
+
+
+def families(d):
+    """(name, rule) of every family defined in ``d`` dimensions."""
+    for kind in TraversalKind:
+        try:
+            yield kind.value, generate(kind, d)
+        except BetaUndefinedError:
+            pass
+
+
+SCALE_2_CUBES = [
+    (name, d, depth)
+    for d, depths in ((2, range(1, 5)), (3, range(1, 5)), (4, range(1, 4)))
+    for name, defn in families(d)
+    if defn.scale == 2 and defn.fills_cube
+    for depth in depths
+]
+
+
+@pytest.mark.parametrize("kind,d,depth", SCALE_2_CUBES)
+def test_streamed_cell_checks_match_their_path_forms(kind, d, depth):
+    defn = generate(kind, d)
+    assert check_palindromic(defn, depth, kind=kind) == path_check_palindromic(
+        defn, depth, kind=kind
+    )
+    assert check_straight_jumping(defn, depth, kind=kind) == (
+        path_check_straight_jumping(defn, depth, kind=kind)
+    )
+
+
+def test_streamed_facet_order_matches_its_path_form():
+    verdicts = set()
+    for name3, d3 in families(3):
+        for name2, d2 in families(2):
+            for axis in (1, 2, 3):
+                for side in (-1, 1):
+                    got = check_facet_order(d3, d2, (axis, side), 2, kind=name3)
+                    want = path_check_facet_order(d3, d2, (axis, side), 2, kind=name3)
+                    assert got == want, (name3, name2, axis, side)
+                    verdicts.add(got.verdict)
+    assert verdicts == {"holds", "fails", "inconclusive"}

@@ -244,9 +244,51 @@ def test_check_multiple_properties():
     assert len(out.strip().splitlines()) == 3
 
 
-def test_check_unknown_property():
+def test_check_unknown_property(monkeypatch):
     code, _, err = run(["check", "z", "2", "--property", "sparkliness"])
     assert code == 2
+
+    # the whole list is checked before any property runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path before checking the property list")
+
+    monkeypatch.setattr(engine, "iter_path", refuse)
+    code, out, err = run(["check", "z", "3", "--property", "components,bogus", "--depth", "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown property 'bogus'; known: base-pattern, ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["path", "check --property continuity", "plot"])
+def test_a_dimension_contradicting_a_definition_is_a_usage_error(command, tmp_path, monkeypatch):
+    _, definition, _ = run(["describe", "harmonious", "2"])
+    rule = tmp_path / "rule.txt"
+    rule.write_text(definition)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a path of the wrong dimension")
+
+    monkeypatch.setattr(engine, "iter_path", refuse)
+    for source in ("-", str(rule)):
+        code, out, err = run([*command.split(), source, "3", "--depth", "1"], definition)
+        assert (code, out) == (2, "")
+        assert err == "error: the definition is 2-dimensional, not 3\n"
+
+
+# sha256 of the SVGs of the Path-based plot, which held the whole path
+PLOT_SHA256 = {
+    "z 1 --depth 4": "0b7c0b52162f48a134f7b5f587bb3c9b2b0a34ec842110fba86d6c6ec072f371",
+    "harmonious 2 --depth 3": "c0682b9a36e075de63ee45263ff9745732b970d4c04bd3342e08c2536baed529",
+    "peano 3 --depth 2": "f7f556149ad41f6b99bdc9d95dc130a5ca30cd6bbffbb31e1d0ab4d1093580c5",
+    "polya2d --depth 3": "ba024e58f8f281752d2f2718699ee42c6f4822fb8142959724fc148a9490e627",
+}
+
+
+@pytest.mark.parametrize("argv", PLOT_SHA256)
+def test_plot_output_is_unchanged(argv):
+    code, svg, _ = run(["plot", *argv.split()])
+    assert code == 0
+    assert hashlib.sha256(svg.encode()).hexdigest() == PLOT_SHA256[argv]
 
 
 def test_plot_writes_svg(tmp_path):

@@ -43,6 +43,7 @@ from traversals.notation import (
     SignedPermutation,
     TraversalDefinition,
     _cube_symmetries,
+    _symmetries_mapping,
     format_definition,
     parse_definition,
 )
@@ -249,6 +250,63 @@ def test_cube_symmetries_keep_their_order():
         (1, 2), (-1, 2), (1, -2), (-1, -2), (2, 1), (-2, 1), (2, -1), (-2, -1)
     ]
     assert len(set(_cube_symmetries(3))) == 48
+
+
+def test_symmetries_mapping_keeps_the_cube_symmetry_order():
+    # src -> dst pairs met by several symmetries, and by none
+    cases = [
+        (2, [(0, 0)], [(0, 0)]),
+        (2, [(1, 1)], [(1, 1)]),
+        (2, [(1, 1), (-1, 1)], [(1, 1), (1, -1)]),
+        (3, [(1, 1, 0)], [(0, -1, 1)]),
+        (3, [(1, 2, 3), (1, 2, 3)], [(3, 2, 1), (1, 2, 3)]),
+    ]
+    for d, src, dst in cases:
+        want = [g for g in _cube_symmetries(d) if [g.apply(v) for v in src] == dst]
+        assert list(_symmetries_mapping(d, src, dst)) == want
+    assert len(list(_symmetries_mapping(2, [(0, 0)], [(0, 0)]))) == 8
+
+
+def path_find_reversal_symmetry(defn):
+    """find_reversal_symmetry as it read whole Paths, kept verbatim
+    (apart from its name) as the oracle of the streamed search."""
+    _require_cubic(defn)
+    d = defn.dimension
+    pts2 = generate_path(defn, 2).points
+    pts3 = None
+    n = len(pts2)
+    first, last = pts2[0], pts2[-1]
+    for cand in _cube_symmetries(d):
+        if cand.apply(first) != last:
+            continue
+        if all(cand.apply(pts2[k]) == pts2[n - 1 - k] for k in range(n)):
+            if pts3 is None:
+                pts3 = generate_path(defn, 3).points
+            n3 = len(pts3)
+            if all(
+                cand.apply(pts3[k]) == pts3[n3 - 1 - k] for k in range(n3)
+            ):
+                return cand
+    return None
+
+
+CUBE_FILLING = [
+    (kind.value, d)
+    for d in (2, 3, 4)
+    for kind in TraversalKind
+    if (kind, d) != (TraversalKind.BETA_HILBERT, 2) and generate(kind, d).fills_cube
+]
+
+
+@pytest.mark.parametrize("kind,d", CUBE_FILLING)
+def test_streamed_reversal_symmetry_matches_its_path_form(kind, d):
+    defn = generate(kind, d)
+    assert find_reversal_symmetry(defn) == path_find_reversal_symmetry(defn)
+
+
+def test_streamed_reversal_symmetry_of_meander_matches_its_path_form():
+    defn = builtin_fixed("meander2d")
+    assert find_reversal_symmetry(defn) is path_find_reversal_symmetry(defn) is None
 
 
 def test_gray_code_is_asymmetric():
