@@ -564,6 +564,10 @@ def check_facet_order(
     """
     axis, side = facet
     d = defn_d.dimension
+    if type(axis) is not int or not 1 <= axis <= d:
+        raise ValueError(f"facet axis {axis!r} must be an int in 1..{d}")
+    if type(side) is not int or side not in (-1, 1):
+        raise ValueError(f"facet side {side!r} must be -1 or +1")
     if defn_dminus1.dimension != d - 1:
         raise ValueError("the comparison rule must have one dimension less")
     n_side = defn_d.scale**depth

@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import add, eq, mul
 from typing import Iterator
 
-from .notation import SignedPermutation, TraversalDefinition, Vector
+from .notation import Move, SignedPermutation, TraversalDefinition, Vector
 from .notation import _lattice, _symmetries_mapping
 
 __all__ = [
@@ -411,6 +411,10 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     first-level entries selected by the cell's coordinates.  The cells
     and transforms come from a depth-d descent of the rule's own table,
     where a reversed state ``rot`` stands for the forward copy ``rot∘σ``.
+    Each move comes from integer cell differences on the table's lattice:
+    axis k of coordinate group j steps by the difference of the group's
+    first-level centres over the cell width ``2*m``.  The result is built
+    from these derived parts unchecked (``TraversalDefinition._of``).
     """
     _require_cubic(defn)
     sigma = find_reversal_symmetry(defn)
@@ -422,10 +426,13 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
     table = _table(defn)
+    lattice = table.centres  # the first-level centres, cells 2*m wide
     w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list[Vector] = []
+    sq_moves: list[Move] = []
+    prev = None
     for seq in itertools.product(range(D), repeat=d):
         pos, i = table.descend(seq)
         state = table.states[i]
@@ -444,4 +451,15 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
         for j in range(d):
             cvec.extend(centres[x[j]])
         sq_centres.append(tuple(cvec))
-    return TraversalDefinition.from_centres(sq_entries, sq_centres, scale=s)
+        if prev is not None:
+            steps = []  # ascending axes, one sign per axis: canonical
+            for j in range(d):
+                a, b = lattice[prev[j]], lattice[x[j]]
+                for k in range(d):
+                    n = (b[k] - a[k]) // w
+                    steps += [j * d + k + 1 if n > 0 else -(j * d + k + 1)] * abs(n)
+            sq_moves.append(Move(tuple(steps)))
+        prev = x
+    return TraversalDefinition._of(
+        d * d, s, tuple(sq_entries), tuple(sq_moves), s, tuple(sq_centres)
+    )

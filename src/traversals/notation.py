@@ -30,7 +30,16 @@ once and kept on the rule object, outside its fields, so equality,
 hashing, ``repr``, copying and pickling see the fields alone.
 Input is checked once, by the public constructors and `parse_definition`;
 permutations derived from checked ones are built by
-``SignedPermutation._of`` and not checked again.
+``SignedPermutation._of`` and not checked again.  For rules, the public
+``TraversalDefinition(...)`` runs every check, the agreement of centres and
+moves included.  ``from_moves`` and ``from_centres`` check their own
+input (step denominator, dimension and scale, entry count and lengths,
+move count and axes, centre count and lengths) and reject it with the
+public constructor's messages, but derive one of centres and moves from
+the other on the integer lattice, so they do not test the agreement
+again.  Rules derived from checked ones (``reversed``, ``transformed``,
+the engine's square) are built by ``TraversalDefinition._of`` and not
+checked at all.
 """
 
 from __future__ import annotations
@@ -216,6 +225,24 @@ def _check_step_den(u) -> None:
         raise ValueError(f"step denominator u={u!r} must be a positive integer")
 
 
+def _check_parts(dimension, scale, entries, moves, centres) -> None:
+    """The checks of a rule's fields that hold no matter how its centres
+    and moves relate, in the order of ``TraversalDefinition`` itself."""
+    if dimension < 1 or scale < 2:
+        raise ValueError("need dimension >= 1 and scale >= 2")
+    if len(entries) < 1:
+        raise ValueError("a definition needs at least one entry")
+    if len(moves) != len(entries) - 1:
+        raise ValueError("expected one move between each pair of entries")
+    for e in entries:
+        if e.dimension != dimension:
+            raise ValueError("inconsistent entry lengths")
+    for m in moves:
+        m.check_dimension(dimension)
+    if len(centres) != len(entries):
+        raise ValueError("one centre per entry required")
+
+
 def _lattice(u: int, centres) -> tuple[int, list[list[int]]]:
     """The least common denominator of ``1/u`` and the centres, and the
     centres as integer vectors over it."""
@@ -261,19 +288,7 @@ class TraversalDefinition:
     centres: tuple[Vector, ...]
 
     def __post_init__(self):
-        if self.dimension < 1 or self.scale < 2:
-            raise ValueError("need dimension >= 1 and scale >= 2")
-        if len(self.entries) < 1:
-            raise ValueError("a definition needs at least one entry")
-        if len(self.moves) != len(self.entries) - 1:
-            raise ValueError("expected one move between each pair of entries")
-        for e in self.entries:
-            if e.dimension != self.dimension:
-                raise ValueError("inconsistent entry lengths")
-        for m in self.moves:
-            m.check_dimension(self.dimension)
-        if len(self.centres) != len(self.entries):
-            raise ValueError("one centre per entry required")
+        _check_parts(self.dimension, self.scale, self.entries, self.moves, self.centres)
         _check_step_den(self.step_den)
         for c in self.centres:
             for x in c:
@@ -292,6 +307,31 @@ class TraversalDefinition:
                 raise ValueError(
                     f"centre {k + 1} has {len(c)} coordinates, expected {self.dimension}"
                 )
+
+    @classmethod
+    def _of(cls, dimension, scale, entries, moves, step_den, centres) -> "TraversalDefinition":
+        """A rule derived from checked ones, left unchecked."""
+        r = object.__new__(cls)
+        r.__dict__.update(
+            dimension=dimension,
+            scale=scale,
+            entries=entries,
+            moves=moves,
+            step_den=step_den,
+            centres=centres,
+        )
+        return r
+
+    @classmethod
+    def _derived(cls, dimension, scale, entries, moves, step_den, centres) -> "TraversalDefinition":
+        """A rule whose moves and centres were just derived from each other
+        on the integer lattice, from a checked step denominator: they agree,
+        so only the checks of the other fields run.  A centre of the wrong
+        length takes the full check, whose message depends on the moves."""
+        if any(len(c) != dimension for c in centres):
+            return cls(dimension, scale, entries, moves, step_den, centres)
+        _check_parts(dimension, scale, entries, moves, centres)
+        return cls._of(dimension, scale, entries, moves, step_den, centres)
 
     def __getstate__(self):
         """The fields alone: derived data cached on the instance is rebuilt
@@ -344,7 +384,7 @@ class TraversalDefinition:
             first = [x.numerator * (factor // x.denominator) * u for x in a]
             den = factor * u
         centres = _fractions(first, den, factor, deltas)
-        return cls(d, scale, entries, moves, u, centres)
+        return cls._derived(d, scale, entries, moves, u, centres)
 
     @classmethod
     def from_centres(
@@ -375,7 +415,7 @@ class TraversalDefinition:
                     raise ValueError(f"centre difference {diff} is not a multiple of 1/{u}")
                 steps.extend([j + 1 if n > 0 else -j - 1] * abs(n))
             moves.append(Move(tuple(steps)))
-        return cls(d, scale, entries, tuple(moves), u, centres)
+        return cls._derived(d, scale, entries, tuple(moves), u, centres)
 
     # -- inspection --------------------------------------------------
 
@@ -426,7 +466,7 @@ class TraversalDefinition:
         )
         moves = tuple(m.negated() for m in reversed(self.moves))
         centres = tuple(reversed(self.centres))
-        return TraversalDefinition(
+        return TraversalDefinition._of(
             self.dimension, self.scale, entries, moves, self.step_den, centres
         )
 
@@ -437,7 +477,7 @@ class TraversalDefinition:
         )
         moves = tuple(m.transformed(p) for m in self.moves)
         centres = tuple(p.apply(c) for c in self.centres)
-        return TraversalDefinition(
+        return TraversalDefinition._of(
             self.dimension, self.scale, entries, moves, self.step_den, centres
         )
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traversals import analysis
 from traversals.analysis import (
     KERNEL_BACKEND,
     AdjacencyProfile,
@@ -462,6 +463,22 @@ def test_peano_family_facet_recursion_everywhere():
 def test_z_facet_restriction_is_lower_dimensional_z():
     z3, z2 = gen_z(3), gen_z(2)
     assert check_facet_order(z3, z2, (1, -1), 2).holds
+
+
+@pytest.mark.parametrize("facet,message", [
+    ((1, 0), "facet side 0 must be -1 or +1"),  # was read as the low side
+    ((1, 5), "facet side 5 must be -1 or +1"),  # was read as the high side
+    ((4, 1), "facet axis 4 must be an int in 1..3"),  # was an IndexError
+    ((0, 1), "facet axis 0 must be an int in 1..3"),  # read axis -1 before
+], ids=["side 0", "side 5", "axis 4", "axis 0"])
+def test_facet_order_rejects_a_bad_facet_before_any_walk(facet, message, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(analysis, "iter_path", no_walk)
+    with pytest.raises(ValueError) as info:
+        check_facet_order(gen_z(3), gen_z(2), facet, 2)
+    assert str(info.value) == message
 
 
 # -- bounding boxes ------------------------------------------------------------

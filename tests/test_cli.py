@@ -690,6 +690,28 @@ def test_output_survives_signals_on_an_unbuffered_pipe(argv):
     assert b"".join(got).decode() == want
 
 
+def test_the_package_runs_as_a_module():
+    """``python -m traversals`` is the CLI, exit status included."""
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "traversals", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    proc = module("describe", "z", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(["describe", "z", "2"])
+    proc = module("describe", "nosuch", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 # -- what a process loads ----------------------------------------------------
 
 

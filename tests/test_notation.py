@@ -9,6 +9,14 @@ import pytest
 from conftest import GOLDEN_DIR, differential_rules
 from hypothesis import given, strategies as st
 
+from traversals.engine import NotCubicError, NotSymmetricError, squared_definition
+from traversals.generators import (
+    FIXED_NAMES,
+    BetaUndefinedError,
+    TraversalKind,
+    builtin_fixed,
+    generate,
+)
 from traversals.notation import (
     Move,
     ParseError,
@@ -479,6 +487,12 @@ def _malformed():
     yield "move axis from moves", "moves", ((p, q), (Move((3,)),)), {}
     yield "missing move from moves", "moves", ((p, q), ()), {}
     yield "scale 1 from moves", "moves", ((p, q), (one,)), {"scale": 1}
+    yield "entry lengths from moves", "moves", ((p, r), (one,)), {}
+    yield "entry lengths from centres", "centres", ((p, r), c), {}
+    yield "short anchor from moves", "moves", ((p, q), (one,)), {"anchor": (F(1, 4),)}
+    yield "short anchor, no move", "moves", ((p,), ()), {"anchor": (F(1, 4),)}
+    yield "long centres from centres", "centres", ((p, q), tuple(x + (F(0),) for x in c)), {}
+    yield "short centre from centres", "centres", ((p, q), (c[0][:1], c[1])), {}
 
 
 def test_malformed_rules_fail_as_the_fraction_construction_did():
@@ -542,6 +556,76 @@ def test_every_centre_has_dimension_coordinates():
 def test_int_displacement_counts_steps_per_axis():
     assert Move((1, -2, -2, 3)).int_displacement(3) == (1, -2, 1)
     assert Move(()).int_displacement(2) == (0, 0)
+
+
+# -- rules built without a re-check, against the checks they skip ------------
+
+
+def _trusted_rules():
+    """(label, rule): every family for d = 1..5 (the scale-3 Peano family
+    up to d = 3, Beta from d = 3) and the five fixed curves, each built by
+    ``from_moves`` or ``from_centres``."""
+    for kind in TraversalKind:
+        top = 3 if kind.value in {"peano", "coil", "half-coil", "meurthe"} else 5
+        for d in range(1, top + 1):
+            try:
+                yield f"{kind.value} d={d}", generate(kind, d)
+            except BetaUndefinedError:
+                continue
+    for name in FIXED_NAMES:
+        yield name, builtin_fixed(name)
+
+
+def _some_symmetries(d):
+    """A reflection of axis 1, a cyclic turn of the axes and the reflection
+    through the cube's centre with the axes reversed."""
+    out = {perm(-1, *range(2, d + 1)), perm(*range(2, d + 1), 1), perm(*range(-d, 0))}
+    return sorted(out, key=lambda g: g.entries)
+
+
+def _assert_passes_every_check(rule, label):
+    """The public constructor accepts the rule's six fields and returns an
+    equal rule, and the Fraction check of the fields passes."""
+    fields_ = (rule.dimension, rule.scale, rule.entries, rule.moves, rule.step_den, rule.centres)
+    _same(TraversalDefinition(*fields_), rule, label)
+    assert fraction_check(*fields_) is None, label
+
+
+def test_derived_rules_pass_the_checks_they_skip():
+    cases = 0
+    for label, rule in _trusted_rules():
+        _assert_passes_every_check(rule, label)
+        _assert_passes_every_check(rule.reversed(), (label, "reversed"))
+        for g in _some_symmetries(rule.dimension):
+            _assert_passes_every_check(rule.transformed(g), (label, str(g)))
+        _assert_passes_every_check(parse_definition(format_definition(rule)), (label, "parsed"))
+        cases += 1
+    assert cases == 75
+
+
+# The dimensions of 1..3 at which each family is cube-filling and has a
+# reversal symmetry, so that it squares.
+_SQUARED_AT = {
+    "z": (1, 2, 3), "u": (1, 2, 3), "gray": (), "double-gray": (1, 2, 3),
+    "inside-out": (1, 2, 3), "hill-z": (1,), "maehara": (1,), "base-camp": (1, 2),
+    "harmonious": (1, 2, 3), "alfa": (1, 2), "beta": (), "butz": (1, 2, 3),
+    "peano": (1, 2, 3), "coil": (1, 2, 3), "half-coil": (1, 2, 3), "meurthe": (1,),
+}
+
+
+@pytest.mark.parametrize("kind", [k.value for k in TraversalKind])
+def test_squares_pass_the_checks_they_skip(kind):
+    squared = []
+    for d in (1, 2, 3):
+        try:
+            sq = squared_definition(generate(kind, d))
+        except (BetaUndefinedError, NotCubicError, NotSymmetricError):
+            continue
+        _assert_passes_every_check(sq, (kind, d))
+        again = TraversalDefinition.from_centres(sq.entries, sq.centres, scale=sq.scale)
+        assert sq.moves == again.moves, (kind, d)
+        squared.append(d)
+    assert tuple(squared) == _SQUARED_AT[kind]
 
 
 # -- one reader of rule text against the filter and parser it replaced --------
