@@ -408,6 +408,8 @@ def section_component_audit(
     path: Path, n_sections: int, seed: int
 ) -> tuple[int, int]:
     """Max and total component count over seeded random sections."""
+    if n_sections < 1:
+        raise ValueError(f"n_sections must be at least 1, got {n_sections}")
     auditor = SectionAuditor(path)
     counts = auditor.counts(_seeded_sections(auditor.length, n_sections, seed))
     return max(counts), sum(counts)
@@ -605,6 +607,10 @@ def max_bbox_ratio(
     O(n·d + Q·d log n) time for n points, d axes and Q sections.  Exact
     rational result.
     """
+    if max_section_count is not None and max_section_count < 1:
+        raise ValueError(
+            f"max_section_count must be at least 1 or None, got {max_section_count}"
+        )
     w = path.cell_units
     cells = [tuple(x // w for x in p) for p in path.points]
     n = len(cells)

@@ -3,13 +3,17 @@
 Each family is produced for an arbitrary number of dimensions as a
 :class:`~traversals.notation.TraversalDefinition`, following closed-form
 rules for the permutation, the reflections and the direction of every
-entry.  Fixed-dimension curves with no known d-dimensional rule (Pólya,
+entry.  The nine families on the binary reflected-Gray pattern G2(d)
+share one builder: each gives only its entry formula, which reads the
+tile's side of every axis from the Gray bits of its position.
+Fixed-dimension curves with no known d-dimensional rule (Pólya,
 the palindromic tetrahedral order, Liu-Joe's SUB8, the Meander square
 order, the triangular-prism curve) ship as bundled definition files.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
@@ -78,19 +82,6 @@ def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _centre_from_bits(bits: tuple[int, ...]) -> Vector:
-    q = Fraction(1, 4)
-    return tuple(q if b else -q for b in bits)
-
-
-def _gray_centres(d: int) -> list[Vector]:
-    from .bitmatrix import gray
-
-    return [
-        _centre_from_bits(_digits(gray(i), 2, d)) for i in range(2**d)
-    ]
-
-
 # -- base patterns ----------------------------------------------------
 
 
@@ -132,6 +123,22 @@ def _zigzag_pattern(d: int) -> tuple[Move, ...]:
     return tuple(moves)
 
 
+def _g2_rule(
+    d: int, entry: Callable[[int, tuple[int, ...], tuple[int, ...]], SignedPermutation]
+) -> TraversalDefinition:
+    """The rule on G2(d) whose i-th entry, i = 1..2^d, is ``entry(i, r, g)``.
+
+    ``r`` holds the binary digits of i-1 and ``g`` its Gray bits, both
+    lowest first.  G2(d) visits the tiles in reflected Gray order, so
+    tile i lies on the high side of axis j exactly when ``g[j-1]`` is 1.
+    """
+    entries = []
+    for i in range(1, 2**d + 1):
+        n = i - 1
+        entries.append(entry(i, _digits(n, 2, d), _digits(n ^ (n >> 1), 2, d)))
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
 # -- traversals without rotations (scale 2) ---------------------------
 
 
@@ -144,39 +151,33 @@ def gen_z(d: int) -> TraversalDefinition:
 def gen_u(d: int) -> TraversalDefinition:
     """Reflected-Gray base pattern, identical forward copy in every cell."""
     ident = SignedPermutation.identity(d)
-    return TraversalDefinition.from_moves([ident] * 2**d, gen_base_pattern(2, d))
+    return _g2_rule(d, lambda i, r, g: ident)
 
 
 def gen_gray(d: int) -> TraversalDefinition:
     """Identity copies, reversed in every second cell."""
-    entries = [
-        SignedPermutation.identity(d, reverse=bool(i & 1)) for i in range(2**d)
-    ]
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def _signs_entry(signs: list[int], reverse: bool) -> SignedPermutation:
-    return SignedPermutation(
-        tuple(s * (j + 1) for j, s in enumerate(signs)), reverse
-    )
+    return _g2_rule(d, lambda i, r, g: SignedPermutation.identity(d, reverse=i % 2 == 0))
 
 
 def gen_double_gray(d: int) -> TraversalDefinition:
     """Reflections through the bisecting planes, reversed in even cells."""
-    entries = []
-    for i, c in enumerate(_gray_centres(d)):
-        signs = [-1 if x > 0 else 1 for x in c]
-        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+    def entry(i, r, g):
+        axes = tuple(-j if high else j for j, high in enumerate(g, 1))
+        return SignedPermutation(axes, reverse=i % 2 == 0)
+
+    return _g2_rule(d, entry)
+
+
+def _inside_out_entry(i: int, r: tuple[int, ...], g: tuple[int, ...]) -> SignedPermutation:
+    """Axis j reflected on the low side of axis j, reversed in even cells."""
+    axes = tuple(j if high else -j for j, high in enumerate(g, 1))
+    return SignedPermutation(axes, reverse=i % 2 == 0)
 
 
 def gen_inside_out(d: int) -> TraversalDefinition:
     """Like Double-Gray but with end points pulled into the interior."""
-    entries = []
-    for i, c in enumerate(_gray_centres(d)):
-        signs = [1 if x > 0 else -1 for x in c]
-        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+    return _g2_rule(d, _inside_out_entry)
 
 
 # -- simplex traversals ------------------------------------------------
@@ -262,14 +263,21 @@ def gen_maehara_recursive(d: int) -> TraversalDefinition:
 # -- Hilbert generalizations (scale 2, well-folded) --------------------
 
 
-def _harmonious_signs(perm: list[int], c: Vector) -> list[int]:
-    out = []
+def _harmonious_entry(i: int, perm: list[int], g: tuple[int, ...]) -> SignedPermutation:
+    """``perm`` signed by the sides of tile i, as in the harmonious curve.
+
+    Axis 1 is reflected when the tile lies on the low side of axis 1,
+    any other axis p when it lies on the high side of axis p; every odd
+    entry runs backwards.
+    """
+    axes = []
     for p in perm:
+        high = g[p - 1] == 1
         if p == 1:
-            out.append(1 if c[0] > 0 else -1)
+            axes.append(p if high else -p)
         else:
-            out.append(-1 if c[p - 1] > 0 else 1)
-    return out
+            axes.append(-p if high else p)
+    return SignedPermutation(tuple(axes), reverse=i % 2 == 1)
 
 
 def gen_base_camp(d: int) -> TraversalDefinition:
@@ -278,21 +286,18 @@ def gen_base_camp(d: int) -> TraversalDefinition:
     First and last entry exchange axes 1 and d; the first is also
     reflected in every axis, which makes the whole order continuous.
     """
-    centres = _gray_centres(d)
-    entries = []
     D = 2**d
-    for i in range(1, D + 1):
+
+    def entry(i, r, g):
         if i == 1:
             perm = [d] + list(range(2, d)) + [1] if d > 1 else [1]
-            entries.append(SignedPermutation(tuple(perm)))
-        elif i == D:
+            return SignedPermutation(tuple(perm))
+        if i == D:
             perm = [-d] + [-j for j in range(2, d)] + [1] if d > 1 else [-1]
-            entries.append(SignedPermutation(tuple(perm), reverse=True))
-        else:
-            c = centres[i - 1]
-            signs = [1 if x > 0 else -1 for x in c]
-            entries.append(_signs_entry(signs, reverse=i % 2 == 0))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+            return SignedPermutation(tuple(perm), reverse=True)
+        return _inside_out_entry(i, r, g)
+
+    return _g2_rule(d, entry)
 
 
 def gen_harmonious(d: int) -> TraversalDefinition:
@@ -300,36 +305,30 @@ def gen_harmonious(d: int) -> TraversalDefinition:
 
     Entry i starts from the axis-reversing permutation (d,...,1) and
     pulls to the front, in order, all axes whose digit of i-1 equals the
-    lowest digit; signs follow the centre, and every odd entry runs
-    backwards.
+    lowest digit; signs follow the tile's sides, and every odd entry
+    runs backwards.
     """
-    centres = _gray_centres(d)
-    entries = []
-    for i in range(1, 2**d + 1):
-        r = _digits(i - 1, 2, d)
+
+    def entry(i, r, g):
         start = list(range(d, 0, -1))
         front = [j for j in start if r[j - 1] == r[0]]
         back = [j for j in start if r[j - 1] != r[0]]
-        perm = front + back
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entries.append(
-            SignedPermutation(
-                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-            )
-        )
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+        return _harmonious_entry(i, front + back, g)
+
+    return _g2_rule(d, entry)
 
 
-def _alfa_beta_perm(i: int, d: int) -> list[int]:
+def _alfa_beta_perm(i: int, r: tuple[int, ...]) -> list[int]:
     """Unsigned permutation shared by the Alfa and Beta curves.
 
-    Built from an extended digit table r'[-1..d] of i-1; position j gets
-    the smallest index h > d-j-1 whose digit matches the digit at
-    d-j-1.  The override of r'[d-1] for the last eighth of the entries
-    ("all of the top three digits set") only applies from d = 3 up.
+    Built from an extended digit table r'[-1..d] of the binary digits
+    ``r`` of i-1; position j gets the smallest index h > d-j-1 whose
+    digit matches the digit at d-j-1.  The override of r'[d-1] for the
+    last eighth of the entries ("all of the top three digits set") only
+    applies from d = 3 up.
     """
+    d = len(r)
     D = 2**d
-    r = _digits(i - 1, 2, d)
     rp = {-1: r[0], 0: 1 - r[0]}
     for j in range(1, d - 1):
         rp[j] = r[j - 1]
@@ -359,39 +358,31 @@ def _apply_end_corrections(entry: SignedPermutation, d: int) -> SignedPermutatio
 
 def gen_alfa(d: int) -> TraversalDefinition:
     """Hyperorthogonal Hilbert variant ending in cube vertices."""
-    centres = _gray_centres(d)
     D = 2**d
-    entries = []
-    for i in range(1, D + 1):
-        perm = _alfa_beta_perm(i, d)
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entry = SignedPermutation(
-            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-        )
+
+    def entry(i, r, g):
+        e = _harmonious_entry(i, _alfa_beta_perm(i, r), g)
         if 1 < i < D:
-            entry = _apply_end_corrections(entry, d)
-        entries.append(entry)
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+            e = _apply_end_corrections(e, d)
+        return e
+
+    return _g2_rule(d, entry)
 
 
 def gen_beta(d: int) -> TraversalDefinition:
     """Hyperorthogonal Hilbert variant ending on cube facets; needs d >= 3."""
     if d < 3:
         raise BetaUndefinedError(f"the Beta curve is undefined for d={d}")
-    centres = _gray_centres(d)
     D = 2**d
-    entries = []
-    for i in range(1, D + 1):
-        perm = _alfa_beta_perm(i, d)
-        c = centres[i - 1]
-        signs = [1 if c[p - 1] > 0 else -1 for p in perm]
-        entry = SignedPermutation(
-            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-        )
+
+    def entry(i, r, g):
+        axes = tuple(p if g[p - 1] else -p for p in _alfa_beta_perm(i, r))
+        e = SignedPermutation(axes, reverse=i % 2 == 1)
         if i == 1 or i == D:
-            entry = _apply_end_corrections(entry, d)
-        entries.append(entry)
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+            e = _apply_end_corrections(e, d)
+        return e
+
+    return _g2_rule(d, entry)
 
 
 def gen_butz(d: int) -> TraversalDefinition:
@@ -401,23 +392,17 @@ def gen_butz(d: int) -> TraversalDefinition:
     position of i-1 that differs from the lowest digit (1 when all
     digits agree); signs and reversals as for the harmonious curve.
     """
-    centres = _gray_centres(d)
-    entries = []
-    for i in range(1, 2**d + 1):
-        r = _digits(i - 1, 2, d)
+
+    def entry(i, r, g):
         k = 1
         for j in range(2, d + 1):
             if r[j - 1] != r[0]:
                 k = j
                 break
         perm = [(j + k - 1) % d + 1 for j in range(1, d + 1)]
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entries.append(
-            SignedPermutation(
-                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-            )
-        )
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+        return _harmonious_entry(i, perm, g)
+
+    return _g2_rule(d, entry)
 
 
 # -- Peano family (scale 3) --------------------------------------------

@@ -363,6 +363,8 @@ class TraversalDefinition:
         entries = tuple(entries)
         moves = tuple(moves)
         d = entries[0].dimension
+        for m in moves:  # int_displacement indexes by axis unchecked
+            m.check_dimension(d)
         u = step_den if step_den is not None else scale
         _check_step_den(u)
         deltas = [(0,) * d]  # step counts from the first centre
@@ -580,8 +582,6 @@ def parse_definition(text: str) -> TraversalDefinition:
         scale = header.get("s", _inferred_scale(len(entries), d))
         if scale < 2:
             raise ParseError(f"scale s={scale} must be at least 2")
-        for mv in moves:  # from_moves indexes the moves by axis unchecked
-            mv.check_dimension(d)
         return TraversalDefinition.from_moves(
             entries, moves, scale=scale, step_den=header.get("u")
         )

@@ -154,6 +154,16 @@ def test_gray_sections_can_split_into_more_components():
     assert mx > 2
 
 
+@pytest.mark.parametrize("n_sections", [0, -3])
+def test_section_audit_rejects_a_count_below_one(monkeypatch, n_sections):
+    # A count of 0 used to fail with "max() arg is an empty sequence".
+    p = path_of("z", 3, 4)
+    monkeypatch.setattr(analysis, "SectionAuditor", None)  # nothing is prepared
+    with pytest.raises(ValueError) as info:
+        section_component_audit(p, n_sections, seed=41)
+    assert str(info.value) == f"n_sections must be at least 1, got {n_sections}"
+
+
 def test_maehara_sections_at_most_two_components():
     p = generate_full_path(generate("maehara", 3), 3, "corner")
     mx, _ = section_component_audit(p, 3000, seed=17)
@@ -495,6 +505,15 @@ def test_alfa_beta_bbox_bound():
         ratio = max_bbox_ratio(p, None)
         assert isinstance(ratio, Fraction)
         assert ratio <= 4, (kind, ratio)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_bbox_ratio_rejects_a_section_count_below_one(count):
+    # Both used to return Fraction(0), a ratio of no section at all.
+    p = path_of("z", 3, 4)
+    with pytest.raises(ValueError) as info:
+        max_bbox_ratio(p, count)
+    assert str(info.value) == f"max_section_count must be at least 1 or None, got {count}"
 
 
 def test_z_bbox_ratio_exceeds_bound():

@@ -729,20 +729,22 @@ def _fresh_process(script: str) -> str:
 
 
 def test_path_loads_neither_analysis_nor_bitmatrix():
-    script = (
-        "import contextlib, io, sys\n"
-        "import traversals\n"
-        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
-        "from traversals.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['path', 'z', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
-    )
-    before, after = _fresh_process(script).splitlines()
-    assert before == "['traversals']"
-    assert "traversals.engine" in after
-    assert "traversals.analysis" not in after
-    assert "traversals.bitmatrix" not in after
+    # z has its own pattern; harmonious 3 is built on the Gray pattern G2(3).
+    for kind, d in (("z", "2"), ("harmonious", "3")):
+        script = (
+            "import contextlib, io, sys\n"
+            "import traversals\n"
+            "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+            "from traversals.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['path', '{kind}', '{d}']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+        )
+        before, after = _fresh_process(script).splitlines()
+        assert before == "['traversals']", kind
+        assert "traversals.engine" in after, kind
+        assert "traversals.analysis" not in after, kind
+        assert "traversals.bitmatrix" not in after, kind
 
 
 def test_type_checking_imports_match_the_lazy_map():

@@ -1,10 +1,13 @@
 """The sixteen families against their printed forms and stated rules."""
 
+import hashlib
+from fractions import Fraction
 from importlib import resources
 from math import comb
 
 import pytest
 
+from traversals import generators
 from traversals.engine import generate_full_path
 from traversals.generators import (
     BetaUndefinedError,
@@ -16,7 +19,14 @@ from traversals.generators import (
     gen_maehara_recursive,
     generate,
 )
-from traversals.notation import Move, format_definition, parse_definition
+from traversals.notation import (
+    Move,
+    SignedPermutation,
+    TraversalDefinition,
+    Vector,
+    format_definition,
+    parse_definition,
+)
 
 ALL_D3_GOLDENS = [
     ("z", "z_d3.txt"),
@@ -381,3 +391,289 @@ def test_every_builtin_round_trips_through_text():
     for name in FIXED_NAMES:
         defn = builtin_fixed(name)
         assert parse_definition(format_definition(defn)).structurally_equal(defn)
+
+
+# -- the G2 builder against the centre-based generators ----------------------
+#
+# The nine G2(d) generators as they were before the shared builder, verbatim
+# (bar the absolute import of ``gray``): each built 2^d Fraction centres
+# through ``bitmatrix.gray`` and compared their coordinates with 0.
+
+
+def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
+    """Digits of n in the given base; index j-1 is the j-th least significant."""
+    out = []
+    for _ in range(d):
+        out.append(n % base)
+        n //= base
+    return tuple(out)
+
+
+def _centre_from_bits(bits: tuple[int, ...]) -> Vector:
+    q = Fraction(1, 4)
+    return tuple(q if b else -q for b in bits)
+
+
+def _gray_centres(d: int) -> list[Vector]:
+    from traversals.bitmatrix import gray
+
+    return [
+        _centre_from_bits(_digits(gray(i), 2, d)) for i in range(2**d)
+    ]
+
+def gen_u(d: int) -> TraversalDefinition:
+    """Reflected-Gray base pattern, identical forward copy in every cell."""
+    ident = SignedPermutation.identity(d)
+    return TraversalDefinition.from_moves([ident] * 2**d, gen_base_pattern(2, d))
+
+
+def gen_gray(d: int) -> TraversalDefinition:
+    """Identity copies, reversed in every second cell."""
+    entries = [
+        SignedPermutation.identity(d, reverse=bool(i & 1)) for i in range(2**d)
+    ]
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def _signs_entry(signs: list[int], reverse: bool) -> SignedPermutation:
+    return SignedPermutation(
+        tuple(s * (j + 1) for j, s in enumerate(signs)), reverse
+    )
+
+
+def gen_double_gray(d: int) -> TraversalDefinition:
+    """Reflections through the bisecting planes, reversed in even cells."""
+    entries = []
+    for i, c in enumerate(_gray_centres(d)):
+        signs = [-1 if x > 0 else 1 for x in c]
+        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def gen_inside_out(d: int) -> TraversalDefinition:
+    """Like Double-Gray but with end points pulled into the interior."""
+    entries = []
+    for i, c in enumerate(_gray_centres(d)):
+        signs = [1 if x > 0 else -1 for x in c]
+        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def _harmonious_signs(perm: list[int], c: Vector) -> list[int]:
+    out = []
+    for p in perm:
+        if p == 1:
+            out.append(1 if c[0] > 0 else -1)
+        else:
+            out.append(-1 if c[p - 1] > 0 else 1)
+    return out
+
+
+def gen_base_camp(d: int) -> TraversalDefinition:
+    """Inside-out with the first and last entries swapped axis-wise.
+
+    First and last entry exchange axes 1 and d; the first is also
+    reflected in every axis, which makes the whole order continuous.
+    """
+    centres = _gray_centres(d)
+    entries = []
+    D = 2**d
+    for i in range(1, D + 1):
+        if i == 1:
+            perm = [d] + list(range(2, d)) + [1] if d > 1 else [1]
+            entries.append(SignedPermutation(tuple(perm)))
+        elif i == D:
+            perm = [-d] + [-j for j in range(2, d)] + [1] if d > 1 else [-1]
+            entries.append(SignedPermutation(tuple(perm), reverse=True))
+        else:
+            c = centres[i - 1]
+            signs = [1 if x > 0 else -1 for x in c]
+            entries.append(_signs_entry(signs, reverse=i % 2 == 0))
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def gen_harmonious(d: int) -> TraversalDefinition:
+    """The Hilbert generalization that recurses on cube facets.
+
+    Entry i starts from the axis-reversing permutation (d,...,1) and
+    pulls to the front, in order, all axes whose digit of i-1 equals the
+    lowest digit; signs follow the centre, and every odd entry runs
+    backwards.
+    """
+    centres = _gray_centres(d)
+    entries = []
+    for i in range(1, 2**d + 1):
+        r = _digits(i - 1, 2, d)
+        start = list(range(d, 0, -1))
+        front = [j for j in start if r[j - 1] == r[0]]
+        back = [j for j in start if r[j - 1] != r[0]]
+        perm = front + back
+        signs = _harmonious_signs(perm, centres[i - 1])
+        entries.append(
+            SignedPermutation(
+                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
+            )
+        )
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def _alfa_beta_perm(i: int, d: int) -> list[int]:
+    """Unsigned permutation shared by the Alfa and Beta curves.
+
+    Built from an extended digit table r'[-1..d] of i-1; position j gets
+    the smallest index h > d-j-1 whose digit matches the digit at
+    d-j-1.  The override of r'[d-1] for the last eighth of the entries
+    ("all of the top three digits set") only applies from d = 3 up.
+    """
+    D = 2**d
+    r = _digits(i - 1, 2, d)
+    rp = {-1: r[0], 0: 1 - r[0]}
+    for j in range(1, d - 1):
+        rp[j] = r[j - 1]
+    if d >= 3 and 8 * i > 7 * D:
+        rp[d - 1] = 0
+    elif d >= 2:
+        rp[d - 1] = r[d - 2]
+    rp[d] = 1 - rp[d - 1]
+    perm = []
+    for j in range(1, d + 1):
+        target = rp[d - j - 1]
+        h = d - j
+        while rp[h] != target:
+            h += 1
+        perm.append(h)
+    return perm
+
+
+def _apply_end_corrections(entry: SignedPermutation, d: int) -> SignedPermutation:
+    """Swap the two highest positions, negate the last, flip direction."""
+    ent = list(entry.entries)
+    if d >= 2:
+        ent[d - 2], ent[d - 1] = ent[d - 1], ent[d - 2]
+    ent[d - 1] = -ent[d - 1]
+    return SignedPermutation(tuple(ent), not entry.reverse)
+
+
+def gen_alfa(d: int) -> TraversalDefinition:
+    """Hyperorthogonal Hilbert variant ending in cube vertices."""
+    centres = _gray_centres(d)
+    D = 2**d
+    entries = []
+    for i in range(1, D + 1):
+        perm = _alfa_beta_perm(i, d)
+        signs = _harmonious_signs(perm, centres[i - 1])
+        entry = SignedPermutation(
+            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
+        )
+        if 1 < i < D:
+            entry = _apply_end_corrections(entry, d)
+        entries.append(entry)
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def gen_beta(d: int) -> TraversalDefinition:
+    """Hyperorthogonal Hilbert variant ending on cube facets; needs d >= 3."""
+    if d < 3:
+        raise BetaUndefinedError(f"the Beta curve is undefined for d={d}")
+    centres = _gray_centres(d)
+    D = 2**d
+    entries = []
+    for i in range(1, D + 1):
+        perm = _alfa_beta_perm(i, d)
+        c = centres[i - 1]
+        signs = [1 if c[p - 1] > 0 else -1 for p in perm]
+        entry = SignedPermutation(
+            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
+        )
+        if i == 1 or i == D:
+            entry = _apply_end_corrections(entry, d)
+        entries.append(entry)
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+def gen_butz(d: int) -> TraversalDefinition:
+    """The classic rotation-based Hilbert generalization.
+
+    Entry i rotates the axes by k places, where k is the lowest digit
+    position of i-1 that differs from the lowest digit (1 when all
+    digits agree); signs and reversals as for the harmonious curve.
+    """
+    centres = _gray_centres(d)
+    entries = []
+    for i in range(1, 2**d + 1):
+        r = _digits(i - 1, 2, d)
+        k = 1
+        for j in range(2, d + 1):
+            if r[j - 1] != r[0]:
+                k = j
+                break
+        perm = [(j + k - 1) % d + 1 for j in range(1, d + 1)]
+        signs = _harmonious_signs(perm, centres[i - 1])
+        entries.append(
+            SignedPermutation(
+                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
+            )
+        )
+    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+
+
+G2_ORACLE = {
+    "u": gen_u,
+    "gray": gen_gray,
+    "double-gray": gen_double_gray,
+    "inside-out": gen_inside_out,
+    "base-camp": gen_base_camp,
+    "harmonious": gen_harmonious,
+    "alfa": gen_alfa,
+    "beta": gen_beta,
+    "butz": gen_butz,
+}
+
+
+@pytest.mark.parametrize("kind", G2_ORACLE)
+def test_g2_builder_matches_the_centre_based_generators(kind):
+    old = G2_ORACLE[kind]
+    new = getattr(generators, old.__name__)
+    for d in range(1, 9):
+        if kind == "beta" and d < 3:
+            for build in (old, new, lambda d: generate(kind, d)):
+                with pytest.raises(BetaUndefinedError, match=f"undefined for d={d}"):
+                    build(d)
+            continue
+        want = old(d)
+        for got in (new(d), generate(kind, d)):
+            assert got == want, (kind, d)
+            assert repr(got) == repr(want), (kind, d)
+
+
+# sha256 of the reprs of generate(kind, d) for d = 1..8 (Beta from 3, the
+# Peano family to 5), concatenated in ascending d: the rules as they were
+# built before the G2 builder, first 16 hex digits.
+RULE_DIGESTS = {
+    "z": "78171d00c1f4d42a",
+    "u": "ea49cb3611549804",
+    "gray": "d5627a41f4db77ff",
+    "double-gray": "c6cc2d9db72c9d3d",
+    "inside-out": "9a15a0d0d5716597",
+    "hill-z": "b431963885b8f52e",
+    "maehara": "1bb71c2e2cc3c0d2",
+    "base-camp": "68aa2ffdcf0b416d",
+    "harmonious": "f92c1a25fa85c7bf",
+    "alfa": "98a5f42561c4f094",
+    "beta": "e834ed2557a983e3",
+    "butz": "21f5cf06989bb82e",
+    "peano": "23133bfe6f863653",
+    "coil": "d7ecec0dd46055bc",
+    "half-coil": "4578b607ee30e999",
+    "meurthe": "2844a2244a9424b1",
+}
+
+
+def test_every_family_rule_keeps_its_repr():
+    assert list(RULE_DIGESTS) == [k.value for k in TraversalKind]
+    for kind, digest in RULE_DIGESTS.items():
+        top = 5 if kind in ("peano", "coil", "half-coil", "meurthe") else 8
+        h = hashlib.sha256()
+        for d in range(3 if kind == "beta" else 1, top + 1):
+            h.update(repr(generate(kind, d)).encode())
+        assert h.hexdigest()[:16] == digest, kind

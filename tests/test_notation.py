@@ -484,7 +484,6 @@ def _malformed():
     yield "off grid", "centres", ((p, q), ((0, 0), (F(1, 3), 0))), {}
     yield "off step", "centres", ((p, q), ((0, 0), (F(1, 2), 0))), {"step_den": 3}
     yield "centre count from centres", "centres", ((p, q), c[:1]), {}
-    yield "move axis from moves", "moves", ((p, q), (Move((3,)),)), {}
     yield "missing move from moves", "moves", ((p, q), ()), {}
     yield "scale 1 from moves", "moves", ((p, q), (one,)), {"scale": 1}
     yield "entry lengths from moves", "moves", ((p, r), (one,)), {}
@@ -511,6 +510,16 @@ def test_malformed_rules_fail_as_the_fraction_construction_did():
         want = _outcome(lambda: old[kind](*args, **kw))
         assert isinstance(want, tuple), label
         assert got == want, label
+
+
+def test_from_moves_rejects_a_move_axis_beyond_the_dimension():
+    # It used to raise a bare IndexError from Move.int_displacement, as the
+    # Fraction oracle still does.
+    p, q = perm(1, 2), perm(2, -1, reverse=True)
+    for axis in (3, -3):
+        with pytest.raises(ValueError) as info:
+            TraversalDefinition.from_moves((p, q), (Move((axis,)),))
+        assert str(info.value) == f"move element {axis} out of range for dimension 2"
 
 
 @pytest.mark.parametrize("u", [0, -2])
