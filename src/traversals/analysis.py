@@ -468,6 +468,10 @@ def palindromic_on_cells(
 def check_palindromic(
     defn: TraversalDefinition, depth: int, *, kind: str = ""
 ) -> PropertyReport:
+    """Palindromicity of the rule's depth-``depth`` path (see
+    :func:`palindromic_on_cells`); depth 0 has no level-1 cells to compare."""
+    if depth < 1:
+        raise ValueError("palindromicity is checked at depth >= 1")
     if defn.scale != 2 or not defn.fills_cube:
         raise ValueError("palindromicity is checked on scale-2 cube rules")
     cells = iter_path(defn, depth, "corner", cells=True)

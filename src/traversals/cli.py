@@ -20,12 +20,17 @@ in ``traversals path z 3 --depth 5 | head -2``); it then stops without a
 message.
 
 ``path`` streams its points in every origin mode and with ``--cells``,
-in memory that does not grow with the depth.  Refused with exit 2 and
-one ``error:`` line, before any output: more than ``MAX_HELD_POINTS``
-held points (``check``, ``plot``, and ``path --exponent 2``, which holds
-the path its squared points select from); more than ``MAX_CELLS_PER_AXIS``
-(2**64) cells per axis (``path``, ``plot``, whole-path checks); a family
-rule of more than ``MAX_RULE_ENTRIES`` (2**16) entries (every command).
+in memory that does not grow with the depth.  ``describe``, ``path`` and
+``plot`` write bytes (ASCII text), to the binary layer of stdout or to an
+``--out`` file opened in binary mode, in pieces of at most 4096 bytes.
+Refused with exit 2 and one ``error:`` line, before any output: more
+than ``MAX_HELD_POINTS`` held points (``check``, ``plot``, and ``path
+--exponent 2``, which holds the path its squared points select from);
+more than ``MAX_CELLS_PER_AXIS`` (2**64) cells per axis (``path``,
+``plot``, whole-path checks); a family rule of more than
+``MAX_RULE_ENTRIES`` (2**16) entries (every command).
+A palindromicity check below depth 1, which has no level-1 cells to
+compare, also exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -130,15 +135,6 @@ def _require_cells_per_axis(defn: TraversalDefinition, depth: int) -> None:
     )
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        try:
-            return open(args.out, "w")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.out!r}: {exc.strerror}") from None
-    return contextlib.nullcontext(sys.stdout)
-
-
 # Output is written in pieces of at most PIPE_BUF (4096 bytes on Linux).
 # An unbuffered stdout (``python -u``, PYTHONUNBUFFERED) makes one write(2)
 # call per write and drops what a short write leaves out; a pipe write of
@@ -146,9 +142,33 @@ def _out_stream(args):
 _PIECE = 4096
 
 
-def _write(out, text: str) -> None:
-    for i in range(0, len(text), _PIECE):
-        out.write(text[i : i + _PIECE])
+@contextlib.contextmanager
+def _output(args):
+    """The command's output, as a function that writes bytes.
+
+    The output is the ``--out`` file, opened ``"wb"``, or the binary layer
+    of stdout; a stdout without one (an ``io.StringIO``) is given the
+    text.  Each write goes in pieces of at most ``_PIECE`` bytes, and the
+    output is flushed when the block ends.
+    """
+    path = getattr(args, "out", None)
+    if path:
+        try:
+            stream = open(path, "wb")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+    else:
+        sys.stdout.flush()
+        stream = contextlib.nullcontext(getattr(sys.stdout, "buffer", None))
+    with stream as out:
+        put = out.write if out is not None else lambda data: sys.stdout.write(data.decode())
+
+        def write(data: bytes) -> None:
+            for i in range(0, len(data), _PIECE):
+                put(data[i : i + _PIECE])
+
+        yield write
+        (sys.stdout if out is None else out).flush()
 
 
 def _closed_pipe() -> int:
@@ -161,9 +181,8 @@ def _closed_pipe() -> int:
 def _emit(args, text: str) -> int:
     """Write ``text`` to the command's output; exit status as for ``path``."""
     try:
-        with _out_stream(args) as out:
-            _write(out, text)
-            out.flush()
+        with _output(args) as write:
+            write(text.encode())
     except BrokenPipeError:
         return _closed_pipe()
     return 0
@@ -195,20 +214,19 @@ def _cmd_path(args) -> int:
         points = engine.iter_path(defn, args.depth, args.origin, cells=args.cells)
     # the first point raises the engine's errors before any output
     points = itertools.chain((next(points),), points)
-    fmt = " ".join(["%d"] * d) + "\n"
+    fmt = b" ".join([b"%d"] * d) + b"\n"
     units = "cell" if args.cells else f"half-cell/{engine.cell_units(defn) // 2}"
     try:
-        with _out_stream(args) as out:
-            out.write(
+        with _output(args) as write:
+            write(
                 f"# kind={label} d={d} depth={args.depth} "
-                f"origin={args.origin} units={units}\n"
+                f"origin={args.origin} units={units}\n".encode()
             )
             while True:
                 coords = tuple(itertools.chain.from_iterable(itertools.islice(points, _BATCH)))
                 if not coords:
                     break
-                _write(out, fmt * (len(coords) // d) % coords)
-            out.flush()
+                write(fmt * (len(coords) // d) % coords)
     except BrokenPipeError:
         return _closed_pipe()
     return 0

@@ -9,14 +9,15 @@ applied to the child's centre) and state id (the state composed with the
 child's entry).  A rule's table is compiled once and kept on the rule
 object (:func:`_table`), so repeated calls on one rule share its rows.
 Enumeration walks the table depth first, down to blocks of the lowest
-levels that are expanded once per state (the fewest levels holding at
-least ``_BLOCK_POINTS`` points, up to ``_BLOCK_MAX``); location and squaring
-descend it one child per level.  All arithmetic is exact; the emitted points are
-integers on a lattice where one lowest-level cell is two units wide, so
-cube-tile centres land on odd coordinates in corner origin mode.  With
-``cells`` the walk emits 0-based cell indices instead, from blocks of
-cell offsets, so no point is converted after it is built; the squared
-path selects its coordinate groups by the cells of such a walk.
+levels that are built once per state as per-axis columns (the fewest
+levels holding at least ``_BLOCK_POINTS`` points, up to ``_BLOCK_MAX``);
+location and squaring descend it one child per level.  All arithmetic is
+exact; the emitted points are integers on a lattice where one
+lowest-level cell is two units wide, so cube-tile centres land on odd
+coordinates in corner origin mode.  With ``cells`` the walk emits
+0-based cell indices instead, from blocks of cell offsets, so no point
+is converted after it is built; the squared path selects its coordinate
+groups by the cells of such a walk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, mul
+from operator import add, eq, itemgetter, mul
 from typing import Iterator
 
 from .notation import Move, SignedPermutation, TraversalDefinition, Vector
@@ -101,32 +102,51 @@ class _Table:
         unit, self.centres = _lattice(2 * self.s, defn.centres)
         self.m = unit // (2 * self.s)
         self.children = list(zip(self.centres, defn.entries))
+        # Per child: its centre padded for signed indices (axis k at k,
+        # its negation at -k), a picker of its entry's signed indices, and
+        # its reverse flag.
+        self._kids = [
+            (_signed(c), _picker(e.entries), e.reverse) for c, e in self.children
+        ]
         self.states: list[SignedPermutation] = []
         self.rows: list = []  # by state id: the row, or None until reached
-        self._ids: dict = {}
+        self._ids: dict = {}  # (entries, reverse) -> state id
+        self._offsets: dict = {}  # each child offset met, to itself
         self._lock = threading.Lock()
-        self.root = self._intern(SignedPermutation.identity(self.d))
+        self.root = self._intern((tuple(range(1, self.d + 1)), False))
 
-    def _intern(self, state: SignedPermutation) -> int:
-        i = self._ids.get(state)
+    def _intern(self, key: tuple) -> int:
+        i = self._ids.get(key)
         if i is None:
             with self._lock:
-                i = self._ids.get(state)
+                i = self._ids.get(key)
                 if i is None:
                     i = len(self.states)
-                    self.states.append(state)
+                    self.states.append(SignedPermutation._of(*key))
                     self.rows.append(None)
-                    self._ids[state] = i
+                    self._ids[key] = i
         return i
 
     def row(self, i: int) -> list:
         """(centre offset at unit scale, state id) of each child of state
-        ``i``, in visit order."""
+        ``i``, in visit order.
+
+        A child's offset is the state applied to its centre, the centre's
+        items at the signed indices of the state's inverse; its next state
+        is the state composed with its entry, the state's items at the
+        signed indices of the entry.
+        """
         r = self.rows[i]
         if r is None:
             t = self.states[i]
-            kids = self.children[::-1] if t.reverse else self.children
-            r = self.rows[i] = [(t.apply(c), self._intern(t.compose(e))) for c, e in kids]
+            offset, entries = _picker(t.inverse().entries), _signed(t.entries)
+            kids = self._kids[::-1] if t.reverse else self._kids
+            intern, rev = self._intern, t.reverse
+            offsets = [offset(c) for c, _, _ in kids]
+            r = self.rows[i] = list(zip(
+                map(self._offsets.setdefault, offsets, offsets),  # one tuple per offset
+                [intern((pick(entries), rev ^ flip)) for _, pick, flip in kids],
+            ))
         return r
 
     def descend(self, digits):
@@ -149,6 +169,21 @@ class _Table:
         return [sum(map(mul, column, powers)) for column in zip(*offsets)], i
 
 
+def _signed(v) -> tuple:
+    """``v`` padded for signed 1-based indices: item ``k`` is ``v[k-1]``
+    and item ``-k`` is ``-v[k-1]``."""
+    return (0, *v, *[-x for x in reversed(v)])
+
+
+def _picker(indices):
+    """The function taking a sequence to the tuple of its items at
+    ``indices``."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda v: (v[k],)
+    return itemgetter(*indices)
+
+
 @functools.lru_cache(maxsize=64)
 def _powers(s: int, n: int) -> tuple[int, ...]:
     """``s**(n-1), ..., s, 1``: the weights of the levels of an n-level descent."""
@@ -165,15 +200,47 @@ def _table(defn: TraversalDefinition) -> _Table:
 
 
 # The walk expands the lowest levels under a node into one block of leaf
-# offsets, built once per state: the fewest levels (at least one) that hold
-# at least _BLOCK_POINTS points, while a block holds at most _BLOCK_MAX.
-# Peano at d = 3 gets two levels (729 points); a rule with 32 children
-# keeps one, as its blocks over all its states (7 680 for Maehara at d = 5)
-# would otherwise hold millions of points.  Larger blocks cost more to
-# build than they save where a rule meets many states: blocks of 512
-# points slow Harmonious and Maehara at d = 3 by a third or more.
-_BLOCK_POINTS = 64
+# offsets, built once per state as per-axis columns (see _columns): the
+# fewest levels (at least one) that hold at least _BLOCK_POINTS points,
+# while a block holds at most _BLOCK_MAX.  A rule with 8 children gets
+# three levels (512 points), Peano at d = 3 two (729); a rule with 32
+# children keeps one, as its blocks over all its states (7 680 for Maehara
+# at d = 5) would otherwise hold millions of points.  Against 64-point
+# blocks, 512-point ones walk Harmonious at d = 3 (depth 6) and at d = 2
+# (depth 8) 15-20 % faster, and Maehara at d = 3 (depth 5) 15 % slower:
+# 40 of its 64 block roots have distinct states, so it builds 20 k block
+# points for a 32 k-point path (in process, Python 3.11, best of 15).
+_BLOCK_POINTS = 512
 _BLOCK_MAX = 729
+
+
+def _columns(table: _Table, state: int, levels: int, below: list) -> tuple:
+    """Per-axis columns of the leaf offsets ``levels`` levels under state
+    ``state``, in visit order, on the lattice of the lowest level.
+
+    A block is the blocks one level lower under the state's children,
+    each shifted by the child's offset times ``s ** (levels - 1)``.  The
+    lower blocks are kept in ``below[h]`` by state, for each height
+    ``h < levels``; the block itself is the caller's to keep.
+    """
+    if levels == 0:
+        return ((0,),) * table.d
+    row = table.rows[state] or table.row(state)
+    if levels == 1:
+        return tuple(zip(*[off for off, _ in row]))
+    f, lower = table.s ** (levels - 1), below[levels - 1]
+    subs = []
+    for off, child in row:
+        sub = lower.get(child)
+        if sub is None:
+            sub = lower[child] = _columns(table, child, levels - 1, below)
+        subs.append((off, sub))
+    return tuple(
+        tuple(itertools.chain.from_iterable(
+            [map(add, itertools.repeat(f * off[a]), sub[a]) for off, sub in subs]
+        ))
+        for a in range(table.d)
+    )
 
 
 def cell_units(defn: TraversalDefinition) -> int:
@@ -192,10 +259,12 @@ def iter_path(
     The walk follows the rule's state table (see :class:`_Table`), whose
     rows are built the first time a state is met and kept with the rule.
     The lowest levels come from a block of leaf offsets per state, built
-    once per call, so a point costs one tuple addition, and memory stays
-    O(depth) plus the rows and blocks of the states met.  A block spans
-    the fewest levels that hold at least ``_BLOCK_POINTS`` points while it
-    holds at most ``_BLOCK_MAX`` (at least one level, at most the depth).
+    once per call as per-axis columns from the blocks one level lower
+    (:func:`_columns`), so a point costs one tuple addition, and memory
+    stays O(depth) plus the rows and blocks of the states met.  A block
+    spans the fewest levels that hold at least ``_BLOCK_POINTS`` points
+    while it holds at most ``_BLOCK_MAX`` (at least one level, at most the
+    depth).
     Cell blocks are kept per state and per
     residue of the block root modulo the cell width ``w``, since
     ``(base + x) // w == base // w + (base % w + x) // w``; this is exact
@@ -213,29 +282,25 @@ def iter_path(
     table = _table(defn)
     d, s, n, m, row = table.d, table.s, table.n, table.m, table.row
     w = 2 * m
-    blocks: dict = {}
-
     leaf_levels = min(depth, 1)
     while leaf_levels < depth and n**leaf_levels < _BLOCK_POINTS and n ** (leaf_levels + 1) <= _BLOCK_MAX:
         leaf_levels += 1
 
+    blocks: dict = {}  # by state, or with cells by (state, *root residues)
+    below: list = [{} for _ in range(leaf_levels)]  # lower blocks, for _columns
+
     def block(key):
         """Per-axis columns under a block root: the leaf offsets of the
-        state ``key[0]``, or with ``cells`` their cell offsets from a root
-        whose coordinates are ``key[1:]`` modulo ``w``."""
+        state ``key``, or with ``cells`` the cell offsets of the state
+        ``key[0]`` from a root whose coordinates are ``key[1:]`` modulo
+        ``w``."""
         b = blocks.get(key)
         if b is None:
-            pts = [((0,) * d, key[0])]
-            for level in range(leaf_levels, 0, -1):
-                f = s ** (level - 1)
-                pts = [
-                    (tuple(x + f * o for x, o in zip(c, off)), child)
-                    for c, st in pts
-                    for off, child in row(st)
-                ]
-            b = tuple(zip(*(c for c, _ in pts)))
             if cells:
-                b = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], b))
+                cols = _columns(table, key[0], leaf_levels, below)
+                b = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], cols))
+            else:
+                b = _columns(table, key, leaf_levels, below)
             blocks[key] = b
         return b
 
@@ -264,7 +329,7 @@ def iter_path(
             key = (state, *[x % w for x in base])
             base = [x // w for x in base]
         else:
-            key = (state,)
+            key = state
         return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(key))])
 
     # The walk starts one frame above the root, whose only child is the

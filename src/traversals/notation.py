@@ -225,13 +225,17 @@ def _check_step_den(u) -> None:
         raise ValueError(f"step denominator u={u!r} must be a positive integer")
 
 
+def _require_entries(entries) -> None:
+    if not entries:
+        raise ValueError("a definition needs at least one entry")
+
+
 def _check_parts(dimension, scale, entries, moves, centres) -> None:
     """The checks of a rule's fields that hold no matter how its centres
     and moves relate, in the order of ``TraversalDefinition`` itself."""
     if dimension < 1 or scale < 2:
         raise ValueError("need dimension >= 1 and scale >= 2")
-    if len(entries) < 1:
-        raise ValueError("a definition needs at least one entry")
+    _require_entries(entries)
     if len(moves) != len(entries) - 1:
         raise ValueError("expected one move between each pair of entries")
     for e in entries:
@@ -362,6 +366,7 @@ class TraversalDefinition:
         """
         entries = tuple(entries)
         moves = tuple(moves)
+        _require_entries(entries)
         d = entries[0].dimension
         for m in moves:  # int_displacement indexes by axis unchecked
             m.check_dimension(d)
@@ -402,6 +407,7 @@ class TraversalDefinition:
         centres = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in c) for c in centres
         )
+        _require_entries(entries)
         d = entries[0].dimension
         u = step_den if step_den is not None else scale
         _check_step_den(u)

@@ -286,6 +286,12 @@ def test_u_is_not_palindromic():
     assert report.line() == "palindromic u 2 2 fails 0 1 1 0"
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_palindromic_check_refuses_a_depth_below_one(depth):
+    with pytest.raises(ValueError, match="depth >= 1"):
+        check_palindromic(generate("harmonious", 3), depth)
+
+
 def test_harmonious_palindromic_witness():
     report = check_palindromic(generate("harmonious", 3), 4, kind="harmonious")
     assert report.line() == "palindromic harmonious 3 4 fails 0 2 2 0"

@@ -193,6 +193,14 @@ def test_check_palindromic_holds_exit_zero():
     assert out.strip() == "palindromic double-gray 3 3 holds"
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_check_palindromic_refuses_a_depth_below_one(depth):
+    """Depth 0 has no level-1 cells whose facets could be compared."""
+    code, out, err = run(["check", "z", "2", "--property", "palindromic", "--depth", depth])
+    assert (code, out) == (2, "")
+    assert err == "error: palindromicity is checked at depth >= 1\n"
+
+
 def test_check_bbox_reports_ratio():
     code, out, _ = run(
         ["check", "alfa", "3", "--property", "bbox", "--depth", "2"]
@@ -655,6 +663,53 @@ def test_path_streams_in_bounded_memory(tmp_path):
     assert out.read_text().count("\n") == 1 + 8**5
     assert abs(peaks[1] - peaks[0]) < 64 * 1024
     assert peaks[1] < 512 * 1024
+
+
+def run_binary(argv):
+    """``main(argv)`` with a stdout that has a binary layer, as the real
+    one does: the exit status and the bytes written."""
+    raw, old = io.BytesIO(), sys.stdout
+    sys.stdout = io.TextIOWrapper(raw, encoding="ascii", write_through=True)
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        return code, raw.getvalue()
+    finally:
+        sys.stdout = old
+
+
+PATH_BYTE_CASES = [
+    (source, extra)
+    for source in (["z", "2"], ["harmonious", "3"], ["peano", "2"], ["maehara", "3"],
+                   ["hill-z", "3"], ["meander2d"])
+    for extra in ([["--origin", o] for o in engine.ORIGIN_MODES]
+                  + [["--cells"], ["--exponent", "2"], ["--exponent", "2", "--cells"]])
+]
+
+
+@pytest.mark.parametrize("source,extra", PATH_BYTE_CASES)
+def test_path_writes_the_same_bytes_to_stdout_a_text_stream_and_a_file(source, extra, tmp_path):
+    """The byte writer against the points formatted one by one as text,
+    on stdout's binary layer, on a text stream without one and in an
+    ``--out`` file."""
+    argv = ["path", *source, "--depth", "2", *extra]
+    code, text, err = run(argv)
+    if "--exponent" in extra and source[0] in ("maehara", "hill-z"):
+        assert (code, text) == (2, ""), err  # not symmetric: no squared path
+        return
+    assert code == 0, err
+    defn = cli._load_source(source[0], int(source[1]) if len(source) > 1 else None)[0]
+    if "--exponent" in extra:
+        points = engine.iter_squared_path(defn, 2, cells="--cells" in extra)
+    else:
+        origin = extra[1] if extra[0] == "--origin" else "corner"
+        points = engine.iter_path(defn, 2, origin, cells="--cells" in extra)
+    body = "".join(" ".join(map(str, p)) + "\n" for p in points)
+    assert text.split("\n", 1)[1] == body
+    assert run_binary(argv) == (0, text.encode())
+    out = tmp_path / "points.txt"
+    assert run([*argv, "--out", str(out)]) == (0, "", "")
+    assert out.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,23 +1,26 @@
 """Path enumeration, point location, symmetry and squaring."""
 
 import contextlib
+import functools
 import io
 import itertools
 import random
 import time
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
 import pytest
 from conftest import UNEVEN_RULES, differential_rules
 
-from traversals import cli
+from traversals import cli, engine
 from traversals.engine import (
     ORIGIN_MODES,
     NotCubicError,
     NotSymmetricError,
     Path,
     _plus_with_sign,
+    _columns,
     _require_cubic,
     _table,
     cell_units,
@@ -673,6 +676,133 @@ def test_walk_rejects_bad_arguments():
         next(iter_path(defn, 1, "middle"))
 
 
+
+def _block_settings(monkeypatch, points, most):
+    monkeypatch.setattr(engine, "_BLOCK_POINTS", points)
+    monkeypatch.setattr(engine, "_BLOCK_MAX", most)
+
+
+def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
+    """One-level blocks, the old 64-point blocks, the default and blocks
+    of the whole path give the recursion's points in every origin mode,
+    and its cells, on every rule at depths 0-4 (paths of at most 1024
+    points)."""
+    cases = 0
+    for label, defn in differential_rules():
+        w = cell_units(defn)
+        for depth in range(5):
+            if len(defn.entries) ** depth > 1024:
+                break
+            centre = list(recursive_iter_path(defn, depth))
+            low = [min(col) - w // 2 for col in zip(*centre)]
+            want = {
+                "centre": centre,
+                "corner": [tuple(map(sub, p, low)) for p in centre],
+                "first": [tuple(map(sub, p, centre[0])) for p in centre],
+                "last": [tuple(map(sub, p, centre[-1])) for p in centre],
+            }
+            cells = [tuple(x // w for x in p) for p in want["corner"]]
+            for setting in ((1, 1), (64, 729), (engine._BLOCK_POINTS, engine._BLOCK_MAX),
+                            (10**9, 10**9)):
+                _block_settings(monkeypatch, *setting)
+                for origin in ORIGIN_MODES:
+                    got = list(iter_path(defn, depth, origin))
+                    assert got == want[origin], (label, depth, origin, setting)
+                got = list(iter_path(defn, depth, "corner", cells=True))
+                assert got == cells, (label, depth, setting)
+            cases += 1
+    assert cases > 440
+
+
+# -- rows and blocks against the code they replaced --------------------------
+
+
+def apply_compose_row(table, i):
+    """``_Table.row`` as it was when it built each child with
+    ``SignedPermutation.apply`` and ``.compose``, kept verbatim as the
+    oracle (it gives the next state itself, not its id)."""
+    t = table.states[i]
+    kids = table.children[::-1] if t.reverse else table.children
+    return [(t.apply(c), t.compose(e)) for c, e in kids]
+
+
+def point_blocks(table, leaf_levels):
+    """The ``block()`` of ``iter_path`` as it was when it built each block
+    point by point, kept verbatim as the oracle (points only)."""
+    d, s, row = table.d, table.s, table.row
+    blocks: dict = {}
+    cells = False
+
+    def block(key):
+        """Per-axis columns under a block root: the leaf offsets of the
+        state ``key[0]``, or with ``cells`` their cell offsets from a root
+        whose coordinates are ``key[1:]`` modulo ``w``."""
+        b = blocks.get(key)
+        if b is None:
+            pts = [((0,) * d, key[0])]
+            for level in range(leaf_levels, 0, -1):
+                f = s ** (level - 1)
+                pts = [
+                    (tuple(x + f * o for x, o in zip(c, off)), child)
+                    for c, st in pts
+                    for off, child in row(st)
+                ]
+            b = tuple(zip(*(c for c, _ in pts)))
+            if cells:
+                b = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], b))
+            blocks[key] = b
+        return b
+
+    return block
+
+
+@functools.lru_cache(maxsize=1)
+def compared_states():
+    """(label, table, state ids) per differential rule: every state
+    reachable from the root when there are at most 1000 (all rules up to
+    d = 4, the fixed curves, the uneven and golden rules), else the 64
+    nearest the root, breadth first (the eight rules at d = 5 and 6,
+    whose 18 M (state, child) pairs would take minutes)."""
+    out = []
+    for label, defn in differential_rules():
+        table, i = _table(defn), 0
+        while i < len(table.states) <= 1000:
+            table.row(i)
+            i += 1
+        states = range(len(table.states)) if i == len(table.states) else range(64)
+        out.append((label, table, states))
+    return out
+
+
+def test_integer_rows_match_apply_compose_rows():
+    full = 0
+    for label, table, states in compared_states():
+        for i in states:
+            want = apply_compose_row(table, i)
+            got = [(off, table.states[j]) for off, j in table.row(i)]
+            assert got == want, (label, i)
+            assert all(type(off) is tuple for off, _ in got), label
+        assert table.states[table.root] == SignedPermutation.identity(table.d), label
+        assert len(set(table.states)) == len(table.states), label
+        offsets = [off for i in states for off, _ in table.row(i)]
+        assert len(set(map(id, offsets))) == len(set(offsets)), label  # equal ones shared
+        full += len(states) == len(table.states)
+    assert full == 112
+
+
+def test_column_blocks_match_point_blocks():
+    """Blocks of one level on every compared state; blocks of every height
+    up to ``_BLOCK_MAX`` points on the four states nearest the root."""
+    for label, table, states in compared_states():
+        for h in range(5):
+            if table.n**h > engine._BLOCK_MAX:
+                break
+            want, below = point_blocks(table, h), [{} for _ in range(h)]
+            for i in states if h <= 1 else states[:4]:
+                got = _columns(table, i, h, below)
+                assert [list(col) for col in got] == [list(col) for col in want((i,))], (label, h, i)
+
+
 # -- locate and squaring against the Fraction descents they replaced ------
 
 
@@ -966,4 +1096,4 @@ def test_threads_sharing_a_rule_intern_each_state_once():
     for k, got in enumerate(runs):
         assert got == want[k:] + want[:k]
     assert len(set(table.states)) == len(table.states)
-    assert all(table._ids[st] == i for i, st in enumerate(table.states))
+    assert all(table._ids[st.entries, st.reverse] == i for i, st in enumerate(table.states))

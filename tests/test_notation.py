@@ -80,6 +80,14 @@ def test_format_single_forward_identity():
     assert format_definition(defn) == "[1 2}"
 
 
+def test_rules_built_from_no_entries_are_refused():
+    for build in (TraversalDefinition.from_moves, TraversalDefinition.from_centres):
+        with pytest.raises(ValueError, match="^a definition needs at least one entry$"):
+            build([], [])
+        with pytest.raises(ValueError, match="^a definition needs at least one entry$"):
+            build(iter([]), iter([]))
+
+
 def test_format_reverse_entry():
     assert str(perm(3, 2, -1, reverse=True)) == "{3 2 -1]"
 
