@@ -687,12 +687,14 @@ PATH_BYTE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("source,extra", PATH_BYTE_CASES)
+@pytest.mark.parametrize("source,extra", PATH_BYTE_CASES,
+                         ids=[" ".join(source + extra) for source, extra in PATH_BYTE_CASES])
 def test_path_writes_the_same_bytes_to_stdout_a_text_stream_and_a_file(source, extra, tmp_path):
     """The byte writer against the points formatted one by one as text,
     on stdout's binary layer, on a text stream without one and in an
-    ``--out`` file."""
-    argv = ["path", *source, "--depth", "2", *extra]
+    ``--out`` file (squares at depth 1, which walk d levels)."""
+    depth = 1 if "--exponent" in extra else 2
+    argv = ["path", *source, "--depth", str(depth), *extra]
     code, text, err = run(argv)
     if "--exponent" in extra and source[0] in ("maehara", "hill-z"):
         assert (code, text) == (2, ""), err  # not symmetric: no squared path
@@ -700,10 +702,10 @@ def test_path_writes_the_same_bytes_to_stdout_a_text_stream_and_a_file(source, e
     assert code == 0, err
     defn = cli._load_source(source[0], int(source[1]) if len(source) > 1 else None)[0]
     if "--exponent" in extra:
-        points = engine.iter_squared_path(defn, 2, cells="--cells" in extra)
+        points = engine.iter_squared_path(defn, depth, cells="--cells" in extra)
     else:
         origin = extra[1] if extra[0] == "--origin" else "corner"
-        points = engine.iter_path(defn, 2, origin, cells="--cells" in extra)
+        points = engine.iter_path(defn, depth, origin, cells="--cells" in extra)
     body = "".join(" ".join(map(str, p)) + "\n" for p in points)
     assert text.split("\n", 1)[1] == body
     assert run_binary(argv) == (0, text.encode())

@@ -676,17 +676,12 @@ def test_walk_rejects_bad_arguments():
         next(iter_path(defn, 1, "middle"))
 
 
-
-def _block_settings(monkeypatch, points, most):
-    monkeypatch.setattr(engine, "_BLOCK_POINTS", points)
-    monkeypatch.setattr(engine, "_BLOCK_MAX", most)
-
-
 def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
     """One-level blocks, the old 64-point blocks, the default and blocks
     of the whole path give the recursion's points in every origin mode,
     and its cells, on every rule at depths 0-4 (paths of at most 1024
     points)."""
+    settings = ((1, 1), (64, 729), (engine._BLOCK_POINTS, engine._BLOCK_MAX), (10**9, 10**9))
     cases = 0
     for label, defn in differential_rules():
         w = cell_units(defn)
@@ -702,9 +697,9 @@ def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
                 "last": [tuple(map(sub, p, centre[-1])) for p in centre],
             }
             cells = [tuple(x // w for x in p) for p in want["corner"]]
-            for setting in ((1, 1), (64, 729), (engine._BLOCK_POINTS, engine._BLOCK_MAX),
-                            (10**9, 10**9)):
-                _block_settings(monkeypatch, *setting)
+            for setting in settings:
+                monkeypatch.setattr(engine, "_BLOCK_POINTS", setting[0])
+                monkeypatch.setattr(engine, "_BLOCK_MAX", setting[1])
                 for origin in ORIGIN_MODES:
                     got = list(iter_path(defn, depth, origin))
                     assert got == want[origin], (label, depth, origin, setting)
@@ -726,12 +721,11 @@ def apply_compose_row(table, i):
     return [(t.apply(c), t.compose(e)) for c, e in kids]
 
 
-def point_blocks(table, leaf_levels):
+def point_blocks(table, leaf_levels, cells=False):
     """The ``block()`` of ``iter_path`` as it was when it built each block
-    point by point, kept verbatim as the oracle (points only)."""
-    d, s, row = table.d, table.s, table.row
+    point by point, kept verbatim as the oracle."""
+    d, s, row, w = table.d, table.s, table.row, 2 * table.m
     blocks: dict = {}
-    cells = False
 
     def block(key):
         """Per-axis columns under a block root: the leaf offsets of the
