@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .engine import Path, iter_path
+from .engine import Path, _require_int_depth, iter_path
 from .generators import gen_base_pattern
 from .notation import TraversalDefinition, _symmetries_mapping
 
@@ -434,6 +434,7 @@ def palindromic_on_cells(
     reverses of each other, position by position across the facet.  One
     pass over ``cells`` (any iterable) builds all the facet sequences.
     """
+    _require_int_depth(depth)
     half = 2**depth // 2  # cells per axis in one level-1 cell
     # facet_seqs[level1 * d + axis]: the cells of level-1 cell `level1`
     # on its facet across `axis` (coordinate half - 1 or half), in visit
@@ -470,6 +471,7 @@ def check_palindromic(
 ) -> PropertyReport:
     """Palindromicity of the rule's depth-``depth`` path (see
     :func:`palindromic_on_cells`); depth 0 has no level-1 cells to compare."""
+    _require_int_depth(depth)
     if depth < 1:
         raise ValueError("palindromicity is checked at depth >= 1")
     if defn.scale != 2 or not defn.fills_cube:
@@ -576,6 +578,7 @@ def check_facet_order(
         raise ValueError(f"facet side {side!r} must be -1 or +1")
     if defn_dminus1.dimension != d - 1:
         raise ValueError("the comparison rule must have one dimension less")
+    _require_int_depth(depth)
     n_side = defn_d.scale**depth
     boundary = n_side - 1 if side > 0 else 0
 

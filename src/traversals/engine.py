@@ -11,7 +11,8 @@ object (:func:`_table`), so repeated calls on one rule share its rows.
 Enumeration walks the table depth first, down to blocks of the lowest
 levels that are built once per state as per-axis columns (the fewest
 levels holding at least ``_BLOCK_POINTS`` points, up to ``_BLOCK_MAX``);
-location and squaring descend it one child per level.  All arithmetic is
+location descends it one child per level, and squaring expands it one
+whole level at a time down to depth d.  All arithmetic is
 exact; the emitted points are integers on a lattice where one
 lowest-level cell is two units wide, so cube-tile centres land on odd
 coordinates in corner origin mode.  With ``cells`` the walk emits
@@ -155,9 +156,10 @@ class _Table:
 
         ``digits`` are the visit positions, top level first; the point
         is on the lattice where a cell of that level is ``2*m`` wide.
-        The descent collects the offset of each of the L levels and sums
-        each axis once: the point is the sum over levels of the offset
-        times ``s**(L-1)``, ..., ``s**0``.
+        The point is the sum over the L levels of each level's offset
+        times ``s**(L-1)``, ..., ``s**0``, summed per axis over the top
+        1 to ``_CHUNK`` levels, then over each further ``_CHUNK`` levels
+        added by Horner's rule, so it holds O(L) ints at any depth.
         """
         i, rows, offsets = self.root, self.rows, []
         for k in digits:
@@ -165,8 +167,16 @@ class _Table:
             offsets.append(off)
         if not offsets:
             return [0] * self.d, i
-        powers = _powers(self.s, len(offsets))
-        return [sum(map(mul, column, powers)) for column in zip(*offsets)], i
+        s, n = self.s, len(offsets)
+        top = (n - 1) % _CHUNK + 1  # the levels above the full chunks
+        powers = _powers(s, top)  # map stops at the shorter: the top levels only
+        pos = [sum(map(mul, column, powers)) for column in zip(*offsets)]
+        for k in range(top, n, _CHUNK):
+            powers = _powers(s, _CHUNK)
+            f = s * powers[0]
+            chunk = zip(*offsets[k : k + _CHUNK])
+            pos = [x * f + sum(map(mul, column, powers)) for x, column in zip(pos, chunk)]
+        return pos, i
 
 
 def _signed(v) -> tuple:
@@ -184,10 +194,22 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
+# Levels summed at a time by _Table.descend: its weight tables hold at
+# most _CHUNK powers, so the cache holds O(_CHUNK**2) bits at any depth.
+_CHUNK = 64
+
+
 @functools.lru_cache(maxsize=64)
 def _powers(s: int, n: int) -> tuple[int, ...]:
-    """``s**(n-1), ..., s, 1``: the weights of the levels of an n-level descent."""
+    """``s**(n-1), ..., s, 1``: the weights of n levels of a descent."""
     return tuple([s**e for e in range(n - 1, -1, -1)])
+
+
+def _require_int_depth(depth) -> None:
+    """Refuse a depth that is not an ``int`` (a bool included): any other
+    number would make inexact geometry or walk a depth it does not name."""
+    if type(depth) is not int:
+        raise ValueError(f"depth must be an int, got {depth!r}")
 
 
 def _table(defn: TraversalDefinition) -> _Table:
@@ -273,6 +295,7 @@ def iter_path(
     descend through the first/last child, ``corner`` takes the per-axis
     minimum over the refinement levels.
     """
+    _require_int_depth(depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if origin not in ORIGIN_MODES:
@@ -381,9 +404,11 @@ def locate(
     base-D digits of the cell index down the rule's state table: O(depth)
     row lookups, no enumeration.
     """
+    _require_int_depth(depth)
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     p, q = t.numerator, t.denominator
     D = len(defn.entries)
     N = D**depth
@@ -422,6 +447,7 @@ def iter_squared_path(
     the depth ``d * depth`` path that selects from it is walked in cell
     indices and streamed.
     """
+    _require_int_depth(depth)
     _require_cubic(defn)
     if depth < 1:
         raise ValueError("squared paths need depth >= 1")
@@ -463,10 +489,6 @@ def find_reversal_symmetry(
     return None
 
 
-def _plus_with_sign(base: int, b: int) -> int:
-    return base + b if b > 0 else -(base - b)
-
-
 def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     """Self-similar rule for the squared traversal, in d*d dimensions.
 
@@ -474,12 +496,14 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     every reversed entry through the reversal symmetry σ).  Each entry of
     the result combines the accumulated depth-d transform with the
     first-level entries selected by the cell's coordinates.  The cells
-    and transforms come from a depth-d descent of the rule's own table,
-    where a reversed state ``rot`` stands for the forward copy ``rot∘σ``.
-    Each move comes from integer cell differences on the table's lattice:
+    and transforms come from expanding the rule's own table one whole
+    level at a time down to depth d (D + D² + … + D^d row reads), where a
+    reversed state ``rot`` stands for the forward copy ``rot∘σ``.  Each
+    move comes from integer cell differences on the table's lattice:
     axis k of coordinate group j steps by the difference of the group's
     first-level centres over the cell width ``2*m``.  The result is built
-    from these derived parts unchecked (``TraversalDefinition._of``).
+    from these derived parts unchecked (``TraversalDefinition._of``,
+    ``SignedPermutation._of``, ``Move._of``).
     """
     _require_cubic(defn)
     sigma = find_reversal_symmetry(defn)
@@ -487,43 +511,58 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
         raise NotSymmetricError("the rule is not symmetric; squaring is not self-similar")
     d, s = defn.dimension, defn.scale
     D = len(defn.entries)
-    forward = [e.compose(sigma) if e.reverse else e for e in defn.entries]
-    low_sigma = [f.compose(sigma) for f in forward]
-    centres = defn.centres
-    table = _table(defn)
+    centres, table = defn.centres, _table(defn)
     lattice = table.centres  # the first-level centres, cells 2*m wide
     w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
 
+    # items[p, c]: coordinate group j's entry items when the state's
+    # signed axis j is p and that axis selects first-level cell c.
+    items = {}
+    for c, e in enumerate(defn.entries):
+        fwd = e.compose(sigma) if e.reverse else e
+        for a in range(1, d + 1):
+            base = (a - 1) * d
+            for p, low in ((a, fwd), (-a, fwd.compose(sigma))):
+                items[p, c] = [base + b if b > 0 else b - base for b in low.entries]
+
+    level = [((0,) * d, table.root)]
+    for _ in range(d):
+        level = [
+            ([x * s + o for x, o in zip(pos, off)], child)
+            for pos, i in level
+            for off, child in table.row(i)
+        ]
+
+    forward: dict = {}  # state id -> entries of its forward copy
+    group_steps: dict = {}  # (group, previous cell, cell) -> the group's steps
     sq_entries: list[SignedPermutation] = []
     sq_centres: list[Vector] = []
     sq_moves: list[Move] = []
     prev = None
-    for seq in itertools.product(range(D), repeat=d):
-        pos, i = table.descend(seq)
-        state = table.states[i]
-        acc = (state.compose(sigma) if state.reverse else state).entries
+    for pos, i in level:
         x = [(v + corner) // w for v in pos]  # 0-based cells
-        ent = [0] * (d * d)
-        for j in range(d):
-            pj = acc[j]
-            mcell = x[abs(pj) - 1]
-            low = forward[mcell] if pj > 0 else low_sigma[mcell]
-            base = (abs(pj) - 1) * d
-            for j2 in range(d):
-                ent[j * d + j2] = _plus_with_sign(base, low.entries[j2])
+        acc = forward.get(i)
+        if acc is None:
+            state = table.states[i]
+            acc = forward[i] = (state.compose(sigma) if state.reverse else state).entries
+        ent = []
+        for p in acc:
+            ent += items[p, x[abs(p) - 1]]
         sq_entries.append(SignedPermutation._of(tuple(ent)))
-        cvec: list[Fraction] = []
-        for j in range(d):
-            cvec.extend(centres[x[j]])
-        sq_centres.append(tuple(cvec))
+        sq_centres.append(tuple(itertools.chain.from_iterable(map(centres.__getitem__, x))))
         if prev is not None:
             steps = []  # ascending axes, one sign per axis: canonical
-            for j in range(d):
-                a, b = lattice[prev[j]], lattice[x[j]]
-                for k in range(d):
-                    n = (b[k] - a[k]) // w
-                    steps += [j * d + k + 1 if n > 0 else -(j * d + k + 1)] * abs(n)
-            sq_moves.append(Move(tuple(steps)))
+            for j, a, b in zip(range(d), prev, x):
+                if a == b:
+                    continue
+                g = group_steps.get((j, a, b))
+                if g is None:
+                    g = group_steps[j, a, b] = []
+                    for k, (u, v) in enumerate(zip(lattice[a], lattice[b]), j * d + 1):
+                        n = (v - u) // w
+                        g += [k if n > 0 else -k] * abs(n)
+                steps += g
+            sq_moves.append(Move._of(tuple(steps)))
         prev = x
     return TraversalDefinition._of(
         d * d, s, tuple(sq_entries), tuple(sq_moves), s, tuple(sq_centres)

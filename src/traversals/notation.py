@@ -29,10 +29,11 @@ and safe to share across threads; data derived from a rule (its
 once and kept on the rule object, outside its fields, so equality,
 hashing, ``repr``, copying and pickling see the fields alone.
 Input is checked once, by the public constructors and `parse_definition`;
-permutations derived from checked ones are built by
-``SignedPermutation._of`` and not checked again.  For rules, the public
-``TraversalDefinition(...)`` runs every check, the agreement of centres and
-moves included.  ``from_moves`` and ``from_centres`` check their own
+permutations and moves derived from checked ones are built by
+``SignedPermutation._of`` and ``Move._of`` and not checked again.  For
+rules, the public ``TraversalDefinition(...)`` runs every check, the
+agreement of centres and moves included.  ``from_moves`` and
+``from_centres`` check their own
 input (step denominator, dimension and scale, entry count and lengths,
 move count and axes, centre count and lengths) and reject it with the
 public constructor's messages, but derive one of centres and moves from
@@ -87,7 +88,8 @@ class SignedPermutation:
         d = len(self.entries)
         if d == 0:
             raise ValueError("empty permutation")
-        if sorted(abs(e) for e in self.entries) != list(range(1, d + 1)):
+        _require_ints(self.entries, "permutation entry")
+        if sorted(map(abs, self.entries)) != list(range(1, d + 1)):
             raise ValueError(
                 f"absolute values of {self.entries} are not a permutation of 1..{d}"
             )
@@ -157,8 +159,16 @@ class SignedPermutation:
         return tuple(tuple(r) for r in rows)
 
     def __str__(self) -> str:
-        inner = " ".join(str(e) for e in self.entries)
+        inner = " ".join(map(str, self.entries))
         return "{%s]" % inner if self.reverse else "[%s}" % inner
+
+
+def _require_ints(items, what: str) -> None:
+    """Refuse an item that is not an ``int`` (a bool included): the text
+    form writes items with ``str``, and the parser reads back only ints."""
+    for e in items:
+        if type(e) is not int:
+            raise ValueError(f"{what} {e!r} is not an int")
 
 
 def _cube_symmetries(d: int) -> Iterator[SignedPermutation]:
@@ -192,10 +202,19 @@ class Move:
     steps: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(e == 0 for e in self.steps):
+        _require_ints(self.steps, "move element")
+        if 0 in self.steps:
             raise ValueError("move element 0 is not a valid axis index")
-        canon = tuple(sorted(self.steps, key=lambda e: (abs(e), e < 0)))
-        object.__setattr__(self, "steps", canon)
+        if len(self.steps) > 1 or type(self.steps) is not tuple:
+            canon = tuple(sorted(self.steps, key=lambda e: (abs(e), e < 0)))
+            object.__setattr__(self, "steps", canon)
+
+    @classmethod
+    def _of(cls, steps: tuple[int, ...]) -> "Move":
+        """A move whose steps are derived in canonical order, left unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "steps", steps)
+        return m
 
     def check_dimension(self, d: int) -> None:
         for e in self.steps:
@@ -217,7 +236,7 @@ class Move:
         return Move(tuple(-e for e in self.steps))
 
     def __str__(self) -> str:
-        return " ".join(str(e) for e in self.steps)
+        return " ".join(map(str, self.steps))
 
 
 def _check_step_den(u) -> None:
@@ -550,17 +569,17 @@ def parse_definition(text: str) -> TraversalDefinition:
     ints: list[int] = []  # the move or entry being read
     opener = None  # the bracket of the open entry
     try:
-        for m in _TOKEN.finditer(text):
-            key, val, num, bracket, junk = m.groups()
-            if num is not None:
+        # A group that did not take part in the match reads "".
+        for key, val, num, bracket, junk in _TOKEN.findall(text):
+            if num:
                 ints.append(int(num))
-            elif key is not None:
+            elif key:
                 if entries or ints or opener:
                     raise ParseError("header fields must precede the first entry")
                 header[key] = int(val)
-            elif junk is not None:
+            elif junk:
                 raise ParseError(f"unexpected character {junk!r}")
-            elif bracket is None:  # a comment
+            elif not bracket:  # a comment
                 continue
             elif opener:
                 if bracket != _CLOSER[opener]:

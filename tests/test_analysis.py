@@ -497,6 +497,26 @@ def test_facet_order_rejects_a_bad_facet_before_any_walk(facet, message, monkeyp
     assert str(info.value) == message
 
 
+
+@pytest.mark.parametrize("depth", [2.0, 1.5, True, "2"], ids=repr)
+def test_every_depth_taking_check_refuses_a_depth_that_is_not_an_int(depth, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    z3, z2 = gen_z(3), gen_z(2)
+    message = f"^depth must be an int, got {depth!r}$"
+    with pytest.raises(ValueError, match=message):
+        check_straight_jumping(z3, depth)  # refused by the walk it reads
+    monkeypatch.setattr(analysis, "iter_path", no_walk)
+    for call in (
+        lambda: check_palindromic(z3, depth),
+        lambda: palindromic_on_cells([(0, 0, 0)], 3, depth),
+        lambda: check_facet_order(z3, z2, (1, -1), depth),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # -- bounding boxes ------------------------------------------------------------
 
 

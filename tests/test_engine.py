@@ -6,9 +6,10 @@ import io
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 import pytest
 from conftest import UNEVEN_RULES, differential_rules
@@ -19,7 +20,6 @@ from traversals.engine import (
     NotCubicError,
     NotSymmetricError,
     Path,
-    _plus_with_sign,
     _columns,
     _require_cubic,
     _table,
@@ -43,6 +43,7 @@ from traversals.generators import (
     generate,
 )
 from traversals.notation import (
+    Move,
     SignedPermutation,
     TraversalDefinition,
     _cube_symmetries,
@@ -839,6 +840,10 @@ def fraction_locate(
     return tuple(centre)
 
 
+def _plus_with_sign(base: int, b: int) -> int:
+    return base + b if b > 0 else -(base - b)
+
+
 def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     """The ``squared_definition`` over ``Fraction`` centres and composed
     transforms, kept verbatim as the oracle of the integer descent."""
@@ -1091,3 +1096,223 @@ def test_threads_sharing_a_rule_intern_each_state_once():
         assert got == want[k:] + want[:k]
     assert len(set(table.states)) == len(table.states)
     assert all(table._ids[st.entries, st.reverse] == i for i, st in enumerate(table.states))
+
+
+# -- squaring, locate and the descent against the code they replaced ----------
+
+
+def descent_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
+    """``squared_definition`` as it was when it descended the table from
+    the root once per cell and built each move checked, kept verbatim as
+    the oracle of the level-order walk."""
+    _require_cubic(defn)
+    sigma = find_reversal_symmetry(defn)
+    if sigma is None:
+        raise NotSymmetricError("the rule is not symmetric; squaring is not self-similar")
+    d, s = defn.dimension, defn.scale
+    D = len(defn.entries)
+    forward = [e.compose(sigma) if e.reverse else e for e in defn.entries]
+    low_sigma = [f.compose(sigma) for f in forward]
+    centres = defn.centres
+    table = _table(defn)
+    lattice = table.centres  # the first-level centres, cells 2*m wide
+    w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
+
+    sq_entries: list[SignedPermutation] = []
+    sq_centres: list = []
+    sq_moves: list[Move] = []
+    prev = None
+    for seq in itertools.product(range(D), repeat=d):
+        pos, i = table.descend(seq)
+        state = table.states[i]
+        acc = (state.compose(sigma) if state.reverse else state).entries
+        x = [(v + corner) // w for v in pos]  # 0-based cells
+        ent = [0] * (d * d)
+        for j in range(d):
+            pj = acc[j]
+            mcell = x[abs(pj) - 1]
+            low = forward[mcell] if pj > 0 else low_sigma[mcell]
+            base = (abs(pj) - 1) * d
+            for j2 in range(d):
+                ent[j * d + j2] = _plus_with_sign(base, low.entries[j2])
+        sq_entries.append(SignedPermutation._of(tuple(ent)))
+        cvec: list[Fraction] = []
+        for j in range(d):
+            cvec.extend(centres[x[j]])
+        sq_centres.append(tuple(cvec))
+        if prev is not None:
+            steps = []  # ascending axes, one sign per axis: canonical
+            for j in range(d):
+                a, b = lattice[prev[j]], lattice[x[j]]
+                for k in range(d):
+                    n = (b[k] - a[k]) // w
+                    steps += [j * d + k + 1 if n > 0 else -(j * d + k + 1)] * abs(n)
+            sq_moves.append(Move(tuple(steps)))
+        prev = x
+    return TraversalDefinition._of(
+        d * d, s, tuple(sq_entries), tuple(sq_moves), s, tuple(sq_centres)
+    )
+
+
+def converting_locate(
+    defn: TraversalDefinition,
+    t: Fraction,
+    depth: int,
+    side: str = "plus",
+):
+    """``locate`` as it was when it converted every ``t`` to a
+    ``Fraction``, kept verbatim as its oracle."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    D = len(defn.entries)
+    N = D**depth
+    if side == "plus":
+        if not 0 <= p < q:
+            raise ValueError("plus side needs t in [0, 1)")
+        i = p * N // q
+    elif side == "minus":
+        if not 0 < p <= q:
+            raise ValueError("minus side needs t in (0, 1]")
+        i = -(-p * N // q) - 1
+    else:
+        raise ValueError("side must be 'plus' or 'minus'")
+
+    digits = [0] * depth
+    for e in range(depth - 1, -1, -1):
+        i, digits[e] = divmod(i, D)
+    table = _table(defn)
+    pos, _ = table.descend(digits)
+    unit = 2 * table.m * defn.scale**depth
+    return tuple(Fraction(x, unit) for x in pos)
+
+
+def _outcome(f, *args):
+    """``repr`` of what ``f(*args)`` returns, or the type and text of the
+    ``ValueError`` it raises."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _square_outcome(f, defn):
+    """What ``f(defn)`` gives: the ``repr`` of the square's fields but its
+    centres, the centres and the types of their coordinates (as strict as
+    their ``repr``, at a tenth of the cost on 19 683 nine-dimensional
+    centres); or the type and text of the ``ValueError`` it raises."""
+    try:
+        sq = f(defn)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    parts = repr((sq.dimension, sq.scale, sq.entries, sq.moves, sq.step_den))
+    return parts, sq.centres, {type(x) for c in sq.centres for x in c}
+
+
+def test_squared_definition_matches_the_descent_squaring():
+    """Every cube-filling family rule at d = 1..3 and every fixed curve:
+    the same square, or the same error."""
+    rules = []
+    for kind in TraversalKind:
+        for d in (1, 2, 3):
+            try:
+                defn = generate(kind, d)
+            except BetaUndefinedError:
+                continue
+            if defn.fills_cube:
+                rules.append((f"{kind.value} d={d}", defn))
+    rules += [(name, builtin_fixed(name)) for name in FIXED_NAMES]
+    squared = refused = 0
+    for label, defn in rules:
+        want = _square_outcome(descent_squared_definition, defn)
+        assert _square_outcome(squared_definition, defn) == want, label
+        if len(want) == 3:
+            assert want[2] == {Fraction}, label
+            squared += 1
+        else:
+            refused += 1
+    assert squared >= 34 and refused >= 8
+
+
+def test_locate_matches_the_converting_locate_for_every_form_of_t():
+    """Every differential rule at depths 0..12, both sides, with ``t`` a
+    ``Fraction``, an ``int``, a ``float`` and a ``str``: the same point,
+    or the same error."""
+    rng = random.Random(19)
+    cases = 0
+    for label, defn in differential_rules():
+        for depth in range(13):
+            n = len(defn.entries) ** depth
+            i = rng.randrange(n)
+            mid = F(2 * i + 1, 2 * n)
+            for t in (mid, float(mid), str(F(i, n)), 0, 1, 2.0):
+                for side in ("plus", "minus"):
+                    want = _outcome(converting_locate, defn, t, depth, side)
+                    assert _outcome(locate, defn, t, depth, side) == want, (label, depth, t, side)
+                    cases += 1
+    assert cases == 120 * 13 * 12
+
+
+def sum_descend(table, digits):
+    """``_Table.descend`` as it was when it summed each axis against one
+    table of all L powers of ``s``, kept verbatim as the oracle of the
+    chunked sum (its weights are built here, outside any cache)."""
+    i, rows, offsets = table.root, table.rows, []
+    for k in digits:
+        off, i = (rows[i] or table.row(i))[k]
+        offsets.append(off)
+    if not offsets:
+        return [0] * table.d, i
+    powers = tuple([table.s**e for e in range(len(offsets) - 1, -1, -1)])
+    return [sum(map(mul, column, powers)) for column in zip(*offsets)], i
+
+
+def test_chunked_descent_matches_the_one_table_sum_across_chunks():
+    rng = random.Random(20)
+    rules = [("harmonious d=2", generate("harmonious", 2)), ("peano d=2", generate("peano", 2)),
+             ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
+    for label, defn in rules:
+        table = _table(defn)
+        for depth in range(201):
+            digits = [rng.randrange(table.n) for _ in range(depth)]
+            assert table.descend(digits) == sum_descend(table, digits), (label, depth)
+        last = [table.n - 1] * 200
+        assert table.descend(last) == sum_descend(table, last), label
+
+
+def _locate_peak(defn, depth):
+    tracemalloc.start()
+    try:
+        locate(defn, F(1, 3), depth)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_locate_memory_grows_linearly():
+    """Doubling the depth at most about doubles the peak: the cached
+    weight tables hold at most ``_CHUNK`` powers, whatever the depth."""
+    defn = generate("harmonious", 2)
+    locate(defn, F(1, 3), 30)  # the table's rows, built once
+    small, large = _locate_peak(defn, 4000), _locate_peak(defn, 8000)
+    assert large <= 2.5 * small, (small, large)
+    assert engine._powers.cache_info().currsize <= 64
+
+
+@pytest.mark.parametrize("depth", [2.0, 1.5, True, "2"], ids=repr)
+def test_every_depth_taking_entry_refuses_a_depth_that_is_not_an_int(depth):
+    h, z = generate("harmonious", 2), generate("z", 2)
+    calls = [
+        lambda: next(iter_path(h, depth)),
+        lambda: next(iter_path(z, depth, "corner", cells=True)),
+        lambda: next(iter_squared_path(z, depth)),
+        lambda: generate_path(h, depth),
+        lambda: generate_full_path(h, depth),
+        lambda: squared_path(z, depth),
+        lambda: locate(h, F(1, 3), depth),
+        lambda: locate(h, F(1, 3), depth, "minus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^depth must be an int, got {depth!r}$"):
+            call()

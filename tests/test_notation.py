@@ -278,6 +278,38 @@ def test_move_canonical_order():
     assert Move((-2, 1, -2)).steps == (1, -2, -2)
 
 
+def test_moves_of_fewer_than_two_steps_are_kept_as_tuples():
+    for steps in ((), (-3,), [], [2]):
+        move = Move(steps)
+        assert type(move.steps) is tuple and move.steps == tuple(steps)
+        assert str(move) == " ".join(map(str, steps))
+    assert str(Move((2, -1, 1))) == "1 -1 2"
+    assert str(perm(3, -1, 2, reverse=True)) == "{3 -1 2]"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SignedPermutation((1.0, 2)), "permutation entry 1.0 is not an int"),
+    (lambda: SignedPermutation((True, 2)), "permutation entry True is not an int"),
+    (lambda: SignedPermutation((2, False), reverse=True), "permutation entry False is not an int"),
+    (lambda: Move((True,)), "move element True is not an int"),
+    (lambda: Move((1.0,)), "move element 1.0 is not an int"),
+    (lambda: Move((1, 2, "3")), "move element '3' is not an int"),
+], ids=["float entry", "bool entry", "bool entry reversed", "bool step", "float step", "str step"])
+def test_permutations_and_moves_take_only_ints(make, message):
+    # These were accepted: format_definition then wrote "[1.0 2}" or
+    # "True", which parse_definition rejects, and a float step made
+    # from_moves raise a bare TypeError.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_trusted_moves_are_left_as_given():
+    move = Move._of((3, -1))  # derived in canonical order by its caller, never re-sorted
+    assert move.steps == (3, -1) and type(move) is Move
+    assert Move._of((1, -2, 3)) == Move((3, -2, 1))
+
+
 def test_definition_reversed_twice_is_identity():
     defn = parse_definition("{2 -1] 1 [1 2} 2 {1 -2] -1 [-2 -1}")
     assert defn.reversed().reversed() == defn
