@@ -33,12 +33,11 @@ permutations and moves derived from checked ones are built by
 ``SignedPermutation._of`` and ``Move._of`` and not checked again.  For
 rules, the public ``TraversalDefinition(...)`` runs every check, the
 agreement of centres and moves included.  ``from_moves`` and
-``from_centres`` check their own
-input (step denominator, dimension and scale, entry count and lengths,
-move count and axes, centre count and lengths) and reject it with the
-public constructor's messages, but derive one of centres and moves from
-the other on the integer lattice, so they do not test the agreement
-again.  Rules derived from checked ones (``reversed``, ``transformed``,
+``from_centres`` check their own input (step denominator, dimension and
+scale, entry count and lengths, move count and axes, centre count and
+lengths) and reject it with the public constructor's messages, but
+derive one of centres and moves from the other on the integer lattice,
+so they do not test the agreement again.  Rules derived from checked ones (``reversed``, ``transformed``,
 the engine's square) are built by ``TraversalDefinition._of`` and not
 checked at all.
 """

@@ -276,6 +276,8 @@ def test_parser_rejects_garbage_without_crashing(text):
 def test_move_canonical_order():
     assert Move((3, -1, 2)).steps == (-1, 2, 3)
     assert Move((-2, 1, -2)).steps == (1, -2, -2)
+    assert Move((2, -1)).steps == (-1, 2)
+    assert Move((-1, 1)).steps == (1, -1)
 
 
 def test_moves_of_fewer_than_two_steps_are_kept_as_tuples():
