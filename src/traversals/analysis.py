@@ -407,9 +407,12 @@ def _seeded_sections(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]
 def section_component_audit(
     path: Path, n_sections: int, seed: int
 ) -> tuple[int, int]:
-    """Max and total component count over seeded random sections."""
-    if n_sections < 1:
-        raise ValueError(f"n_sections must be at least 1, got {n_sections}")
+    """Max and total component count over seeded random sections.
+
+    ``n_sections`` must be an ``int`` (not a bool) of at least 1.
+    """
+    if type(n_sections) is not int or n_sections < 1:
+        raise ValueError(f"n_sections must be at least 1, got {n_sections!r}")
     auditor = SectionAuditor(path)
     counts = auditor.counts(_seeded_sections(auditor.length, n_sections, seed))
     return max(counts), sum(counts)
@@ -612,11 +615,12 @@ def max_bbox_ratio(
     sampled with the seeded generator.  Both go through one offline
     sweep over the sections' upper ends (see :func:`_max_bbox_ratio`),
     O(n·d + Q·d log n) time for n points, d axes and Q sections.  Exact
-    rational result.
+    rational result.  ``max_section_count`` must be None or an ``int``
+    (not a bool) of at least 1.
     """
-    if max_section_count is not None and max_section_count < 1:
+    if max_section_count is not None and (type(max_section_count) is not int or max_section_count < 1):
         raise ValueError(
-            f"max_section_count must be at least 1 or None, got {max_section_count}"
+            f"max_section_count must be at least 1 or None, got {max_section_count!r}"
         )
     w = path.cell_units
     cells = [tuple(x // w for x in p) for p in path.points]
@@ -681,10 +685,9 @@ def check_well_folded_rank(
     """First-level centres must follow the reflected-Gray rank law.
 
     For scale-2 cube rules: reading centre signs as bits (positive = 1,
-    axis j is bit j-1) the i-th entry must encode gray(i-1).
+    axis j is bit j-1) the i-th entry must encode gray(i-1), the
+    reflected binary Gray code ``(i-1) ^ ((i-1) >> 1)``.
     """
-    from .bitmatrix import gray
-
     d = defn.dimension
     if defn.scale != 2:
         raise ValueError("the rank law applies to scale-2 rules")
@@ -693,8 +696,9 @@ def check_well_folded_rank(
         for j, x in enumerate(c):
             if x > 0:
                 bits |= 1 << j
-        if bits != gray(i):
+        gray = i ^ (i >> 1)
+        if bits != gray:
             return PropertyReport(
-                "well-folded-rank", kind, d, 1, "fails", (i + 1, bits, gray(i))
+                "well-folded-rank", kind, d, 1, "fails", (i + 1, bits, gray)
             )
     return PropertyReport("well-folded-rank", kind, d, 1, "holds")

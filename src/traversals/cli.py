@@ -5,7 +5,7 @@ Four subcommands on one executable:
 * ``describe KIND [D]``   print a traversal definition
 * ``path SOURCE``         enumerate the points of a definition
 * ``check KIND|FILE|- [D]`` run property checks, exit 1 on failure
-* ``plot SOURCE``         draw the path as an SVG polyline (d = 2 or 3)
+* ``plot SOURCE``         draw the path as an SVG polyline (d = 1 to 3)
 
 ``describe`` and ``path`` together replace the two classic tools this
 interface descends from: ``describe-traversal KIND D`` maps to
@@ -330,7 +330,7 @@ def _cmd_plot(args) -> int:
     defn, _ = _load_source(args.source, args.dimension)
     d = defn.dimension
     if d > 3:
-        raise _UsageError("plotting supports 2 or 3 dimensions only")
+        raise _UsageError("plotting supports 1 to 3 dimensions only")
     _require_held_size(defn, args.depth, "plot")
     _require_cells_per_axis(defn, args.depth)
     points = engine.iter_path(defn, args.depth, "corner")

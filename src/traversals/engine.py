@@ -9,10 +9,10 @@ applied to the child's centre) and state id (the state composed with the
 child's entry).  A rule's table is compiled once and kept on the rule
 object (:func:`_table`), so repeated calls on one rule share its rows.
 Enumeration walks the table depth first, down to blocks of the lowest
-levels that are built once per state as per-axis columns (the fewest
-levels holding at least ``_BLOCK_POINTS`` points, up to ``_BLOCK_MAX``);
-location descends it one child per level, and squaring expands it one
-whole level at a time down to depth d.  All arithmetic is
+levels that are built once per state as per-axis columns (the most
+levels whose block holds at most ``_BLOCK_MAX`` points); location
+descends it one child per level, and squaring expands it one whole
+level at a time down to depth d.  All arithmetic is
 exact; the emitted points are integers on a lattice where one
 lowest-level cell is two units wide, so cube-tile centres land on odd
 coordinates in corner origin mode.  With ``cells`` the walk emits
@@ -223,16 +223,11 @@ def _table(defn: TraversalDefinition) -> _Table:
 
 # The walk expands the lowest levels under a node into one block of leaf
 # offsets, built once per state as per-axis columns (see _columns): the
-# fewest levels (at least one) that hold at least _BLOCK_POINTS points,
-# while a block holds at most _BLOCK_MAX.  A rule with 8 children gets
-# three levels (512 points), Peano at d = 3 two (729); a rule with 32
-# children keeps one, as its blocks over all its states (7 680 for Maehara
-# at d = 5) would otherwise hold millions of points.  Against 64-point
-# blocks, 512-point ones walk Harmonious at d = 3 (depth 6) and at d = 2
-# (depth 8) 15-20 % faster, and Maehara at d = 3 (depth 5) 15 % slower:
-# 40 of its 64 block roots have distinct states, so it builds 20 k block
-# points for a 32 k-point path (in process, Python 3.11, best of 15).
-_BLOCK_POINTS = 512
+# most levels (at least one) whose block holds at most _BLOCK_MAX points.
+# A rule with 8 children gets three levels (512 points), Peano at d = 3
+# two (729).  The cap is there for rules with many states: a rule with 32
+# children keeps one level, as its blocks over all its states (7 680 for
+# Maehara at d = 5) would otherwise hold millions of points.
 _BLOCK_MAX = 729
 
 
@@ -284,13 +279,12 @@ def iter_path(
     once per call as per-axis columns from the blocks one level lower
     (:func:`_columns`), so a point costs one tuple addition, and memory
     stays O(depth) plus the rows and blocks of the states met.  A block
-    spans the fewest levels that hold at least ``_BLOCK_POINTS`` points
-    while it holds at most ``_BLOCK_MAX`` (at least one level, at most the
-    depth).
-    Cell blocks are kept per state and per
-    residue of the block root modulo the cell width ``w``, since
-    ``(base + x) // w == base // w + (base % w + x) // w``; this is exact
-    for every rule, including those whose points are off the cell centres.
+    spans the most levels whose block holds at most ``_BLOCK_MAX`` points
+    (at least one level, at most the depth).  Cell blocks are kept per
+    state and per residue of the block root modulo the cell width ``w``,
+    since ``(base + x) // w == base // w + (base % w + x) // w``; this is
+    exact for every rule, including those whose points are off the cell
+    centres.
     The shift of ``origin`` is taken from the rule: ``first``/``last``
     descend through the first/last child, ``corner`` takes the per-axis
     minimum over the refinement levels.
@@ -306,26 +300,11 @@ def iter_path(
     d, s, n, m, row = table.d, table.s, table.n, table.m, table.row
     w = 2 * m
     leaf_levels = min(depth, 1)
-    while leaf_levels < depth and n**leaf_levels < _BLOCK_POINTS and n ** (leaf_levels + 1) <= _BLOCK_MAX:
+    while leaf_levels < depth and n ** (leaf_levels + 1) <= _BLOCK_MAX:
         leaf_levels += 1
 
     blocks: dict = {}  # by state, or with cells by (state, *root residues)
     below: list = [{} for _ in range(leaf_levels)]  # lower blocks, for _columns
-
-    def block(key):
-        """Per-axis columns under a block root: the leaf offsets of the
-        state ``key``, or with ``cells`` the cell offsets of the state
-        ``key[0]`` from a root whose coordinates are ``key[1:]`` modulo
-        ``w``."""
-        b = blocks.get(key)
-        if b is None:
-            if cells:
-                cols = _columns(table, key[0], leaf_levels, below)
-                b = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], cols))
-            else:
-                b = _columns(table, key, leaf_levels, below)
-            blocks[key] = b
-        return b
 
     if origin == "corner":
         # Per-axis extremes of the subtree of height e in the root frame;
@@ -348,12 +327,18 @@ def iter_path(
         start = tuple(-x for x in table.descend([k] * depth)[0])
 
     def emit(base, state):
+        """The points, or with ``cells`` the cells, of the block at ``base``."""
+        key = (state, *[x % w for x in base]) if cells else state
+        cols = blocks.get(key)
+        if cols is None:
+            cols = _columns(table, state, leaf_levels, below)
+            if cells:
+                # the cell offsets from a root at these residues modulo w
+                cols = tuple(tuple(map(w.__rfloordiv__, map(r.__add__, col))) for r, col in zip(key[1:], cols))
+            blocks[key] = cols
         if cells:
-            key = (state, *[x % w for x in base])
             base = [x // w for x in base]
-        else:
-            key = state
-        return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, block(key))])
+        return zip(*[map(add, itertools.repeat(x), col) for x, col in zip(base, cols)])
 
     # The walk starts one frame above the root, whose only child is the
     # root, so a path of one leaf block is emitted like every other block.

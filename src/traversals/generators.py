@@ -5,7 +5,10 @@ Each family is produced for an arbitrary number of dimensions as a
 rules for the permutation, the reflections and the direction of every
 entry.  The nine families on the binary reflected-Gray pattern G2(d)
 share one builder: each gives only its entry formula, which reads the
-tile's side of every axis from the Gray bits of its position.
+tile's side of every axis from the Gray bits of its position.  The
+Hill-Z and Maehara orders on the simplex centres share another, which
+sorts the binary digits of each position and differs between the two
+only in the rank of a one-digit and in the reversal of odd entries.
 Fixed-dimension curves with no known d-dimensional rule (Pólya,
 the palindromic tetrahedral order, Liu-Joe's SUB8, the Meander square
 order, the triangular-prism curve) ship as bundled definition files.
@@ -22,7 +25,6 @@ from .notation import (
     Move,
     SignedPermutation,
     TraversalDefinition,
-    Vector,
     parse_definition,
 )
 
@@ -183,18 +185,27 @@ def gen_inside_out(d: int) -> TraversalDefinition:
 # -- simplex traversals ------------------------------------------------
 
 
-def _hill_centres(d: int) -> list[Vector]:
-    """Tile-box centres shared by the Hill-Z and Maehara orders.
+def _simplex_rule(
+    d: int, one_rank: Callable[[int, int], int], reverse_odd: bool
+) -> TraversalDefinition:
+    """The Hill-Z or Maehara order: entry i sorts the binary digits of i.
 
-    Coordinate j of the i-th centre is +1/4 when j does not exceed the
-    number of one-digits of i-1, else -1/4.
+    With k one-digits up to position j, of ``ones`` in all, a one-digit
+    there maps to ``one_rank(k, ones)`` and a zero-digit to d minus the
+    zero-digits after it; with ``reverse_odd`` odd entries are reversed.
+    Coordinate j of centre i is +1/4 when j < ``ones``, else -1/4.
     """
     q = Fraction(1, 4)
-    out = []
+    entries, centres = [], []
     for i in range(2**d):
-        ones = bin(i).count("1")
-        out.append(tuple(q if j < ones else -q for j in range(d)))
-    return out
+        r = _digits(i, 2, d)
+        ones, k, perm = sum(r), 0, []
+        for j, digit in enumerate(r, 1):
+            k += digit
+            perm.append(one_rank(k, ones) if digit else j + ones - k)
+        entries.append(SignedPermutation(tuple(perm), reverse=reverse_odd and i % 2 == 1))
+        centres.append(tuple(q if j < ones else -q for j in range(d)))
+    return TraversalDefinition.from_centres(entries, centres)
 
 
 def gen_hill_z(d: int) -> TraversalDefinition:
@@ -204,17 +215,7 @@ def gen_hill_z(d: int) -> TraversalDefinition:
     of its digit among equal digits (ones count from the left, zeros
     from the right).  No reflections, no reversals.
     """
-    entries = []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
-        perm = []
-        for j in range(1, d + 1):
-            if r[j - 1] == 1:
-                perm.append(sum(r[: j]))
-            else:
-                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
-        entries.append(SignedPermutation(tuple(perm)))
-    return TraversalDefinition.from_centres(entries, _hill_centres(d))
+    return _simplex_rule(d, lambda k, ones: k, False)
 
 
 def gen_maehara(d: int) -> TraversalDefinition:
@@ -223,17 +224,7 @@ def gen_maehara(d: int) -> TraversalDefinition:
     Same centres as Hill-Z; one-digits get negated reversed ranks, and
     every second entry is reversed.
     """
-    entries = []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
-        perm = []
-        for j in range(1, d + 1):
-            if r[j - 1] == 1:
-                perm.append(-sum(r[h - 1] for h in range(j, d + 1)))
-            else:
-                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
-        entries.append(SignedPermutation(tuple(perm), reverse=bool(r[0])))
-    return TraversalDefinition.from_centres(entries, _hill_centres(d))
+    return _simplex_rule(d, lambda k, ones: k - ones - 1, True)
 
 
 def gen_maehara_recursive(d: int) -> TraversalDefinition:

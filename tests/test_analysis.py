@@ -164,6 +164,16 @@ def test_section_audit_rejects_a_count_below_one(monkeypatch, n_sections):
     assert str(info.value) == f"n_sections must be at least 1, got {n_sections}"
 
 
+@pytest.mark.parametrize("n_sections", [2.5, True, "3"])
+def test_section_audit_rejects_a_count_that_is_not_an_int(n_sections):
+    # 2.5 used to raise a bare TypeError, True audited one section and "3"
+    # failed with "'<' not supported".
+    p = path_of("z", 3, 3)
+    with pytest.raises(ValueError) as info:
+        section_component_audit(p, n_sections, seed=1)
+    assert str(info.value) == f"n_sections must be at least 1, got {n_sections!r}"
+
+
 def test_maehara_sections_at_most_two_components():
     p = generate_full_path(generate("maehara", 3), 3, "corner")
     mx, _ = section_component_audit(p, 3000, seed=17)
@@ -540,6 +550,17 @@ def test_bbox_ratio_rejects_a_section_count_below_one(count):
     with pytest.raises(ValueError) as info:
         max_bbox_ratio(p, count)
     assert str(info.value) == f"max_section_count must be at least 1 or None, got {count}"
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_bbox_ratio_rejects_a_section_count_that_is_not_an_int(count, depth):
+    # On the 64-point path 2.5 used to check every section and return 16;
+    # on the 4096-point path it raised a bare TypeError.
+    p = path_of("z", 3, depth)
+    with pytest.raises(ValueError) as info:
+        max_bbox_ratio(p, count)
+    assert str(info.value) == f"max_section_count must be at least 1 or None, got {count!r}"
 
 
 def test_z_bbox_ratio_exceeds_bound():

@@ -17,6 +17,7 @@ from traversals.cli import (
     EXIT_CLOSED_PIPE,
     MAX_CELLS_PER_AXIS,
     MAX_HELD_POINTS,
+    _PROPERTIES,
     _require_cells_per_axis,
     _require_held_size,
     _UsageError,
@@ -331,8 +332,12 @@ def test_plot_peano_level_one_has_nine_vertices():
 
 
 def test_plot_rejects_high_dimensions():
-    code, _, err = run(["plot", "harmonious", "4", "--depth", "1"])
-    assert code == 2
+    code, out, err = run(["plot", "harmonious", "4", "--depth", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: plotting supports 1 to 3 dimensions only\n"
+    code, out, _ = run(["plot", "z", "1", "--depth", "2"])
+    assert code == 0
+    assert out.count(",") == 4  # the four cells of the line, on one row
 
 
 def test_usage_error_exit_code():
@@ -802,6 +807,22 @@ def test_path_loads_neither_analysis_nor_bitmatrix():
         assert "traversals.engine" in after, kind
         assert "traversals.analysis" not in after, kind
         assert "traversals.bitmatrix" not in after, kind
+
+
+def test_check_does_not_load_bitmatrix():
+    # bitmatrix is the oracle of the rank calculus; no property check needs
+    # it.  Harmonious at d = 3 fails palindromicity and dominance: exit 1.
+    props = ",".join(_PROPERTIES)
+    script = (
+        "import contextlib, io, sys\n"
+        "from traversals.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['check', 'harmonious', '3', '--depth', '2', '--property', '{props}']) == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+    )
+    loaded = _fresh_process(script)
+    assert "traversals.analysis" in loaded
+    assert "traversals.bitmatrix" not in loaded
 
 
 def test_type_checking_imports_match_the_lazy_map():

@@ -677,12 +677,36 @@ def test_walk_rejects_bad_arguments():
         next(iter_path(defn, 1, "middle"))
 
 
+def test_leaf_blocks_span_the_most_levels_within_the_cap(monkeypatch):
+    """A block spans the most levels whose block holds at most
+    ``_BLOCK_MAX`` points, at least one and at most the depth, in both
+    the point walk and the cell walk."""
+    heights = []
+    columns = engine._columns
+
+    def spy(table, state, levels, below):
+        heights.append(levels)
+        return columns(table, state, levels, below)
+
+    monkeypatch.setattr(engine, "_columns", spy)
+    for kind, d, depth, want in (
+        ("z", 1, 10, 9), ("peano", 1, 7, 6), ("z", 2, 5, 4), ("z", 3, 4, 3),
+        ("peano", 2, 4, 3), ("peano", 3, 3, 2), ("z", 4, 3, 2), ("maehara", 5, 2, 1),
+        ("z", 10, 1, 1), ("z", 3, 2, 2), ("peano", 3, 1, 1), ("z", 2, 0, 0),
+    ):
+        for cells in (False, True):
+            heights.clear()
+            list(iter_path(generate(kind, d), depth, "corner", cells=cells))
+            assert max(heights) == want, (kind, d, depth, cells)
+
+
 def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
-    """One-level blocks, the old 64-point blocks, the default and blocks
-    of the whole path give the recursion's points in every origin mode,
-    and its cells, on every rule at depths 0-4 (paths of at most 1024
-    points)."""
-    settings = ((1, 1), (64, 729), (engine._BLOCK_POINTS, engine._BLOCK_MAX), (10**9, 10**9))
+    """One-level blocks, blocks of at most 81 points, the default cap and
+    blocks of the whole path give the recursion's points in every origin
+    mode, and its cells, on every rule at depths 0-4 (paths of at most
+    1024 points).  Over the child counts of the rules, these caps give
+    every block height from one level to the whole path."""
+    caps = (1, 81, engine._BLOCK_MAX, 10**9)
     cases = 0
     for label, defn in differential_rules():
         w = cell_units(defn)
@@ -698,14 +722,13 @@ def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
                 "last": [tuple(map(sub, p, centre[-1])) for p in centre],
             }
             cells = [tuple(x // w for x in p) for p in want["corner"]]
-            for setting in settings:
-                monkeypatch.setattr(engine, "_BLOCK_POINTS", setting[0])
-                monkeypatch.setattr(engine, "_BLOCK_MAX", setting[1])
+            for cap in caps:
+                monkeypatch.setattr(engine, "_BLOCK_MAX", cap)
                 for origin in ORIGIN_MODES:
                     got = list(iter_path(defn, depth, origin))
-                    assert got == want[origin], (label, depth, origin, setting)
+                    assert got == want[origin], (label, depth, origin, cap)
                 got = list(iter_path(defn, depth, "corner", cells=True))
-                assert got == cells, (label, depth, setting)
+                assert got == cells, (label, depth, cap)
             cases += 1
     assert cases > 440
 

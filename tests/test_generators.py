@@ -646,6 +646,75 @@ def test_g2_builder_matches_the_centre_based_generators(kind):
             assert repr(got) == repr(want), (kind, d)
 
 
+# -- the simplex builder against the two orders it replaced --------------------
+#
+# Hill-Z and Maehara as they were before the shared builder, verbatim but
+# for the names of the two generators.
+
+
+def _hill_centres(d: int) -> list[Vector]:
+    """Tile-box centres shared by the Hill-Z and Maehara orders.
+
+    Coordinate j of the i-th centre is +1/4 when j does not exceed the
+    number of one-digits of i-1, else -1/4.
+    """
+    q = Fraction(1, 4)
+    out = []
+    for i in range(2**d):
+        ones = bin(i).count("1")
+        out.append(tuple(q if j < ones else -q for j in range(d)))
+    return out
+
+
+def old_gen_hill_z(d: int) -> TraversalDefinition:
+    """Order on Freudenthal's simplex subdivision, in the style of Z.
+
+    Entry i sorts the binary digits of i-1: position j maps to the rank
+    of its digit among equal digits (ones count from the left, zeros
+    from the right).  No reflections, no reversals.
+    """
+    entries = []
+    for i in range(2**d):
+        r = _digits(i, 2, d)
+        perm = []
+        for j in range(1, d + 1):
+            if r[j - 1] == 1:
+                perm.append(sum(r[: j]))
+            else:
+                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
+        entries.append(SignedPermutation(tuple(perm)))
+    return TraversalDefinition.from_centres(entries, _hill_centres(d))
+
+
+def old_gen_maehara(d: int) -> TraversalDefinition:
+    """Order on Maehara's orthoscheme bisection, by the direct formula.
+
+    Same centres as Hill-Z; one-digits get negated reversed ranks, and
+    every second entry is reversed.
+    """
+    entries = []
+    for i in range(2**d):
+        r = _digits(i, 2, d)
+        perm = []
+        for j in range(1, d + 1):
+            if r[j - 1] == 1:
+                perm.append(-sum(r[h - 1] for h in range(j, d + 1)))
+            else:
+                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
+        entries.append(SignedPermutation(tuple(perm), reverse=bool(r[0])))
+    return TraversalDefinition.from_centres(entries, _hill_centres(d))
+
+
+@pytest.mark.parametrize("kind, old", [("hill-z", old_gen_hill_z), ("maehara", old_gen_maehara)])
+def test_simplex_builder_matches_the_digit_sum_generators(kind, old):
+    new = getattr(generators, old.__name__[len("old_"):])
+    for d in range(1, 9):
+        want = old(d)
+        for got in (new(d), generate(kind, d)):
+            assert got == want, (kind, d)
+            assert repr(got) == repr(want), (kind, d)
+
+
 # sha256 of the reprs of generate(kind, d) for d = 1..8 (Beta from 3, the
 # Peano family to 5), concatenated in ascending d: the rules as they were
 # built before the G2 builder, first 16 hex digits.
