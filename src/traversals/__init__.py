@@ -27,6 +27,7 @@ _EXPORTS = {
             "PropertyReport",
             "adjacency_profile",
             "check_base_pattern",
+            "check_continuity",
             "check_dominance",
             "check_facet_order",
             "check_palindromic",
@@ -85,6 +86,7 @@ if TYPE_CHECKING:  # the same names, imported eagerly for static checkers
         PropertyReport,
         adjacency_profile,
         check_base_pattern,
+        check_continuity,
         check_dominance,
         check_facet_order,
         check_palindromic,

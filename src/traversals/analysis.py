@@ -2,11 +2,13 @@
 
 Checks that need only the cells in visit order take a definition and
 read its walk as a stream (``iter_path(..., "corner", cells=True)``):
-palindromicity, straight jumping and facet order.  Checks that must
-hold the whole path take a :class:`~.engine.Path`: continuity
-(:func:`adjacency_profile`), dominance, bounding boxes and section
-components.  Each returns raw numbers or a :class:`PropertyReport` whose
-failing verdicts carry a reproducible witness.  "Touching" means sharing
+palindromicity, straight jumping and facet order; continuity
+(:func:`check_continuity`) streams the corner points, whose steps also
+show offsets within a cell.  Checks that must hold the whole path take
+a :class:`~.engine.Path`: the step counts of :func:`adjacency_profile`,
+dominance, bounding boxes and section components.  Each returns raw
+numbers or a :class:`PropertyReport` whose failing verdicts carry a
+reproducible witness.  "Touching" means sharing
 a (d-1)-facet throughout; corner contact counts as a jump.
 
 Tile paths over simplices may visit one bounding box several times;
@@ -31,13 +33,12 @@ import array
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .engine import Path, _require_int_depth, iter_path
+from .engine import Path, _require_int_depth, cell_units, iter_path
 from .generators import gen_base_pattern
-from .notation import TraversalDefinition, _symmetries_mapping
+from .notation import TraversalDefinition, _Frozen, _symmetries_mapping
 
 KERNEL_BACKEND = "python"
 
@@ -48,6 +49,7 @@ __all__ = [
     "KERNEL_BACKEND",
     "check_base_pattern",
     "adjacency_profile",
+    "check_continuity",
     "component_count",
     "section_component_audit",
     "check_palindromic",
@@ -60,16 +62,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of one property check at one depth."""
+class PropertyReport(_Frozen):
+    """Outcome of one property check at one depth, frozen like a
+    dataclass (see :class:`~.notation._Frozen`)."""
 
+    _fields = ("name", "kind", "dimension", "depth", "verdict", "witness")
     name: str
     kind: str
     dimension: int
     depth: int
     verdict: str  # 'holds' | 'fails' | 'inconclusive'
-    witness: tuple = ()
+    witness: tuple
+
+    def __init__(self, name, kind, dimension, depth, verdict, witness=()):
+        self.__dict__.update(
+            name=name,
+            kind=kind,
+            dimension=dimension,
+            depth=depth,
+            verdict=verdict,
+            witness=witness,
+        )
 
     def line(self) -> str:
         parts = [self.name, self.kind or "-", str(self.dimension), str(self.depth), self.verdict]
@@ -81,12 +94,23 @@ class PropertyReport:
         return self.verdict == "holds"
 
 
-@dataclass(frozen=True)
-class AdjacencyProfile:
+class AdjacencyProfile(_Frozen):
+    """Step counts of a path (see :func:`adjacency_profile`), frozen like
+    a dataclass."""
+
+    _fields = ("face_steps", "other_steps", "max_jump", "first_jump")
     face_steps: int
     other_steps: int
     max_jump: Fraction  # Chebyshev distance in cell widths
-    first_jump: tuple[int, int] | None = None
+    first_jump: tuple[int, int] | None
+
+    def __init__(self, face_steps, other_steps, max_jump, first_jump=None):
+        self.__dict__.update(
+            face_steps=face_steps,
+            other_steps=other_steps,
+            max_jump=max_jump,
+            first_jump=first_jump,
+        )
 
 
 def check_base_pattern(defn: TraversalDefinition) -> str:
@@ -130,6 +154,27 @@ def adjacency_profile(path: Path) -> AdjacencyProfile:
             if first_jump is None:
                 first_jump = (k, k + 1)
     return AdjacencyProfile(face, other, Fraction(widest, w), first_jump)
+
+
+def check_continuity(
+    defn: TraversalDefinition, depth: int, *, kind: str = ""
+) -> PropertyReport:
+    """Every step of the corner-origin path must be a face step, as
+    :func:`adjacency_profile` counts them.
+
+    Reads the walk's points pairwise and stops at the first other step,
+    whose positions are the witness of the failure.  It reads points, not
+    cells: on a rule whose points sit off the cell centres, a step between
+    face-neighbouring cells can be shorter or longer than one cell.
+    """
+    w = cell_units(defn)
+    points = iter_path(defn, depth, "corner")
+    for k, (a, b) in enumerate(itertools.pairwise(points)):
+        if [abs(x - y) for x, y in zip(a, b) if x != y] != [w]:
+            return PropertyReport(
+                "continuity", kind, defn.dimension, depth, "fails", (k, k + 1)
+            )
+    return PropertyReport("continuity", kind, defn.dimension, depth, "holds")
 
 
 class SectionAuditor:

@@ -40,7 +40,6 @@ import contextlib
 import itertools
 import os
 import sys
-from pathlib import Path as FsPath
 from typing import TYPE_CHECKING
 
 from . import engine, generators
@@ -95,15 +94,17 @@ def _load_source(source: str, d: int | None) -> tuple[TraversalDefinition, str |
         return _load_kind(source, d)
     if source == "-":
         text = sys.stdin.read()
-    elif FsPath(source).is_file():
+    else:
+        from pathlib import Path  # only a definition file needs it
+
+        if not Path(source).is_file():
+            raise _UsageError(
+                f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
+            )
         try:
-            text = FsPath(source).read_text()
+            text = Path(source).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read {source!r}: {exc.strerror}") from None
-    else:
-        raise _UsageError(
-            f"unknown kind or definition file {source!r}; known kinds: {_KNOWN}"
-        )
     defn = parse_definition(text)
     if d is not None and d != defn.dimension:
         raise _UsageError(f"the definition is {defn.dimension}-dimensional, not {d}")
@@ -255,13 +256,7 @@ def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
         verdict = "holds" if cls != "Other" else "fails"
         return analysis.PropertyReport("base-pattern", kind, d, 1, verdict, (cls,))
     if prop == "continuity":
-        path = engine.generate_full_path(defn, depth, "corner")
-        prof = analysis.adjacency_profile(path)
-        if prof.other_steps == 0:
-            return analysis.PropertyReport("continuity", kind, d, depth, "holds")
-        return analysis.PropertyReport(
-            "continuity", kind, d, depth, "fails", prof.first_jump
-        )
+        return analysis.check_continuity(defn, depth, kind=kind)
     if prop == "palindromic":
         return analysis.check_palindromic(defn, depth, kind=kind)
     if prop == "straight-jumping":

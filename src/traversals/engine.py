@@ -26,13 +26,12 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, eq, itemgetter, mul
 from typing import Iterator
 
 from .notation import Move, SignedPermutation, TraversalDefinition, Vector
-from .notation import _lattice, _symmetries_mapping
+from .notation import _Frozen, _lattice, _symmetries_mapping
 
 __all__ = [
     "Path",
@@ -61,20 +60,31 @@ class NotSymmetricError(ValueError):
     """The rule has no reversal symmetry, so its square is not self-similar."""
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Frozen):
     """An enumerated traversal: integer points in visit order.
 
     ``cell_units`` is the width of one lowest-level cell on the point
-    lattice (2 unless the rule has off-grid centres).
+    lattice (2 unless the rule has off-grid centres).  Frozen like a
+    dataclass (see :class:`~.notation._Frozen`).
     """
 
+    _fields = ("points", "dimension", "scale", "depth", "origin", "cell_units")
     points: tuple[tuple[int, ...], ...]
     dimension: int
     scale: int
     depth: int
     origin: str
-    cell_units: int = 2
+    cell_units: int
+
+    def __init__(self, points, dimension, scale, depth, origin, cell_units=2):
+        self.__dict__.update(
+            points=points,
+            dimension=dimension,
+            scale=scale,
+            depth=depth,
+            origin=origin,
+            cell_units=cell_units,
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -203,6 +213,29 @@ _CHUNK = 64
 def _powers(s: int, n: int) -> tuple[int, ...]:
     """``s**(n-1), ..., s, 1``: the weights of n levels of a descent."""
     return tuple([s**e for e in range(n - 1, -1, -1)])
+
+
+def _digits(i: int, base: int, n: int) -> list[int]:
+    """The ``n`` base-``base`` digits of ``0 <= i < base**n``, most
+    significant first.
+
+    Below the top ``_CHUNK`` digits, ``i`` is cut from its low end into
+    pieces of ``_CHUNK`` digits, the chunks of :meth:`_Table.descend`,
+    by ``divmod`` with ``base**_CHUNK``, and each piece into digits by
+    ``divmod`` with ``base``.  Each division of the long number thus
+    takes ``_CHUNK`` digits off it, where one per digit would make the
+    time grow with the square of ``n``.
+    """
+    out = [0] * n
+    end = n
+    while end > _CHUNK:
+        i, piece = divmod(i, base**_CHUNK)
+        for e in range(end - 1, end - _CHUNK - 1, -1):
+            piece, out[e] = divmod(piece, base)
+        end -= _CHUNK
+    for e in range(end - 1, -1, -1):
+        i, out[e] = divmod(i, base)
+    return out
 
 
 def _require_int_depth(depth) -> None:
@@ -408,11 +441,8 @@ def locate(
     else:
         raise ValueError("side must be 'plus' or 'minus'")
 
-    digits = [0] * depth
-    for e in range(depth - 1, -1, -1):
-        i, digits[e] = divmod(i, D)
     table = _table(defn)
-    pos, _ = table.descend(digits)
+    pos, _ = table.descend(_digits(i, D, depth))
     unit = 2 * table.m * defn.scale**depth
     return tuple(Fraction(x, unit) for x in pos)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from importlib import resources
 
 from .notation import (
     Move,
@@ -478,6 +477,8 @@ def builtin_fixed(name: str) -> TraversalDefinition:
     slug = _slug(name)
     if slug not in FIXED_NAMES:
         raise ValueError(f"unknown fixed curve {name!r}")
+    from importlib import resources  # only the fixed curves read a file
+
     file = slug.replace("-", "_") + ".txt"
     return parse_definition((resources.files("traversals") / "definitions" / file).read_text())
 

@@ -27,7 +27,10 @@ over one common denominator.  Every value in this module is immutable
 and safe to share across threads; data derived from a rule (its
 ``fills_cube`` verdict, the engine's compiled state table) is computed
 once and kept on the rule object, outside its fields, so equality,
-hashing, ``repr``, copying and pickling see the fields alone.
+hashing, ``repr``, copying and pickling see the fields alone.  The three
+value types behave as frozen dataclasses but are plain classes (see
+:class:`_Frozen`), so importing the package does not import
+:mod:`dataclasses`.
 Input is checked once, by the public constructors and `parse_definition`;
 permutations and moves derived from checked ones are built by
 ``SignedPermutation._of`` and ``Move._of`` and not checked again.  For
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -70,8 +72,67 @@ class ParseError(ValueError):
     """Raised when definition text does not follow the grammar."""
 
 
-@dataclass(frozen=True, slots=True)
-class SignedPermutation:
+class _Frozen:
+    """The methods of a frozen dataclass over the fields ``_fields``.
+
+    A subclass names its fields in ``_fields`` and stores them in its
+    ``__init__``, with ``object.__setattr__`` in its ``__slots__`` or in
+    its instance ``__dict__``.  Its instances compare equal
+    when their classes are the same and their fields are equal, hash as
+    the tuple of their fields, print as ``Name(field=value, ...)``, refuse
+    assignment and deletion with ``dataclasses.FrozenInstanceError``, and
+    pickle and copy as the list of their fields, so data cached on an
+    instance outside its fields is neither pickled nor copied.  Unlike
+    the ``@dataclass`` decorator, this builds no code at import time; the
+    functions of :mod:`dataclasses` (``fields``, ``replace``,
+    ``is_dataclass``) do not apply to these classes.  The value types
+    that are compared and hashed in bulk name their fields in their own
+    ``__eq__`` and ``__hash__``, which is faster than :meth:`_values`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        _refuse(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _refuse(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> list:
+        return list(self._values())
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self._fields, state):
+            object.__setattr__(self, name, value)
+
+
+def _refuse(message: str):
+    from dataclasses import FrozenInstanceError  # only on this error path
+
+    raise FrozenInstanceError(message)
+
+
+class SignedPermutation(_Frozen):
     """A signed axis permutation with a traversal direction.
 
     ``entries[j-1]`` is the (1-based, signed) row index of the non-zero
@@ -80,18 +141,29 @@ class SignedPermutation:
     runs backwards.
     """
 
+    __slots__ = _fields = ("entries", "reverse")
     entries: tuple[int, ...]
-    reverse: bool = False
+    reverse: bool
 
-    def __post_init__(self):
-        d = len(self.entries)
+    def __init__(self, entries: tuple[int, ...], reverse: bool = False):
+        d = len(entries)
         if d == 0:
             raise ValueError("empty permutation")
-        _require_ints(self.entries, "permutation entry")
-        if sorted(map(abs, self.entries)) != list(range(1, d + 1)):
+        _require_ints(entries, "permutation entry")
+        if sorted(map(abs, entries)) != list(range(1, d + 1)):
             raise ValueError(
-                f"absolute values of {self.entries} are not a permutation of 1..{d}"
+                f"absolute values of {entries} are not a permutation of 1..{d}"
             )
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "reverse", reverse)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.reverse == other.reverse
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.reverse))
 
     @classmethod
     def _of(cls, entries: tuple[int, ...], reverse: bool = False) -> "SignedPermutation":
@@ -189,8 +261,7 @@ def _symmetries_mapping(d: int, src: Sequence, dst: Sequence) -> Iterator[Signed
             yield g
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(_Frozen):
     """Multiset of signed axis indices; the empty move means "stay put".
 
     Each element ``e`` is one step of the definition's step width along
@@ -198,15 +269,24 @@ class Move:
     canonical order (ascending axis, positive before negative).
     """
 
-    steps: tuple[int, ...] = ()
+    __slots__ = _fields = ("steps",)
+    steps: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_ints(self.steps, "move element")
-        if 0 in self.steps:
+    def __init__(self, steps: tuple[int, ...] = ()):
+        _require_ints(steps, "move element")
+        if 0 in steps:
             raise ValueError("move element 0 is not a valid axis index")
-        if len(self.steps) > 1 or type(self.steps) is not tuple:
-            canon = tuple(sorted(self.steps, key=lambda e: (abs(e), e < 0)))
-            object.__setattr__(self, "steps", canon)
+        if len(steps) > 1 or type(steps) is not tuple:
+            steps = tuple(sorted(steps, key=lambda e: (abs(e), e < 0)))
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.steps,))
 
     @classmethod
     def _of(cls, steps: tuple[int, ...]) -> "Move":
@@ -289,8 +369,7 @@ def _fractions(nums, den: int, factor: int, deltas) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TraversalDefinition:
+class TraversalDefinition(_Frozen):
     """A complete self-similar traversal rule.
 
     ``entries`` and ``moves`` are the wire-format content (``moves`` has
@@ -299,9 +378,11 @@ class TraversalDefinition:
     width (equal to ``scale`` except for irregular tilings whose centres
     sit off the regular grid).  ``centres`` are the exact first-level
     tile centres, in a frame where the traversed shape's bounding box is
-    ``[-1/2, 1/2]^d``.
+    ``[-1/2, 1/2]^d``.  The fields are kept in the instance ``__dict__``,
+    beside the data cached there.
     """
 
+    _fields = ("dimension", "scale", "entries", "moves", "step_den", "centres")
     dimension: int
     scale: int
     entries: tuple[SignedPermutation, ...]
@@ -309,7 +390,15 @@ class TraversalDefinition:
     step_den: int
     centres: tuple[Vector, ...]
 
-    def __post_init__(self):
+    def __init__(self, dimension, scale, entries, moves, step_den, centres):
+        self.__dict__.update(
+            dimension=dimension,
+            scale=scale,
+            entries=entries,
+            moves=moves,
+            step_den=step_den,
+            centres=centres,
+        )
         _check_parts(self.dimension, self.scale, self.entries, self.moves, self.centres)
         _check_step_den(self.step_den)
         for c in self.centres:
@@ -329,6 +418,23 @@ class TraversalDefinition:
                 raise ValueError(
                     f"centre {k + 1} has {len(c)} coordinates, expected {self.dimension}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.dimension == other.dimension
+            and self.scale == other.scale
+            and self.entries == other.entries
+            and self.moves == other.moves
+            and self.step_den == other.step_den
+            and self.centres == other.centres
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.dimension, self.scale, self.entries, self.moves, self.step_den, self.centres)
+        )
 
     @classmethod
     def _of(cls, dimension, scale, entries, moves, step_den, centres) -> "TraversalDefinition":
@@ -354,11 +460,6 @@ class TraversalDefinition:
             return cls(dimension, scale, entries, moves, step_den, centres)
         _check_parts(dimension, scale, entries, moves, centres)
         return cls._of(dimension, scale, entries, moves, step_den, centres)
-
-    def __getstate__(self):
-        """The fields alone: derived data cached on the instance is rebuilt
-        on demand, not pickled or copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # -- construction ------------------------------------------------
 

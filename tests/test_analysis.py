@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import UNEVEN_RULES, differential_rules
 from hypothesis import given, settings, strategies as st
 
 from traversals import analysis
@@ -18,6 +19,7 @@ from traversals.analysis import (
     _seeded_sections,
     adjacency_profile,
     check_base_pattern,
+    check_continuity,
     check_dominance,
     check_facet_order,
     check_palindromic,
@@ -28,8 +30,8 @@ from traversals.analysis import (
     palindromic_on_cells,
     section_component_audit,
 )
-from traversals.engine import Path, generate_full_path
-from traversals.notation import _cube_symmetries
+from traversals.engine import Path, generate_full_path, iter_path
+from traversals.notation import _cube_symmetries, parse_definition
 from traversals.generators import (
     FIXED_NAMES,
     BetaUndefinedError,
@@ -125,6 +127,53 @@ def test_adjacency_profile_matches_fraction_oracle():
         prof = adjacency_profile(p)
         assert prof == fraction_adjacency_profile(p), (kind, p.dimension, p.depth)
         assert isinstance(prof.max_jump, Fraction)
+
+
+def profile_check_continuity(defn, depth, *, kind=""):
+    """The CLI's continuity check as it read the adjacency profile of the
+    whole path, kept as the oracle of ``check_continuity``."""
+    d = defn.dimension
+    path = generate_full_path(defn, depth, "corner")
+    prof = adjacency_profile(path)
+    if prof.other_steps == 0:
+        return PropertyReport("continuity", kind, d, depth, "holds")
+    return PropertyReport("continuity", kind, d, depth, "fails", prof.first_jump)
+
+
+def test_streamed_continuity_matches_the_adjacency_profile():
+    verdicts, cases = set(), 0
+    for label, defn in differential_rules():
+        for depth in range(1, 5):
+            if len(defn) ** depth > 4096:
+                break
+            got = check_continuity(defn, depth, kind=label)
+            assert got == profile_check_continuity(defn, depth, kind=label), (label, depth)
+            verdicts.add(got.verdict)
+            cases += 1
+    assert verdicts == {"holds", "fails"} and cases > 300
+
+
+def test_continuity_reads_points_not_cells():
+    # The centres sit a quarter cell off-centre, so the first step is half
+    # a cell wide although its two cells are face neighbours.
+    rule = parse_definition(UNEVEN_RULES[3])
+    cells = list(iter_path(rule, 1, "corner", cells=True))
+    assert cells == [(0,), (1,)]
+    assert check_continuity(rule, 1).witness == (0, 1)
+
+
+def test_continuity_stops_at_the_first_jump(monkeypatch):
+    taken = []
+
+    def counted(*args, **kwargs):
+        for p in iter_path(*args, **kwargs):
+            taken.append(p)
+            yield p
+
+    monkeypatch.setattr(analysis, "iter_path", counted)
+    report = check_continuity(gen_z(2), 11, kind="z")
+    assert report.line() == "continuity z 2 11 fails 1 2"
+    assert len(taken) == 3
 
 
 # -- components --------------------------------------------------------

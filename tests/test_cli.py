@@ -237,6 +237,13 @@ def test_check_continuity_failure_exit_one():
     assert "fails" in out
 
 
+def test_check_continuity_stops_at_the_first_jump():
+    # 4**11 points; the walk stops at the third
+    assert run(["check", "z", "2", "--property", "continuity", "--depth", "11"]) == (
+        1, "continuity z 2 11 fails 1 2\n", ""
+    )
+
+
 def test_check_multiple_properties():
     code, out, _ = run(
         [
@@ -777,10 +784,10 @@ def test_the_package_runs_as_a_module():
 # -- what a process loads ----------------------------------------------------
 
 
-def _fresh_process(script: str) -> str:
+def _fresh_process(script: str, *flags: str) -> str:
     src = str(FsPath(traversals.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
@@ -788,6 +795,10 @@ def _fresh_process(script: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# The core value types are plain classes, so no command imports these.
+_PRINT_HEAVY = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
 
 
 def test_path_loads_neither_analysis_nor_bitmatrix():
@@ -801,12 +812,14 @@ def test_path_loads_neither_analysis_nor_bitmatrix():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['path', '{kind}', '{d}']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+            + _PRINT_HEAVY
         )
-        before, after = _fresh_process(script).splitlines()
+        before, after, heavy = _fresh_process(script).splitlines()
         assert before == "['traversals']", kind
         assert "traversals.engine" in after, kind
         assert "traversals.analysis" not in after, kind
         assert "traversals.bitmatrix" not in after, kind
+        assert heavy == "[]", kind
 
 
 def test_check_does_not_load_bitmatrix():
@@ -819,10 +832,35 @@ def test_check_does_not_load_bitmatrix():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['check', 'harmonious', '3', '--depth', '2', '--property', '{props}']) == 1\n"
         "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+        + _PRINT_HEAVY
     )
-    loaded = _fresh_process(script)
+    loaded, heavy = _fresh_process(script).splitlines()
     assert "traversals.analysis" in loaded
     assert "traversals.bitmatrix" not in loaded
+    assert heavy == "[]"
+
+
+def test_family_commands_load_no_file_machinery_without_site():
+    # Without site hooks (-S), which may import them first, a family
+    # ``path`` or ``check`` imports neither pathlib nor importlib.resources;
+    # a fixed curve, read from a package file, then loads them.
+    props = ",".join(_PROPERTIES)
+    script = (
+        "import contextlib, io, sys\n"
+        "from traversals.cli import main\n"
+        "names = ('dataclasses', 'inspect', 'pathlib', 'importlib.resources')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['path', 'harmonious', '3']) == 0\n"
+        f"    assert main(['check', 'harmonious', '3', '--depth', '2', '--property', '{props}']) == 1\n"
+        "print([m for m in names if m in sys.modules])\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['path', 'meander2d', '--depth', '2', '--cells']) == 0\n"
+        "print(len(out.getvalue().splitlines()), 'importlib.resources' in sys.modules)\n"
+    )
+    loaded, meander = _fresh_process(script, "-S").splitlines()
+    assert loaded == "[]"
+    assert meander == "82 True"  # a header and 9**2 cells
 
 
 def test_type_checking_imports_match_the_lazy_map():

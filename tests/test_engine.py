@@ -1323,6 +1323,48 @@ def test_deep_locate_memory_grows_linearly():
     assert engine._powers.cache_info().currsize <= 64
 
 
+def per_digit_split(i, D, depth):
+    """``locate``'s digit loop before it split the index in chunks, kept
+    verbatim as the oracle of ``engine._digits``."""
+    digits = [0] * depth
+    for e in range(depth - 1, -1, -1):
+        i, digits[e] = divmod(i, D)
+    return digits
+
+
+def test_chunked_digits_match_the_per_digit_loop():
+    rng = random.Random(21)
+    for base in (2, 3, 4, 8, 9, 16, 27, 64, 729):
+        for n in range(201):
+            for i in {0, base**n - 1, rng.randrange(base**n)}:
+                assert engine._digits(i, base, n) == per_digit_split(i, base, n), (base, n, i)
+    h = generate("harmonious", 2)
+    table = _table(h)
+    i = 4**16000 // 3  # the cell of t = 1/3
+    digits = per_digit_split(i, 4, 16000)
+    assert engine._digits(i, 4, 16000) == digits
+    pos, _ = table.descend(digits)
+    unit = 2 * table.m * 2**16000
+    assert locate(h, F(1, 3), 16000) == tuple(F(x, unit) for x in pos)
+
+
+def test_deep_locate_takes_its_digits_in_a_fraction_of_the_per_digit_time():
+    """Each division of the long index takes ``_CHUNK`` digits off it; one
+    per digit makes the time grow with the square of the depth (12 times
+    the chunked time at depth 16 000 on a 2-vCPU VM)."""
+    i = random.Random(22).randrange(4**16000)
+
+    def best(split):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            split(i, 4, 16000)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert 4 * best(engine._digits) < best(per_digit_split)
+
+
 @pytest.mark.parametrize("depth", [2.0, 1.5, True, "2"], ids=repr)
 def test_every_depth_taking_entry_refuses_a_depth_that_is_not_an_int(depth):
     h, z = generate("harmonious", 2), generate("z", 2)
