@@ -215,29 +215,6 @@ def _powers(s: int, n: int) -> tuple[int, ...]:
     return tuple([s**e for e in range(n - 1, -1, -1)])
 
 
-def _digits(i: int, base: int, n: int) -> list[int]:
-    """The ``n`` base-``base`` digits of ``0 <= i < base**n``, most
-    significant first.
-
-    Below the top ``_CHUNK`` digits, ``i`` is cut from its low end into
-    pieces of ``_CHUNK`` digits, the chunks of :meth:`_Table.descend`,
-    by ``divmod`` with ``base**_CHUNK``, and each piece into digits by
-    ``divmod`` with ``base``.  Each division of the long number thus
-    takes ``_CHUNK`` digits off it, where one per digit would make the
-    time grow with the square of ``n``.
-    """
-    out = [0] * n
-    end = n
-    while end > _CHUNK:
-        i, piece = divmod(i, base**_CHUNK)
-        for e in range(end - 1, end - _CHUNK - 1, -1):
-            piece, out[e] = divmod(piece, base)
-        end -= _CHUNK
-    for e in range(end - 1, -1, -1):
-        i, out[e] = divmod(i, base)
-    return out
-
-
 def _require_int_depth(depth) -> None:
     """Refuse a depth that is not an ``int`` (a bool included): any other
     number would make inexact geometry or walk a depth it does not name."""
@@ -441,8 +418,23 @@ def locate(
     else:
         raise ValueError("side must be 'plus' or 'minus'")
 
+    # The digits of i, top level first.  Below the top _CHUNK digits, i
+    # is cut from its low end into pieces of _CHUNK digits, the chunks of
+    # _Table.descend, by divmod with D**_CHUNK, and each piece into digits
+    # by divmod with D: each division of the long index takes _CHUNK
+    # digits off it, where one per digit would make the time grow with
+    # the square of the depth.
+    digits = [0] * depth
+    end = depth
+    while end > _CHUNK:
+        i, piece = divmod(i, D**_CHUNK)
+        for e in range(end - 1, end - _CHUNK - 1, -1):
+            piece, digits[e] = divmod(piece, D)
+        end -= _CHUNK
+    for e in range(end - 1, -1, -1):
+        i, digits[e] = divmod(i, D)
     table = _table(defn)
-    pos, _ = table.descend(_digits(i, D, depth))
+    pos, _ = table.descend(digits)
     unit = 2 * table.m * defn.scale**depth
     return tuple(Fraction(x, unit) for x in pos)
 

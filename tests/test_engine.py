@@ -1323,46 +1323,50 @@ def test_deep_locate_memory_grows_linearly():
     assert engine._powers.cache_info().currsize <= 64
 
 
-def per_digit_split(i, D, depth):
-    """``locate``'s digit loop before it split the index in chunks, kept
-    verbatim as the oracle of ``engine._digits``."""
+def per_digit_locate(defn, t, depth):
+    """``locate`` on the plus side, with its digit loop as it was before
+    it cut the index into chunks, kept verbatim as the oracle."""
+    D = len(defn.entries)
+    i = t.numerator * D**depth // t.denominator
     digits = [0] * depth
     for e in range(depth - 1, -1, -1):
         i, digits[e] = divmod(i, D)
-    return digits
+    table = _table(defn)
+    pos, _ = table.descend(digits)
+    unit = 2 * table.m * defn.scale**depth
+    return tuple(F(x, unit) for x in pos)
 
 
 def test_chunked_digits_match_the_per_digit_loop():
     rng = random.Random(21)
-    for base in (2, 3, 4, 8, 9, 16, 27, 64, 729):
-        for n in range(201):
-            for i in {0, base**n - 1, rng.randrange(base**n)}:
-                assert engine._digits(i, base, n) == per_digit_split(i, base, n), (base, n, i)
+    rules = [("harmonious d=2", generate("harmonious", 2)), ("harmonious d=3", generate("harmonious", 3)),
+             ("peano d=2", generate("peano", 2)), ("peano d=3", generate("peano", 3)),
+             ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
+    for label, defn in rules:
+        for depth in range(201):
+            n = len(defn.entries) ** depth
+            for t in (F(n - 1, n), F(2 * rng.randrange(n) + 1, 2 * n)):
+                assert locate(defn, t, depth) == per_digit_locate(defn, t, depth), (label, depth, t)
     h = generate("harmonious", 2)
-    table = _table(h)
-    i = 4**16000 // 3  # the cell of t = 1/3
-    digits = per_digit_split(i, 4, 16000)
-    assert engine._digits(i, 4, 16000) == digits
-    pos, _ = table.descend(digits)
-    unit = 2 * table.m * 2**16000
-    assert locate(h, F(1, 3), 16000) == tuple(F(x, unit) for x in pos)
+    for t in (F(1, 3), F(rng.randrange(4**16000), 4**16000)):
+        assert locate(h, t, 16000) == per_digit_locate(h, t, 16000)
 
 
-def test_deep_locate_takes_its_digits_in_a_fraction_of_the_per_digit_time():
+def test_deep_locate_takes_a_fraction_of_the_per_digit_time():
     """Each division of the long index takes ``_CHUNK`` digits off it; one
-    per digit makes the time grow with the square of the depth (12 times
-    the chunked time at depth 16 000 on a 2-vCPU VM)."""
-    i = random.Random(22).randrange(4**16000)
+    per digit makes the time grow with the square of the depth (about 70
+    against 9 ms at depth 16 000 on harmonious d=2, on a 2-vCPU VM)."""
+    h = generate("harmonious", 2)
 
-    def best(split):
+    def best(find):
         times = []
         for _ in range(3):
             t0 = time.perf_counter()
-            split(i, 4, 16000)
+            find(h, F(1, 3), 16000)
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    assert 4 * best(engine._digits) < best(per_digit_split)
+    assert 3 * best(locate) < best(per_digit_locate)
 
 
 @pytest.mark.parametrize("depth", [2.0, 1.5, True, "2"], ids=repr)

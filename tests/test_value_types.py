@@ -238,7 +238,9 @@ def test_rules_permutations_and_moves_behave_like_their_dataclasses():
         all_rules.append(defn)
         moves.update(defn.moves)
     assert len(labels) == 48 and {"beta d=3", "peano d=3", "meander2d"} <= set(labels)
-    assert_equality_matches(all_rules + [generate("z", 2), generate("harmonious", 3).reversed()])
+    h = generate("harmonious", 3)
+    moved = h.reanchored((Fraction(1, 4),) * 3)  # differs from h in its centres only
+    assert_equality_matches(all_rules + [generate("z", 2), h.reversed(), moved])
     assert_equality_matches(sorted(moves, key=lambda m: m.steps) + [Move(), Move((2, 1))])
     assert_equality_matches([SignedPermutation((2, -1), r) for r in (False, True, 0, 1)])
 
