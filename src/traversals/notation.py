@@ -91,7 +91,7 @@ class _Frozen:
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
