@@ -77,13 +77,13 @@ class _Frozen:
 
     A subclass names its fields in ``_fields`` and stores them in its
     ``__init__``, with ``object.__setattr__`` in its ``__slots__`` or in
-    its instance ``__dict__``.  Its instances compare equal
-    when their classes are the same and their fields are equal, hash as
-    the tuple of their fields, print as ``Name(field=value, ...)``, refuse
-    assignment and deletion with ``dataclasses.FrozenInstanceError``, and
-    pickle and copy as the list of their fields, so data cached on an
-    instance outside its fields is neither pickled nor copied.  Unlike
-    the ``@dataclass`` decorator, this builds no code at import time; the
+    its instance ``__dict__``.  Its instances compare equal when their
+    classes are the same and their fields are equal, hash as the tuple of
+    their fields, print as ``Name(field=value, ...)``, refuse assignment
+    and deletion with ``dataclasses.FrozenInstanceError``, and pickle and
+    copy as the list of their fields, so data cached on an instance
+    outside its fields is neither pickled nor copied.  Unlike the
+    ``@dataclass`` decorator, this builds no code at import time; the
     functions of :mod:`dataclasses` (``fields``, ``replace``,
     ``is_dataclass``) do not apply to these classes.  The value types
     that are compared and hashed in bulk name their fields in their own
