@@ -14,21 +14,22 @@ ORIGIN < definition`` maps to ``traversals path - --depth DEPTH
 --exponent E --origin O``.
 
 Exit codes: 0 on success (all properties hold), 1 when a checked
-property fails, 2 on usage or parse errors, 141 when ``path``,
-``describe`` or ``plot`` finds its output pipe closed by the reader (as
-in ``traversals path z 3 --depth 5 | head -2``); it then stops without a
-message.
+property fails, 2 on usage or parse errors, 141 when any command finds
+its output pipe closed by the reader (as in ``traversals path z 3
+--depth 5 | head -2``); it then stops without a message.
 
 ``path`` streams its points in every origin mode and with ``--cells``,
-in memory that does not grow with the depth.  ``describe``, ``path`` and
-``plot`` write bytes (ASCII text), to the binary layer of stdout or to an
-``--out`` file opened in binary mode, in pieces of at most 4096 bytes.
+in memory that does not grow with the depth.  Every command writes
+bytes (ASCII text), to the binary layer of stdout or to an ``--out``
+file opened in binary mode, in pieces of at most 4096 bytes.
 Refused with exit 2 and one ``error:`` line, before any output: more
-than ``MAX_HELD_POINTS`` held points (``check``, ``plot``, and ``path
---exponent 2``, which holds the path its squared points select from);
-more than ``MAX_CELLS_PER_AXIS`` (2**64) cells per axis (``path``,
-``plot``, whole-path checks); a family rule of more than
-``MAX_RULE_ENTRIES`` (2**16) entries (every command).
+than ``MAX_HELD_POINTS`` (2**22) held points (``plot``; ``path
+--exponent 2``, which holds the path its squared points select from;
+the checks that hold the path, ``dominance``, ``bbox``, ``components``,
+and ``palindromic``, whose facet cells grow with it); more than
+``MAX_CELLS_PER_AXIS`` (2**64) cells per axis (``path``, ``plot``, every
+check but ``base-pattern`` and ``well-folded``); a family rule of more
+than ``MAX_RULE_ENTRIES`` (2**16) entries (every command).
 A palindromicity check below depth 1, which has no level-1 cells to
 compare, also exits 2 with one ``error:`` line.
 """
@@ -180,12 +181,9 @@ def _closed_pipe() -> int:
 
 
 def _emit(args, text: str) -> int:
-    """Write ``text`` to the command's output; exit status as for ``path``."""
-    try:
-        with _output(args) as write:
-            write(text.encode())
-    except BrokenPipeError:
-        return _closed_pipe()
+    """Write ``text`` to the command's output."""
+    with _output(args) as write:
+        write(text.encode())
     return 0
 
 
@@ -217,37 +215,30 @@ def _cmd_path(args) -> int:
     points = itertools.chain((next(points),), points)
     fmt = b" ".join([b"%d"] * d) + b"\n"
     units = "cell" if args.cells else f"half-cell/{engine.cell_units(defn) // 2}"
-    try:
-        with _output(args) as write:
-            write(
-                f"# kind={label} d={d} depth={args.depth} "
-                f"origin={args.origin} units={units}\n".encode()
-            )
-            while True:
-                coords = tuple(itertools.chain.from_iterable(itertools.islice(points, _BATCH)))
-                if not coords:
-                    break
-                write(fmt * (len(coords) // d) % coords)
-    except BrokenPipeError:
-        return _closed_pipe()
+    with _output(args) as write:
+        write(
+            f"# kind={label} d={d} depth={args.depth} "
+            f"origin={args.origin} units={units}\n".encode()
+        )
+        while True:
+            coords = tuple(itertools.chain.from_iterable(itertools.islice(points, _BATCH)))
+            if not coords:
+                break
+            write(fmt * (len(coords) // d) % coords)
     return 0
 
 
-_PROPERTIES = (
-    "base-pattern",
-    "continuity",
-    "palindromic",
-    "straight-jumping",
-    "dominance",
-    "bbox",
-    "components",
-    "well-folded",
-)
-# the properties checked on the whole enumerated path
-_WHOLE_PATH = frozenset(_PROPERTIES) - {"base-pattern", "well-folded"}
+# What each check holds, which sets the bounds that refuse it: the rule,
+# O(depth) of the walk, or the corner Path (palindromic: its facet cells).
+_PROPERTIES = {
+    "base-pattern": "rule", "continuity": "walk", "palindromic": "held",
+    "straight-jumping": "walk", "dominance": "held", "bbox": "held",
+    "components": "held", "well-folded": "rule",
+}
 
 
-def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
+def _run_property(prop, defn, kind, depth, seed, path) -> analysis.PropertyReport:
+    """Check ``prop``; ``path()`` gives the corner ``Path`` it may hold."""
     from . import analysis  # only ``check`` needs it
 
     d = defn.dimension
@@ -262,16 +253,13 @@ def _run_property(prop, defn, kind, depth, seed) -> analysis.PropertyReport:
     if prop == "straight-jumping":
         return analysis.check_straight_jumping(defn, depth, kind=kind)
     if prop == "dominance":
-        path = engine.generate_full_path(defn, depth, "corner")
-        return analysis.check_dominance(path, kind=kind)
+        return analysis.check_dominance(path(), kind=kind)
     if prop == "bbox":
-        path = engine.generate_full_path(defn, depth, "corner")
-        ratio = analysis.max_bbox_ratio(path, seed=seed)
+        ratio = analysis.max_bbox_ratio(path(), seed=seed)
         verdict = "holds" if ratio <= 4 else "fails"
         return analysis.PropertyReport("bbox", kind, d, depth, verdict, (ratio,))
     if prop == "components":
-        path = engine.generate_full_path(defn, depth, "corner")
-        mx, _ = analysis.section_component_audit(path, 10000, seed)
+        mx, _ = analysis.section_component_audit(path(), 10000, seed)
         verdict = "holds" if mx <= 2 else "fails"
         return analysis.PropertyReport("components", kind, d, depth, verdict, (mx,))
     return analysis.check_well_folded_rank(defn, kind=kind)  # well-folded
@@ -286,14 +274,24 @@ def _cmd_check(args) -> int:
     for prop in props:
         if prop not in _PROPERTIES:
             raise _UsageError(f"unknown property {prop!r}; known: {', '.join(_PROPERTIES)}")
-    if _WHOLE_PATH.intersection(props):
+    needs = {_PROPERTIES[prop] for prop in props}
+    if "held" in needs:
         _require_held_size(defn, args.depth, "check")
+    if needs != {"rule"}:
         _require_cells_per_axis(defn, args.depth)
+    held = []  # the corner path, built by the first property that holds it
+
+    def path() -> engine.Path:
+        if not held:
+            held.append(engine.generate_full_path(defn, args.depth, "corner"))
+        return held[0]
+
     all_hold = True
-    for prop in props:
-        report = _run_property(prop, defn, label, args.depth, args.seed)
-        print(report.line())
-        all_hold &= report.holds
+    with _output(args) as write:
+        for prop in props:
+            report = _run_property(prop, defn, label, args.depth, args.seed, path)
+            write(f"{report.line()}\n".encode())
+            all_hold &= report.holds
     return 0 if all_hold else 1
 
 
@@ -392,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        return _closed_pipe()
     except (_UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -244,6 +244,63 @@ def test_check_continuity_stops_at_the_first_jump():
     )
 
 
+def test_streaming_checks_take_a_depth_beyond_the_held_points_bound(monkeypatch):
+    # 4**12 points, above MAX_HELD_POINTS; both checks read the walk and
+    # stop at its second step, and neither holds the path
+    monkeypatch.setattr(engine, "generate_full_path", None)
+    argv = ["check", "z", "2", "--property", "continuity,straight-jumping", "--depth", "12"]
+    assert run(argv) == (
+        1, "continuity z 2 12 fails 1 2\nstraight-jumping z 2 12 fails 1 2\n", ""
+    )
+
+
+def _spy(monkeypatch, *targets):
+    """Record the arguments of each call to the patched function."""
+    calls = []
+    real = getattr(*targets[0])
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_check_holds_one_path_for_all_its_properties(monkeypatch):
+    props = ["dominance", "bbox", "components"]
+    argv = ["check", "harmonious", "3", "--depth", "3", "--property"]
+    separate = [run([*argv, prop]) for prop in props]
+    calls = _spy(monkeypatch, (engine, "generate_full_path"))
+    code, out, err = run([*argv, ",".join(props)])
+    assert len(calls) == 1
+    assert out == "".join(o for _, o, _ in separate)
+    assert (code, err) == (max(c for c, _, _ in separate), "")
+
+
+# The commands of the ``audit`` benchmark (each with ``--seed``) and the
+# walks each takes: one per streaming check, one for the held path.
+AUDIT_WALKS = [
+    ("z 4 --property components --depth 3", 1),
+    ("z 3 --property components --depth 3", 1),
+    ("maehara 3 --property components --depth 3", 1),
+    ("harmonious 3 --property continuity,palindromic,bbox --depth 4", 3),
+    ("z 3 --property dominance --depth 3", 1),
+    ("double-gray 3 --property palindromic,straight-jumping --depth 4", 2),
+]
+
+
+@pytest.mark.parametrize("argv,walks", AUDIT_WALKS)
+def test_audit_commands_walk_once_per_streaming_check_and_held_path(argv, walks, monkeypatch):
+    from traversals import analysis
+
+    calls = _spy(monkeypatch, (engine, "iter_path"), (analysis, "iter_path"))
+    _, _, err = run(["check", *argv.split(), "--seed", "1"])
+    assert err == ""
+    assert len(calls) == walks
+
+
 def test_check_multiple_properties():
     code, out, _ = run(
         [
@@ -508,6 +565,7 @@ def test_path_flag_conflicts_exit_before_enumerating(argv, monkeypatch):
     ["check", "z", "3", "--property", "components", "--depth", "1000"],
     ["check", "z", "3", "--property", "base-pattern,dominance", "--depth", "1000"],
     ["check", "peano", "2", "--property", "bbox", "--depth", "8"],
+    ["check", "z", "2", "--property", "palindromic", "--depth", "12"],
     ["plot", "z", "2", "--depth", "1000"],
     ["plot", "polya2d", "--depth", "12"],
 ])
@@ -654,6 +712,27 @@ def test_describe_and_plot_stop_quietly_when_the_reader_closes_the_pipe(argv, he
     assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
     assert got == head
     assert err == b""
+
+
+def test_check_stops_quietly_when_its_output_pipe_is_closed():
+    """``check`` writes through the same writer as the other commands: on
+    a pipe whose reader closed before it started, exit status 141 and an
+    empty stderr."""
+    src = str(FsPath(traversals.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "traversals.cli", "check", "z", "3",
+             "--property", "dominance,components", "--depth", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_CLOSED_PIPE, b"")
 
 
 def test_path_streams_in_bounded_memory(tmp_path):

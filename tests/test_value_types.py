@@ -292,7 +292,7 @@ def test_audit_values_behave_like_their_dataclasses():
         profiles.append(adjacency_profile(path))
         assert_behaves_like_its_dataclass(profiles[-1])
         for prop in props.split(","):
-            reports.append(cli._run_property(prop, defn, kind, depth, 0))
+            reports.append(cli._run_property(prop, defn, kind, depth, 0, lambda: path))
             assert_behaves_like_its_dataclass(reports[-1])
     assert {r.verdict for r in reports} == {"holds", "fails"}
     assert any(p.first_jump is None for p in profiles) and any(p.first_jump for p in profiles)
