@@ -245,8 +245,8 @@ def test_check_continuity_stops_at_the_first_jump():
 
 
 def test_streaming_checks_take_a_depth_beyond_the_held_points_bound(monkeypatch):
-    # 4**12 points, above MAX_HELD_POINTS; both checks read the walk and
-    # stop at its second step, and neither holds the path
+    # 4**12 points, above MAX_HELD_POINTS; both checks read the walk, stop
+    # at its third point and hold no path
     monkeypatch.setattr(engine, "generate_full_path", None)
     argv = ["check", "z", "2", "--property", "continuity,straight-jumping", "--depth", "12"]
     assert run(argv) == (
