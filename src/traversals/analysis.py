@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .engine import Path, _require_int_depth, cell_units, iter_path
-from .generators import gen_base_pattern
+from .generators import _pattern
 from .notation import TraversalDefinition, _Frozen, _symmetries_mapping
 
 KERNEL_BACKEND = "python"
@@ -118,13 +118,10 @@ def check_base_pattern(defn: TraversalDefinition) -> str:
     d = defn.dimension
     moves = defn.moves
     if len(defn.entries) == 2**d:
-        if moves == gen_base_pattern(2, d):
-            return "G2"
-        from .generators import _zigzag_pattern
-
-        if moves == _zigzag_pattern(d):
-            return "ZigZag"
-    if len(defn.entries) == 3**d and moves == gen_base_pattern(3, d):
+        for name in ("G2", "ZigZag"):
+            if moves == _pattern(name, d)[0].moves:
+                return name
+    if len(defn.entries) == 3**d and moves == _pattern("G3", d)[0].moves:
         return "G3"
     return "Other"
 
@@ -218,6 +215,8 @@ class SectionAuditor:
         a = array.array("i")
         b = array.array("i")
         for lo, hi in sections:
+            if type(lo) is not int or type(hi) is not int:  # a bool included
+                raise ValueError(f"section ({lo!r}, {hi!r}) has a bound that is not an int")
             if not 0 <= lo <= hi < self.length:
                 raise ValueError(f"section ({lo}, {hi}) out of range")
             a.append(lo)

@@ -9,16 +9,21 @@ tile's side of every axis from the Gray bits of its position.  The
 Hill-Z and Maehara orders on the simplex centres share another, which
 sorts the binary digits of each position and differs between the two
 only in the rank of a one-digit and in the reversal of odd entries.
-Fixed-dimension curves with no known d-dimensional rule (Pólya,
-the palindromic tetrahedral order, Liu-Joe's SUB8, the Meander square
-order, the triangular-prism curve) ship as bundled definition files.
+Each pattern half (the moves and centres of G2, G3, the zig-zag or the
+simplex centres) is built and checked once per (pattern, d) and shared
+by every rule on it; a rule adds only its entries.  Fixed-dimension
+curves with no known d-dimensional rule (Pólya, the palindromic
+tetrahedral order, Liu-Joe's SUB8, the Meander square order, the
+triangular-prism curve) ship as bundled definition files.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .notation import (
     Move,
@@ -74,13 +79,14 @@ class BetaUndefinedError(ValueError):
     """The Beta curve exists only for three or more dimensions."""
 
 
-def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
-    """Digits of n in the given base; index j-1 is the j-th least significant."""
-    out = []
-    for _ in range(d):
-        out.append(n % base)
-        n //= base
-    return tuple(out)
+def _require_d(d) -> None:
+    """Refuse a d that is not an ``int`` (a bool included) or is below 1.
+    It runs before any cache lookup, where 2.0 or True would find the
+    entry of 2 or 1."""
+    if type(d) is not int:
+        raise ValueError(f"d must be an int, got {d!r}")
+    if d < 1:
+        raise ValueError("d must be at least 1")
 
 
 # -- base patterns ----------------------------------------------------
@@ -94,34 +100,56 @@ def gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
     a step along k, the reverse, another step along k, and G3(k-1) once
     more.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    _require_d(d)
     if base not in (2, 3):
         raise ValueError("base pattern exists for bases 2 and 3")
+    return _pattern(f"G{base}", d)[0].moves
+
+
+@lru_cache(maxsize=32)
+def _built_pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, ...], ...]]:
+    """:func:`_pattern` of a checked d."""
+    base = 3 if name == "G3" else 2
+    digits = tuple(t[::-1] for t in product(range(base), repeat=d))
+    ident = [SignedPermutation.identity(d)] * len(digits)
+    if name == "simplex":
+        q = Fraction(1, 4)
+        centres = [(q,) * sum(r) + (-q,) * (d - sum(r)) for r in digits]
+        return TraversalDefinition.from_centres(ident, centres), digits
     seq: list[Move] = []
     for k in range(1, d + 1):
+        if name == "ZigZag":  # binary increment: clear axes 1..k-1, step up axis k
+            seq = seq + [Move(tuple(range(-1, -k, -1)) + (k,))] + seq
+            continue
         rev = [m.negated() for m in reversed(seq)]
         if base == 2:
             seq = seq + [Move((k,))] + rev
         else:
-            seq = seq + [Move((k,))] + rev + [Move((k,))] + list(seq)
-    return tuple(seq)
+            seq = seq + [Move((k,))] + rev + [Move((k,))] + seq
+    return TraversalDefinition.from_moves(ident, seq, scale=base), digits
 
 
-def _zigzag_pattern(d: int) -> tuple[Move, ...]:
-    """Move list of the Z-traversal: binary increment with borrows."""
-    moves = []
-    for i in range(1, 2**d):
-        steps = []
-        n = i - 1
-        j = 1
-        while n & 1:
-            steps.append(-j)
-            n >>= 1
-            j += 1
-        steps.append(j)
-        moves.append(Move(tuple(steps)))
-    return tuple(moves)
+def _pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, ...], ...]]:
+    """The pattern half of the rules on ``name`` ("G2", "G3", "ZigZag" or
+    "simplex") in d dimensions, and the digits of each tile position n,
+    lowest first.  The half is the rule of identity entries on the
+    pattern (Z on the zig-zag, U on G2), checked once by ``from_moves``
+    or ``from_centres`` and kept per (name, d)."""
+    _require_d(d)
+    return _built_pattern(name, d)
+
+
+def _on(half: TraversalDefinition, entries: Sequence[SignedPermutation]) -> TraversalDefinition:
+    """The rule with ``entries`` on the moves and centres of ``half``;
+    only the entries' count and dimension are checked."""
+    d = half.dimension
+    if len(entries) != len(half.entries):
+        raise ValueError("expected one entry per tile of the pattern")
+    if any(e.dimension != d for e in entries):
+        raise ValueError("inconsistent entry lengths")
+    return TraversalDefinition._of(
+        d, half.scale, tuple(entries), half.moves, half.step_den, half.centres
+    )
 
 
 def _g2_rule(
@@ -133,11 +161,8 @@ def _g2_rule(
     lowest first.  G2(d) visits the tiles in reflected Gray order, so
     tile i lies on the high side of axis j exactly when ``g[j-1]`` is 1.
     """
-    entries = []
-    for i in range(1, 2**d + 1):
-        n = i - 1
-        entries.append(entry(i, _digits(n, 2, d), _digits(n ^ (n >> 1), 2, d)))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
+    half, bits = _pattern("G2", d)
+    return _on(half, [entry(n + 1, r, bits[n ^ (n >> 1)]) for n, r in enumerate(bits)])
 
 
 # -- traversals without rotations (scale 2) ---------------------------
@@ -145,14 +170,14 @@ def _g2_rule(
 
 def gen_z(d: int) -> TraversalDefinition:
     """Bit-interleaving order: identity entries along a zig-zag pattern."""
-    ident = SignedPermutation.identity(d)
-    return TraversalDefinition.from_moves([ident] * 2**d, _zigzag_pattern(d))
+    half, _ = _pattern("ZigZag", d)
+    return _on(half, half.entries)
 
 
 def gen_u(d: int) -> TraversalDefinition:
     """Reflected-Gray base pattern, identical forward copy in every cell."""
-    ident = SignedPermutation.identity(d)
-    return _g2_rule(d, lambda i, r, g: ident)
+    half, _ = _pattern("G2", d)
+    return _on(half, half.entries)
 
 
 def gen_gray(d: int) -> TraversalDefinition:
@@ -194,17 +219,15 @@ def _simplex_rule(
     zero-digits after it; with ``reverse_odd`` odd entries are reversed.
     Coordinate j of centre i is +1/4 when j < ``ones``, else -1/4.
     """
-    q = Fraction(1, 4)
-    entries, centres = [], []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
+    half, bits = _pattern("simplex", d)
+    entries = []
+    for i, r in enumerate(bits):
         ones, k, perm = sum(r), 0, []
         for j, digit in enumerate(r, 1):
             k += digit
             perm.append(one_rank(k, ones) if digit else j + ones - k)
         entries.append(SignedPermutation(tuple(perm), reverse=reverse_odd and i % 2 == 1))
-        centres.append(tuple(q if j < ones else -q for j in range(d)))
-    return TraversalDefinition.from_centres(entries, centres)
+    return _on(half, entries)
 
 
 def gen_hill_z(d: int) -> TraversalDefinition:
@@ -234,8 +257,7 @@ def gen_maehara_recursive(d: int) -> TraversalDefinition:
     axis-reversing reflection, with a connecting move back along axes
     2..d-1.  Structurally identical to :func:`gen_maehara`.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    _require_d(d)
     entries = [SignedPermutation((1,)), SignedPermutation((-1,), reverse=True)]
     moves = [Move((1,))]
     for k in range(2, d + 1):
@@ -423,9 +445,9 @@ def gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinitio
     kind = TraversalKind(variant) if not isinstance(variant, TraversalKind) else variant
     if _scale(kind) != 3:
         raise ValueError(f"{kind} is not a scale-3 variant")
+    half, digits = _pattern("G3", d)
     entries = []
-    for i in range(1, 3**d + 1):
-        t = _digits(i - 1, 3, d)
+    for i, t in enumerate(digits, 1):
         if kind is TraversalKind.PEANO:
             perm = list(range(1, d + 1))
         elif kind is TraversalKind.COIL:
@@ -440,9 +462,7 @@ def gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinitio
         entries.append(
             SignedPermutation(tuple(s * p for s, p in zip(signs, perm)))
         )
-    return TraversalDefinition.from_moves(
-        entries, gen_base_pattern(3, d), scale=3
-    )
+    return _on(half, entries)
 
 
 # -- fixed-dimension curves --------------------------------------------
@@ -504,8 +524,7 @@ _GENERATORS = {
 def generate(kind: str | TraversalKind, d: int) -> TraversalDefinition:
     """Produce the named traversal family in ``d`` dimensions."""
     k = TraversalKind(kind) if not isinstance(kind, TraversalKind) else kind
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    _require_d(d)
     if k in _GENERATORS:
         return _GENERATORS[k](d)
     return gen_peano_family(k, d)

@@ -223,6 +223,20 @@ def test_section_audit_rejects_a_count_that_is_not_an_int(n_sections):
     assert str(info.value) == f"n_sections must be at least 1, got {n_sections!r}"
 
 
+@pytest.mark.parametrize("section", [(1.0, 2), (0, 2.0), (True, 3), (0, True), ("1", 2)])
+def test_a_section_bound_that_is_not_an_int_is_refused(section):
+    # (1.0, 2) used to raise a bare TypeError and (True, 3) was counted
+    # as (1, 3).
+    p = path_of("z", 2, 2)
+    want = f"section ({section[0]!r}, {section[1]!r}) has a bound that is not an int"
+    with pytest.raises(ValueError) as info:
+        SectionAuditor(p).counts([(0, 1), section])
+    assert str(info.value) == want
+    with pytest.raises(ValueError) as info:
+        component_count(p, *section)
+    assert str(info.value) == want
+
+
 def test_maehara_sections_at_most_two_components():
     p = generate_full_path(generate("maehara", 3), 3, "corner")
     mx, _ = section_component_audit(p, 3000, seed=17)

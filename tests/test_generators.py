@@ -1,6 +1,7 @@
 """The sixteen families against their printed forms and stated rules."""
 
 import hashlib
+from collections.abc import Callable
 from fractions import Fraction
 from importlib import resources
 from math import comb
@@ -746,3 +747,195 @@ def test_every_family_rule_keeps_its_repr():
         for d in range(3 if kind == "beta" else 1, top + 1):
             h.update(repr(generate(kind, d)).encode())
         assert h.hexdigest()[:16] == digest, kind
+
+
+# -- shared pattern halves against the per-family builders --------------------
+#
+# The builders as they were before the families shared one pattern half per
+# (pattern, d), verbatim but for their names and the ``generators.`` prefix of
+# two helpers: each rule rebuilt its moves and centres through ``from_moves``
+# or ``from_centres``.  The families' entry formulas are the module's own:
+# the test swaps ``_g2_rule`` and ``_simplex_rule`` for these copies.
+
+
+def old_gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
+    """The reflected Gray-code move pattern G2(d) or G3(d).
+
+    G2(k) concatenates G2(k-1), a step along axis k, and the reverse of
+    G2(k-1) (order flipped, signs negated).  G3(k) concatenates G3(k-1),
+    a step along k, the reverse, another step along k, and G3(k-1) once
+    more.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if base not in (2, 3):
+        raise ValueError("base pattern exists for bases 2 and 3")
+    seq: list[Move] = []
+    for k in range(1, d + 1):
+        rev = [m.negated() for m in reversed(seq)]
+        if base == 2:
+            seq = seq + [Move((k,))] + rev
+        else:
+            seq = seq + [Move((k,))] + rev + [Move((k,))] + list(seq)
+    return tuple(seq)
+
+
+def old_zigzag_pattern(d: int) -> tuple[Move, ...]:
+    """Move list of the Z-traversal: binary increment with borrows."""
+    moves = []
+    for i in range(1, 2**d):
+        steps = []
+        n = i - 1
+        j = 1
+        while n & 1:
+            steps.append(-j)
+            n >>= 1
+            j += 1
+        steps.append(j)
+        moves.append(Move(tuple(steps)))
+    return tuple(moves)
+
+
+def old_g2_rule(
+    d: int, entry: Callable[[int, tuple[int, ...], tuple[int, ...]], SignedPermutation]
+) -> TraversalDefinition:
+    """The rule on G2(d) whose i-th entry, i = 1..2^d, is ``entry(i, r, g)``.
+
+    ``r`` holds the binary digits of i-1 and ``g`` its Gray bits, both
+    lowest first.  G2(d) visits the tiles in reflected Gray order, so
+    tile i lies on the high side of axis j exactly when ``g[j-1]`` is 1.
+    """
+    entries = []
+    for i in range(1, 2**d + 1):
+        n = i - 1
+        entries.append(entry(i, _digits(n, 2, d), _digits(n ^ (n >> 1), 2, d)))
+    return TraversalDefinition.from_moves(entries, old_gen_base_pattern(2, d))
+
+
+def old_gen_z(d: int) -> TraversalDefinition:
+    """Bit-interleaving order: identity entries along a zig-zag pattern."""
+    ident = SignedPermutation.identity(d)
+    return TraversalDefinition.from_moves([ident] * 2**d, old_zigzag_pattern(d))
+
+
+def old_simplex_rule(
+    d: int, one_rank: Callable[[int, int], int], reverse_odd: bool
+) -> TraversalDefinition:
+    """The Hill-Z or Maehara order: entry i sorts the binary digits of i.
+
+    With k one-digits up to position j, of ``ones`` in all, a one-digit
+    there maps to ``one_rank(k, ones)`` and a zero-digit to d minus the
+    zero-digits after it; with ``reverse_odd`` odd entries are reversed.
+    Coordinate j of centre i is +1/4 when j < ``ones``, else -1/4.
+    """
+    q = Fraction(1, 4)
+    entries, centres = [], []
+    for i in range(2**d):
+        r = _digits(i, 2, d)
+        ones, k, perm = sum(r), 0, []
+        for j, digit in enumerate(r, 1):
+            k += digit
+            perm.append(one_rank(k, ones) if digit else j + ones - k)
+        entries.append(SignedPermutation(tuple(perm), reverse=reverse_odd and i % 2 == 1))
+        centres.append(tuple(q if j < ones else -q for j in range(d)))
+    return TraversalDefinition.from_centres(entries, centres)
+
+
+def old_gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinition:
+    """The four order-preserving traversals on the 3^d subdivision.
+
+    All follow the ternary reflected Gray pattern and differ only in the
+    unsigned permutations: Peano uses the identity everywhere, Coil the
+    axis reversal, Half-coil alternates the two, and Meurthe pushes the
+    axes with ternary digit 0 or 1 to the back in reversed relative
+    order.  Signs flip wherever the axis digit and the digit sum have
+    different parity; no entry is ever reversed.
+    """
+    kind = TraversalKind(variant) if not isinstance(variant, TraversalKind) else variant
+    if generators._scale(kind) != 3:
+        raise ValueError(f"{kind} is not a scale-3 variant")
+    entries = []
+    for i in range(1, 3**d + 1):
+        t = _digits(i - 1, 3, d)
+        if kind is TraversalKind.PEANO:
+            perm = list(range(1, d + 1))
+        elif kind is TraversalKind.COIL:
+            perm = list(range(d, 0, -1))
+        elif kind is TraversalKind.HALF_COIL:
+            perm = list(range(d, 0, -1)) if i % 2 == 1 else list(range(1, d + 1))
+        else:
+            keep = [j for j in range(1, d + 1) if t[j - 1] == 2]
+            moved = [j for j in range(d, 0, -1) if t[j - 1] in (0, 1)]
+            perm = keep + moved
+        signs = generators._peano_signs(perm, t)
+        entries.append(
+            SignedPermutation(tuple(s * p for s, p in zip(signs, perm)))
+        )
+    return TraversalDefinition.from_moves(
+        entries, old_gen_base_pattern(3, d), scale=3
+    )
+
+
+def _family_keys():
+    """Every (kind, d) at d = 1..8 (Beta from 3, the Peano family to 5),
+    ascending d first, so the patterns of one d are built side by side."""
+    for d in range(1, 9):
+        for kind in TraversalKind:
+            if (kind.value != "beta" or d >= 3) and (generators._scale(kind) == 2 or d <= 5):
+                yield kind, d
+
+
+def test_shared_pattern_halves_match_the_per_family_builders(monkeypatch):
+    new = {key: generate(*key) for key in _family_keys()}
+    monkeypatch.setattr(generators, "_g2_rule", old_g2_rule)
+    monkeypatch.setattr(generators, "_simplex_rule", old_simplex_rule)
+    for (kind, d), got in new.items():
+        if kind is TraversalKind.Z:
+            want = old_gen_z(d)
+        elif generators._scale(kind) == 3:
+            want = old_gen_peano_family(kind, d)
+        else:
+            want = generators._GENERATORS[kind](d)
+        assert got == want, (kind, d)
+        assert repr(got) == repr(want), (kind, d)
+        assert format_definition(got) == format_definition(want), (kind, d)
+
+
+def test_families_on_one_pattern_share_its_half():
+    u, harmonious = generate("u", 4), generate("harmonious", 4)
+    assert u.moves is harmonious.moves and u.centres is harmonious.centres
+    assert u.moves is gen_base_pattern(2, 4)
+    assert generate("peano", 3).moves is generate("meurthe", 3).moves
+    assert generate("hill-z", 3).centres is generate("maehara", 3).centres
+    assert u.entries != harmonious.entries
+
+
+def test_a_pattern_half_refuses_entries_of_the_wrong_count_or_dimension():
+    with pytest.raises(ValueError, match="inconsistent entry lengths"):
+        generators._g2_rule(2, lambda i, r, g: SignedPermutation.identity(3))
+    half, _ = generators._pattern("G3", 2)
+    with pytest.raises(ValueError, match="one entry per tile"):
+        generators._on(half, list(half.entries[1:]))
+
+
+BUILDERS_OF_D = {
+    "generate": lambda d: generate("z", d),
+    "gen_base_pattern": lambda d: gen_base_pattern(2, d),
+    "gen_peano_family": lambda d: generators.gen_peano_family("coil", d),
+    "gen_maehara_recursive": gen_maehara_recursive,
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS_OF_D.values(), ids=list(BUILDERS_OF_D))
+@pytest.mark.parametrize("d", [True, False, 2.0, 1.0, "2", None])
+def test_a_d_that_is_not_an_int_is_refused_before_the_cache(build, d):
+    # True used to give the d=1 rule, 2.0 a bare TypeError; behind the
+    # cache 2.0 would find the entry of 2.
+    for good in (1, 2):
+        build(good)
+    before = generators._built_pattern.cache_info()
+    with pytest.raises(ValueError) as info:
+        build(d)
+    assert str(info.value) == f"d must be an int, got {d!r}"
+    after = generators._built_pattern.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
