@@ -754,8 +754,9 @@ def test_every_family_rule_keeps_its_repr():
 # The builders as they were before the families shared one pattern half per
 # (pattern, d), verbatim but for their names and the ``generators.`` prefix of
 # two helpers: each rule rebuilt its moves and centres through ``from_moves``
-# or ``from_centres``.  The families' entry formulas are the module's own:
-# the test swaps ``_g2_rule`` and ``_simplex_rule`` for these copies.
+# or ``from_centres``.  Z, U and the Peano family are copied whole; the other
+# families keep the module's own entry formulas, which the test runs through
+# these copies of ``_g2_rule`` and ``_simplex_rule``.
 
 
 def old_gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
@@ -816,6 +817,12 @@ def old_gen_z(d: int) -> TraversalDefinition:
     """Bit-interleaving order: identity entries along a zig-zag pattern."""
     ident = SignedPermutation.identity(d)
     return TraversalDefinition.from_moves([ident] * 2**d, old_zigzag_pattern(d))
+
+
+def old_gen_u(d: int) -> TraversalDefinition:
+    """Reflected-Gray base pattern, identical forward copy in every cell."""
+    ident = SignedPermutation.identity(d)
+    return old_g2_rule(d, lambda i, r, g: ident)
 
 
 def old_simplex_rule(
@@ -890,8 +897,8 @@ def test_shared_pattern_halves_match_the_per_family_builders(monkeypatch):
     monkeypatch.setattr(generators, "_g2_rule", old_g2_rule)
     monkeypatch.setattr(generators, "_simplex_rule", old_simplex_rule)
     for (kind, d), got in new.items():
-        if kind is TraversalKind.Z:
-            want = old_gen_z(d)
+        if kind in (TraversalKind.Z, TraversalKind.U):
+            want = old_gen_z(d) if kind is TraversalKind.Z else old_gen_u(d)
         elif generators._scale(kind) == 3:
             want = old_gen_peano_family(kind, d)
         else:
