@@ -184,32 +184,48 @@ class SectionAuditor:
     """
 
     def __init__(self, path: Path):
+        # A cell's key is its mixed-radix number: the radix of each axis
+        # is the width of the range of cell coordinates seen on it, so
+        # any integer path, negative coordinates included, gets one key
+        # per cell.  Ids follow first visits.
         w = path.cell_units
-        ids: dict[tuple[int, ...], int] = {}
-        cell_of_pos = array.array("i")
-        cells: list[tuple[int, ...]] = []
-        for p in path.points:
-            key = tuple(x // w for x in p)
-            i = ids.get(key)
-            if i is None:
-                i = len(cells)
-                ids[key] = i
-                cells.append(key)
-            cell_of_pos.append(i)
+        points = path.points
+        keys = [0] * len(points)
+        axes = []  # (stride, radix) per axis
+        base = 0  # the key of the lowest corner of the range box
+        stride = 1
+        for axis in range(len(points[0]) if points else 0):
+            col = [p[axis] // w for p in points]
+            lo = min(col)
+            radix = max(col) - lo + 1
+            keys = [k + c * stride for k, c in zip(keys, col)]
+            axes.append((stride, radix))
+            base += lo * stride
+            stride *= radix
+        ids = dict.fromkeys(keys)
+        for i, k in enumerate(ids):
+            ids[k] = i
+        get = ids.get
         indptr = array.array("i", [0])
         adj = array.array("i")
-        for key in cells:
-            for axis in range(len(key)):
-                for delta in (-1, 1):
-                    nb = ids.get(key[:axis] + (key[axis] + delta,) + key[axis + 1:])
+        for k in ids:
+            r = k - base
+            for stride, radix in axes:
+                c = r // stride % radix
+                if c:
+                    nb = get(k - stride)
+                    if nb is not None:
+                        adj.append(nb)
+                if c + 1 < radix:
+                    nb = get(k + stride)
                     if nb is not None:
                         adj.append(nb)
             indptr.append(len(adj))
-        self.n_cells = len(cells)
-        self._cell_of_pos = cell_of_pos
+        self.n_cells = len(ids)
+        self._cell_of_pos = array.array("i", map(ids.__getitem__, keys))
         self._indptr = indptr
         self._adj = adj
-        self.length = len(path.points)
+        self.length = len(points)
 
     def counts(self, sections: Iterable[tuple[int, int]]) -> array.array:
         a = array.array("i")
@@ -253,16 +269,20 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
     tree counts F_b's edges by weight.
 
-    Each edge (q, b) costs at most two accesses.  Between two trees it
-    is linked under q's node, with b's node everted first unless b has
-    no edge yet.  Within one tree, q's node is everted and b's node
-    accessed, so b's splay tree is the cycle's path and its least-key
-    node the lightest edge e.  If e is lighter than q, e is cut out of
-    that path; the part holding q's node keeps it as its root and e as
-    its path parent, so e becomes the new edge by hanging under b's node,
-    with no further evert.  The node fields live in Python lists, not
-    arrays: a list read returns the int object it holds, where an array
-    read boxes a new one, and the kernel does little else.
+    Each edge (q, b) costs one access, and each b one more at most.  b's
+    first edge is linked by hanging b's lone node under q's.  At b's
+    first edge within one tree, b's node is everted once and stays the
+    root of its tree for b's remaining edges: a later link hangs q's
+    tree under b's node, with q's node everted, and a cut keeps b's side
+    where it is.  So an edge within one tree is a single access of q's
+    node, whose splay tree is then the cycle's path from b, and its
+    least-key node the lightest edge e.  If e is lighter than q, e is
+    splayed and cut out of that path: its left part keeps b's node as
+    its root, and its right part, flipped so that q's node is its root,
+    hangs under e, which becomes the new edge by hanging under b's node.
+    The node fields live in Python lists, not arrays: a list read
+    returns the int object it holds, where an array read boxes a new
+    one, and the kernel does little else.
     """
     n = len(cell_of_pos)
     first, after = _by_upper_end(n, sections_b)
@@ -281,9 +301,19 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     low = list(range(size))
 
     def splay(x):
-        chain = [x]
         y = x
         p = up[y]
+        if left[p] != y and right[p] != y:  # x is its splay tree's root
+            if flip[y]:
+                l = left[y]
+                r = right[y]
+                left[y] = r
+                right[y] = l
+                flip[l] ^= 1
+                flip[r] ^= 1
+                flip[y] = 0
+            return
+        chain = [x]
         while left[p] == y or right[p] == y:
             chain.append(p)
             y = p
@@ -298,37 +328,52 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 flip[r] ^= 1
                 flip[y] = 0
         while True:
+            # L and R name x's side of p and the other, so each case is
+            # written once for x as p's L child.
             p = up[x]
-            is_left = left[p] == x
-            if not is_left and right[p] != x:
+            if left[p] == x:
+                L = left
+                R = right
+            elif right[p] == x:
+                L = right
+                R = left
+            else:
                 break
             g = up[p]
-            if left[g] == p:
-                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
-            elif right[g] == p:
-                order = (x, x) if is_left else (p, x)
-            else:
-                order = (x,)  # zig: p is the root
-            for y in order:  # rotate y over its parent p
-                p = up[y]
-                g = up[p]
-                if left[g] == p:
-                    left[g] = y
-                elif right[g] == p:
-                    right[g] = y
-                up[y] = g
-                if left[p] == y:
-                    c = right[y]
-                    left[p] = c
-                    right[y] = p
-                else:
-                    c = left[y]
-                    right[p] = c
-                    left[y] = p
+            h = up[g]
+            if L[g] == p:  # zig-zig: p over g, then x over p
+                c = R[p]
+                L[g] = c
+                if c:
+                    up[c] = g
+                c = R[x]
+                L[p] = c
                 if c:
                     up[c] = p
-                up[p] = y
-                low[y] = low[p]  # y's subtree is p's old one
+                R[p] = g
+                R[x] = p
+                up[g] = p
+            elif R[g] == p:  # zig-zag: x over p, then over g
+                c = L[x]
+                R[g] = c
+                if c:
+                    up[c] = g
+                c = R[x]
+                L[p] = c
+                if c:
+                    up[c] = p
+                L[x] = g
+                R[x] = p
+                up[g] = x
+            else:  # zig: p is the root
+                c = R[x]
+                L[p] = c
+                if c:
+                    up[c] = p
+                R[x] = p
+                up[x] = g
+                up[p] = x
+                low[x] = low[p]  # x's subtree is p's old one
                 m = p
                 k = key[p]
                 z = low[left[p]]
@@ -339,6 +384,25 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 if key[z] < k:
                     m = z
                 low[p] = m
+                break
+            if left[h] == g:
+                left[h] = x
+            elif right[h] == g:
+                right[h] = x
+            up[x] = h
+            up[p] = x
+            low[x] = low[g]  # x's subtree is g's old one
+            for y in (g, p):  # g first: after a zig-zig, g is p's child
+                m = y
+                k = key[y]
+                z = low[left[y]]
+                if key[z] < k:
+                    m = z
+                    k = key[z]
+                z = low[right[y]]
+                if key[z] < k:
+                    m = z
+                low[y] = m
 
     def access(x):  # make root..x one splay tree, with x at its root
         last = 0
@@ -379,6 +443,7 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 lower.append(q)
         v = b + 1
         single = True  # v has no edge yet
+        rooted = False  # v is the root of its tree
         for q in lower:
             u = q + 1
             r = q
@@ -390,25 +455,33 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 spare += 1
                 forest += 1
                 key[e] = q
-                up[e] = u
-                if not single:
+                if single:  # v hangs under u
+                    up[e] = u
+                    up[v] = e
+                    single = False
+                else:  # u's tree hangs under v, rooted at u
+                    access(u)
+                    flip[u] ^= 1
+                    up[u] = e
+                    up[e] = v
+            else:
+                if not rooted:
                     access(v)
                     flip[v] ^= 1  # v becomes the root of its tree
-                up[v] = e
-                single = False
-            else:
-                access(u)
-                flip[u] ^= 1  # u becomes the root of its tree
-                access(v)  # the splay tree of v is now the path u..v
-                e = low[v]
+                    rooted = True
+                access(u)  # the splay tree of u is now the path v..u
+                e = low[u]
                 w = key[e]
                 if w >= q:
                     continue
-                # Cut e out of the path.  Its left part keeps u as the
-                # root of its tree and e as its path parent, so e becomes
-                # the new edge by hanging under v.
+                # Cut e out of the path.  Its left part keeps v as the
+                # root; its right part, flipped, is u's new tree rooted
+                # at u, which hangs under e, and e under v.
                 splay(e)
-                up[right[e]] = 0
+                x = left[e]
+                up[x] = 0
+                x = right[e]
+                flip[x] ^= 1
                 left[e] = right[e] = 0
                 key[e] = q
                 low[e] = e
@@ -440,11 +513,22 @@ def component_count(path: Path, a: int, b: int) -> int:
 
 
 def _seeded_sections(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
-    """``count`` sections (a, b), 0 <= a <= b < n, drawn from ``seed``."""
-    rng = random.Random(seed)
+    """``count`` sections (a, b), 0 <= a <= b < n, drawn from ``seed``.
+
+    Each end is drawn as ``Random.randrange(n)`` draws it, by rejection
+    on ``getrandbits(n.bit_length())``, without its per-call checks.
+    """
+    if n < 1:
+        raise ValueError("no section of an empty path")
+    draw = random.Random(seed).getrandbits
+    k = n.bit_length()
     for _ in range(count):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
+        a = draw(k)
+        while a >= n:
+            a = draw(k)
+        b = draw(k)
+        while b >= n:
+            b = draw(k)
         yield (a, b) if a <= b else (b, a)
 
 

@@ -106,6 +106,11 @@ def gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
     return _pattern(f"G{base}", d)[0].moves
 
 
+# Pattern halves of at most this many tiles are kept; larger ones would
+# outlive their rules by megabytes, so they are built per call.
+_MAX_CACHED_TILES = 2**12
+
+
 @lru_cache(maxsize=32)
 def _built_pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, ...], ...]]:
     """:func:`_pattern` of a checked d."""
@@ -134,8 +139,11 @@ def _pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, .
     "simplex") in d dimensions, and the digits of each tile position n,
     lowest first.  The half is the rule of identity entries on the
     pattern (Z on the zig-zag, U on G2), checked once by ``from_moves``
-    or ``from_centres`` and kept per (name, d)."""
+    or ``from_centres`` and kept per (name, d) up to
+    ``_MAX_CACHED_TILES`` tiles."""
     _require_d(d)
+    if (3 if name == "G3" else 2) ** d > _MAX_CACHED_TILES:
+        return _built_pattern.__wrapped__(name, d)
     return _built_pattern(name, d)
 
 
@@ -383,6 +391,7 @@ def gen_alfa(d: int) -> TraversalDefinition:
 
 def gen_beta(d: int) -> TraversalDefinition:
     """Hyperorthogonal Hilbert variant ending on cube facets; needs d >= 3."""
+    _require_d(d)
     if d < 3:
         raise BetaUndefinedError(f"the Beta curve is undefined for d={d}")
     D = 2**d

@@ -1,9 +1,16 @@
 """Property checks against the claimed behaviour of each family."""
 
 import array
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
+
+try:
+    import resource
+except ImportError:  # not a POSIX platform
+    resource = None
 
 import pytest
 from conftest import UNEVEN_RULES, differential_rules
@@ -16,6 +23,7 @@ from traversals.analysis import (
     PropertyReport,
     SectionAuditor,
     _box_dominance,
+    _by_upper_end,
     _seeded_sections,
     adjacency_profile,
     check_base_pattern,
@@ -40,6 +48,39 @@ from traversals.generators import (
     gen_z,
     generate,
 )
+
+
+TEST_TIME_LIMIT_S = 60
+TEST_MEMORY_MARGIN = 2**30  # bytes of address space a test may add
+
+
+@pytest.fixture(autouse=True)
+def bounded():
+    """Fail a test that runs over ``TEST_TIME_LIMIT_S`` or grows the
+    address space by more than ``TEST_MEMORY_MARGIN``, instead of letting
+    it hang or exhaust memory: in a link-cut tree whose links form a
+    cycle, a splay never ends and its chain list grows without bound.
+    The alarm needs SIGALRM and the cap Linux; elsewhere each is left out."""
+    with contextlib.ExitStack() as stack:
+        if hasattr(signal, "SIGALRM"):
+
+            def expire(signum, frame):
+                raise TimeoutError(f"the test ran over {TEST_TIME_LIMIT_S} s")
+
+            before = signal.signal(signal.SIGALRM, expire)
+            signal.alarm(TEST_TIME_LIMIT_S)
+            stack.callback(signal.signal, signal.SIGALRM, before)
+            stack.callback(signal.alarm, 0)
+        try:  # Linux: /proc gives the address space in pages
+            with open("/proc/self/statm") as f:
+                cap = int(f.read().split()[0]) * resource.getpagesize() + TEST_MEMORY_MARGIN
+            soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        except (OSError, AttributeError):  # no /proc, or resource is None
+            cap = None
+        if cap is not None and (soft == resource.RLIM_INFINITY or cap < soft):
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            stack.callback(resource.setrlimit, resource.RLIMIT_AS, (soft, hard))
+        yield
 
 
 def path_of(kind, d, depth):
@@ -291,15 +332,20 @@ def union_find_counts(auditor, sections):
     return out
 
 
-def test_section_sweep_matches_union_find():
-    # every section of the multi-visit simplex paths and small cube paths
+def exhaustive_sweep_paths():
+    """The multi-visit simplex paths and small cube paths whose every
+    section the sweep tests check."""
     exhaustive = [
         generate_full_path(builtin_fixed(name), 2, "corner")
         for name in ("polya2d", "sub8", "palindromic_tetra", "prism3d", "meander2d")
     ]
-    exhaustive += [path_of("maehara", 2, 3), path_of("hill-z", 2, 3),
-                   path_of("inside-out", 3, 2)]
-    for p in exhaustive:
+    return exhaustive + [path_of("maehara", 2, 3), path_of("hill-z", 2, 3),
+                         path_of("inside-out", 3, 2)]
+
+
+def test_section_sweep_matches_union_find():
+    # every section of the multi-visit simplex paths and small cube paths
+    for p in exhaustive_sweep_paths():
         auditor = SectionAuditor(p)
         n = auditor.length
         sections = [(a, b) for a in range(n) for b in range(a, n)]
@@ -343,6 +389,305 @@ def test_section_sweep_matches_union_find_on_walks(p):
     n = auditor.length
     sections = [(a, b) for a in range(n) for b in range(a, n)]
     assert auditor.counts(sections) == union_find_counts(auditor, sections)
+
+
+# -- the preparation and kernel the sweep replaced ----------------------
+
+
+def old_auditor_tables(path):
+    """The tuple-keyed preparation of :class:`SectionAuditor` that
+    mixed-radix cell numbers replaced, kept verbatim as its oracle:
+    (n_cells, cell_of_pos, indptr, adj)."""
+    w = path.cell_units
+    ids: dict[tuple[int, ...], int] = {}
+    cell_of_pos = array.array("i")
+    cells: list[tuple[int, ...]] = []
+    for p in path.points:
+        key = tuple(x // w for x in p)
+        i = ids.get(key)
+        if i is None:
+            i = len(cells)
+            ids[key] = i
+            cells.append(key)
+        cell_of_pos.append(i)
+    indptr = array.array("i", [0])
+    adj = array.array("i")
+    for key in cells:
+        for axis in range(len(key)):
+            for delta in (-1, 1):
+                nb = ids.get(key[:axis] + (key[axis] + delta,) + key[axis + 1:])
+                if nb is not None:
+                    adj.append(nb)
+        indptr.append(len(adj))
+    return len(cells), cell_of_pos, indptr, adj
+
+
+# The kernel of up to two accesses per cycle edge that the one-access
+# kernel replaced, kept verbatim as its oracle.
+def old_section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
+    """Component counts of the sections [a, b] by one sweep over b.
+
+    The vertices are path positions.  Position b gets an edge to the
+    previous visit of its cell and, for each face-adjacent cell visited
+    since then, to that cell's last visit; an edge's weight is its lower
+    end.  Within any section these edges connect the positions exactly
+    as face adjacency connects their cells, with O(d) edges per position
+    even on paths that revisit cells.  A link-cut tree (Sleator & Tarjan,
+    1983) keeps F_b, a maximum spanning forest of the edges whose upper
+    end is at most b.  The edges of F_b of weight >= a then span the
+    section [a, b], which therefore has
+    (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
+    tree counts F_b's edges by weight.
+
+    Each edge (q, b) costs at most two accesses.  Between two trees it
+    is linked under q's node, with b's node everted first unless b has
+    no edge yet.  Within one tree, q's node is everted and b's node
+    accessed, so b's splay tree is the cycle's path and its least-key
+    node the lightest edge e.  If e is lighter than q, e is cut out of
+    that path; the part holding q's node keeps it as its root and e as
+    its path parent, so e becomes the new edge by hanging under b's node,
+    with no further evert.  The node fields live in Python lists, not
+    arrays: a list read returns the int object it holds, where an array
+    read boxes a new one, and the kernel does little else.
+    """
+    n = len(cell_of_pos)
+    first, after = _by_upper_end(n, sections_b)
+
+    # Link-cut tree: position p is node p + 1, forest edges take nodes
+    # n + 1 .. 2n - 1, node 0 is null.  key is an edge's weight (n for
+    # the other nodes); low[x] is the least-key node of x's splay
+    # subtree; up is the splay parent or, at a splay root, the path
+    # parent; flip marks a subtree whose left and right are swapped.
+    size = 2 * n
+    left = [0] * size
+    right = [0] * size
+    up = [0] * size
+    flip = [0] * size
+    key = [n] * size
+    low = list(range(size))
+
+    def splay(x):
+        chain = [x]
+        y = x
+        p = up[y]
+        while left[p] == y or right[p] == y:
+            chain.append(p)
+            y = p
+            p = up[y]
+        for y in reversed(chain):  # push pending flips down to x
+            if flip[y]:
+                l = left[y]
+                r = right[y]
+                left[y] = r
+                right[y] = l
+                flip[l] ^= 1
+                flip[r] ^= 1
+                flip[y] = 0
+        while True:
+            p = up[x]
+            is_left = left[p] == x
+            if not is_left and right[p] != x:
+                break
+            g = up[p]
+            if left[g] == p:
+                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
+            elif right[g] == p:
+                order = (x, x) if is_left else (p, x)
+            else:
+                order = (x,)  # zig: p is the root
+            for y in order:  # rotate y over its parent p
+                p = up[y]
+                g = up[p]
+                if left[g] == p:
+                    left[g] = y
+                elif right[g] == p:
+                    right[g] = y
+                up[y] = g
+                if left[p] == y:
+                    c = right[y]
+                    left[p] = c
+                    right[y] = p
+                else:
+                    c = left[y]
+                    right[p] = c
+                    left[y] = p
+                if c:
+                    up[c] = p
+                up[p] = y
+                low[y] = low[p]  # y's subtree is p's old one
+                m = p
+                k = key[p]
+                z = low[left[p]]
+                if key[z] < k:
+                    m = z
+                    k = key[z]
+                z = low[right[p]]
+                if key[z] < k:
+                    m = z
+                low[p] = m
+
+    def access(x):  # make root..x one splay tree, with x at its root
+        last = 0
+        y = x
+        while y:
+            splay(y)
+            right[y] = last
+            m = y
+            k = key[y]
+            z = low[left[y]]
+            if key[z] < k:
+                m = z
+                k = key[z]
+            z = low[last]
+            if key[z] < k:
+                m = z
+            low[y] = m
+            last = y
+            y = up[y]
+        splay(x)
+
+    # union-find over positions: the components of F_b, which a swap of
+    # one forest edge for another never changes
+    comp = list(range(n))
+    fenwick = [0] * (n + 1)  # forest edges by weight
+    forest = 0
+    spare = n + 1  # next unused edge node
+    last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
+    out = array.array("i", bytes(4 * len(sections_a)))
+    for b in range(n):
+        c = cell_of_pos[b]
+        prev = last_visit[c]
+        last_visit[c] = b
+        lower = [prev] if prev >= 0 else []
+        for k in range(indptr[c], indptr[c + 1]):
+            q = last_visit[adj[k]]
+            if q > prev:
+                lower.append(q)
+        v = b + 1
+        single = True  # v has no edge yet
+        for q in lower:
+            u = q + 1
+            r = q
+            while comp[r] != r:
+                comp[r] = r = comp[comp[r]]
+            if r != b:  # b's root is b itself until its first edge
+                comp[r] = b
+                e = spare
+                spare += 1
+                forest += 1
+                key[e] = q
+                up[e] = u
+                if not single:
+                    access(v)
+                    flip[v] ^= 1  # v becomes the root of its tree
+                up[v] = e
+                single = False
+            else:
+                access(u)
+                flip[u] ^= 1  # u becomes the root of its tree
+                access(v)  # the splay tree of v is now the path u..v
+                e = low[v]
+                w = key[e]
+                if w >= q:
+                    continue
+                # Cut e out of the path.  Its left part keeps u as the
+                # root of its tree and e as its path parent, so e becomes
+                # the new edge by hanging under v.
+                splay(e)
+                up[right[e]] = 0
+                left[e] = right[e] = 0
+                key[e] = q
+                low[e] = e
+                up[e] = v
+                i = w + 1
+                while i <= n:
+                    fenwick[i] -= 1
+                    i += i & -i
+            i = q + 1
+            while i <= n:
+                fenwick[i] += 1
+                i += i & -i
+        s = first[b]
+        while s >= 0:
+            a = sections_a[s]
+            count = b - a + 1 - forest
+            i = a
+            while i:
+                count += fenwick[i]
+                i -= i & -i
+            out[s] = count
+            s = after[s]
+    return out
+
+
+def assert_same_counts(auditor, sections):
+    a = array.array("i", [lo for lo, _ in sections])
+    b = array.array("i", [hi for _, hi in sections])
+    tables = (auditor._cell_of_pos, auditor._indptr, auditor._adj, a, b)
+    assert auditor.counts(sections) == old_section_counts(*tables)
+
+
+def test_kernel_matches_the_two_access_kernel_on_every_section():
+    for p in exhaustive_sweep_paths() + [path_of(k, 3, 3) for k in ("z", "gray", "maehara")]:
+        auditor = SectionAuditor(p)
+        n = auditor.length
+        assert_same_counts(auditor, [(a, b) for a in range(n) for b in range(a, n)])
+
+
+@pytest.mark.parametrize("kind, d, depth", [("z", 4, 3), ("harmonious", 3, 4), ("maehara", 3, 3)])
+def test_kernel_matches_the_two_access_kernel_on_seeded_sections(kind, d, depth):
+    auditor = SectionAuditor(path_of(kind, d, depth))
+    assert_same_counts(auditor, list(_seeded_sections(auditor.length, 20000, 5)))
+
+
+def assert_same_tables(p):
+    """Same ids in first-visit order and the same neighbours per cell as
+    the tuple-keyed preparation."""
+    n_cells, cell_of_pos, indptr, adj = old_auditor_tables(p)
+    auditor = SectionAuditor(p)
+    assert auditor.n_cells == n_cells and auditor.length == len(p.points)
+    assert auditor._cell_of_pos == cell_of_pos
+    assert auditor._indptr == indptr
+    for c in range(n_cells):
+        got = auditor._adj[auditor._indptr[c]:auditor._indptr[c + 1]]
+        assert set(got) == set(adj[indptr[c]:indptr[c + 1]]), c
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_paths())
+def test_cell_numbers_match_the_tuple_keys_on_walks(p):
+    assert_same_tables(p)
+    n = len(p.points)
+    assert_same_counts(SectionAuditor(p), [(a, b) for a in range(n) for b in range(a, n)])
+
+
+@pytest.mark.parametrize("origin", ["corner", "centre"])
+def test_cell_numbers_match_the_tuple_keys_on_family_paths(origin):
+    for _, p in family_paths(origin):
+        assert_same_tables(p)
+
+
+def test_cell_numbers_of_an_empty_path():
+    auditor = SectionAuditor(Path((), 2, 2, 0, "corner"))
+    assert (auditor.n_cells, auditor.length) == (0, 0)
+    assert list(auditor._indptr) == [0] and not auditor._adj
+    assert auditor.counts([]) == array.array("i")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240601])
+def test_seeded_sections_draw_as_randrange(seed):
+    for n in range(1, 601):
+        rng = random.Random(seed + n)
+        want = []
+        for _ in range(25):
+            a, b = rng.randrange(n), rng.randrange(n)
+            want.append((min(a, b), max(a, b)))
+        assert list(_seeded_sections(n, 25, seed + n)) == want, n
+
+
+def test_seeded_sections_refuse_an_empty_path():
+    with pytest.raises(ValueError, match="empty path"):
+        next(_seeded_sections(0, 1, 0))
 
 
 # -- palindromic --------------------------------------------------------
@@ -493,7 +838,7 @@ def box_orders(draw):
     return cells if draw(st.booleans()) else draw(st.permutations(cells))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(box_orders())
 def test_dominance_on_box_orders_gives_the_scan_witness(cells):
     p = cell_path(cells)

@@ -946,3 +946,30 @@ def test_a_d_that_is_not_an_int_is_refused_before_the_cache(build, d):
     assert str(info.value) == f"d must be an int, got {d!r}"
     after = generators._built_pattern.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("d", [True, False, 2.0, 3.0, "3", None])
+def test_beta_refuses_a_d_that_is_not_an_int(d):
+    # True and 2.0 used to pass the int check's place to ``d < 3`` and
+    # were refused as an undefined Beta curve.
+    with pytest.raises(ValueError) as info:
+        generators.gen_beta(d)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"d must be an int, got {d!r}"
+    with pytest.raises(BetaUndefinedError, match="undefined for d=2"):
+        generators.gen_beta(2)
+
+
+def test_only_pattern_halves_up_to_the_tile_bound_are_cached(monkeypatch):
+    monkeypatch.setattr(generators, "_MAX_CACHED_TILES", 9)
+    generators._built_pattern.cache_clear()
+    for name in ("G2", "G3", "ZigZag", "simplex"):  # 4 or 9 tiles: kept
+        assert generators._pattern(name, 2) is generators._pattern(name, 2)
+    big = generators._pattern("G2", 4)  # 16 tiles: built per call
+    assert big is not generators._pattern("G2", 4)
+    assert big == generators._pattern("G2", 4)
+    assert generators._built_pattern.cache_info().currsize == 4
+    u = generate("u", 4)
+    monkeypatch.setattr(generators, "_MAX_CACHED_TILES", 2**12)
+    assert repr(u) == repr(generate("u", 4))
+    generators._built_pattern.cache_clear()
