@@ -10,11 +10,12 @@ Hill-Z and Maehara orders on the simplex centres share another, which
 sorts the binary digits of each position and differs between the two
 only in the rank of a one-digit and in the reversal of odd entries.
 Each pattern half (the moves and centres of G2, G3, the zig-zag or the
-simplex centres) is built and checked once per (pattern, d) and shared
-by every rule on it; a rule adds only its entries.  Fixed-dimension
-curves with no known d-dimensional rule (Pólya, the palindromic
-tetrahedral order, Liu-Joe's SUB8, the Meander square order, the
-triangular-prism curve) ship as bundled definition files.
+simplex centres) is built and checked once per (pattern, d), up to
+4 096 tiles, and shared by every rule on it; a rule adds only its
+entries.  Fixed-dimension curves with no known d-dimensional rule
+(Pólya, the palindromic tetrahedral order, Liu-Joe's SUB8, the Meander
+square order, the triangular-prism curve) ship as bundled definition
+files.
 """
 
 from __future__ import annotations
