@@ -328,52 +328,37 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 flip[r] ^= 1
                 flip[y] = 0
         while True:
-            # L and R name x's side of p and the other, so each case is
-            # written once for x as p's L child.
             p = up[x]
-            if left[p] == x:
-                L = left
-                R = right
-            elif right[p] == x:
-                L = right
-                R = left
-            else:
+            is_left = left[p] == x
+            if not is_left and right[p] != x:
                 break
             g = up[p]
-            h = up[g]
-            if L[g] == p:  # zig-zig: p over g, then x over p
-                c = R[p]
-                L[g] = c
-                if c:
-                    up[c] = g
-                c = R[x]
-                L[p] = c
-                if c:
-                    up[c] = p
-                R[p] = g
-                R[x] = p
-                up[g] = p
-            elif R[g] == p:  # zig-zag: x over p, then over g
-                c = L[x]
-                R[g] = c
-                if c:
-                    up[c] = g
-                c = R[x]
-                L[p] = c
-                if c:
-                    up[c] = p
-                L[x] = g
-                R[x] = p
-                up[g] = x
-            else:  # zig: p is the root
-                c = R[x]
-                L[p] = c
+            if left[g] == p:
+                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
+            elif right[g] == p:
+                order = (x, x) if is_left else (p, x)
+            else:
+                order = (x,)  # zig: p is the root
+            for y in order:  # rotate y over its parent p
+                p = up[y]
+                g = up[p]
+                if left[g] == p:
+                    left[g] = y
+                elif right[g] == p:
+                    right[g] = y
+                up[y] = g
+                if left[p] == y:
+                    c = right[y]
+                    left[p] = c
+                    right[y] = p
+                else:
+                    c = left[y]
+                    right[p] = c
+                    left[y] = p
                 if c:
                     up[c] = p
-                R[x] = p
-                up[x] = g
-                up[p] = x
-                low[x] = low[p]  # x's subtree is p's old one
+                up[p] = y
+                low[y] = low[p]  # y's subtree is p's old one
                 m = p
                 k = key[p]
                 z = low[left[p]]
@@ -384,25 +369,6 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
                 if key[z] < k:
                     m = z
                 low[p] = m
-                break
-            if left[h] == g:
-                left[h] = x
-            elif right[h] == g:
-                right[h] = x
-            up[x] = h
-            up[p] = x
-            low[x] = low[g]  # x's subtree is g's old one
-            for y in (g, p):  # g first: after a zig-zig, g is p's child
-                m = y
-                k = key[y]
-                z = low[left[y]]
-                if key[z] < k:
-                    m = z
-                    k = key[z]
-                z = low[right[y]]
-                if key[z] < k:
-                    m = z
-                low[y] = m
 
     def access(x):  # make root..x one splay tree, with x at its root
         last = 0

@@ -107,15 +107,17 @@ def gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
     return _pattern(f"G{base}", d)[0].moves
 
 
-# Pattern halves of at most this many tiles are kept; larger ones would
-# outlive their rules by megabytes, so they are built per call.
+# The tile scale of each pattern half.  Halves of at most
+# _MAX_CACHED_TILES tiles (scale**d) are kept; larger ones would outlive
+# their rules by megabytes, so they are built per call.
+_PATTERN_SCALE = {"G2": 2, "G3": 3, "ZigZag": 2, "simplex": 2}
 _MAX_CACHED_TILES = 2**12
 
 
 @lru_cache(maxsize=32)
 def _built_pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, ...], ...]]:
     """:func:`_pattern` of a checked d."""
-    base = 3 if name == "G3" else 2
+    base = _PATTERN_SCALE[name]
     digits = tuple(t[::-1] for t in product(range(base), repeat=d))
     ident = [SignedPermutation.identity(d)] * len(digits)
     if name == "simplex":
@@ -143,7 +145,7 @@ def _pattern(name: str, d: int) -> tuple[TraversalDefinition, tuple[tuple[int, .
     or ``from_centres`` and kept per (name, d) up to
     ``_MAX_CACHED_TILES`` tiles."""
     _require_d(d)
-    if (3 if name == "G3" else 2) ** d > _MAX_CACHED_TILES:
+    if _PATTERN_SCALE[name] ** d > _MAX_CACHED_TILES:
         return _built_pattern.__wrapped__(name, d)
     return _built_pattern(name, d)
 

@@ -838,7 +838,7 @@ def box_orders(draw):
     return cells if draw(st.booleans()) else draw(st.permutations(cells))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(box_orders())
 def test_dominance_on_box_orders_gives_the_scan_witness(cells):
     p = cell_path(cells)
