@@ -15,8 +15,9 @@ Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
 audit follows the box geometry of the underlying tiling.  Section
 component counts come from one offline sweep over the path (see
-:class:`SectionAuditor`), exact for every section at
-O((n·d + Q) log n) for n points and Q sections.  Section bounding
+:class:`SectionAuditor`), exact for every section, at O((n + Q) log n)
+for n points and Q sections plus one walk of a spanning-tree path for
+each of the O(n·d) edges between positions.  Section bounding
 boxes come from a second offline sweep that keeps a monotonic minimum
 and maximum stack per axis (see :func:`max_bbox_ratio`), exact at
 O(n·d + Q·d log n).  Dominance is exact over all cell pairs: when the
@@ -262,143 +263,41 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     since then, to that cell's last visit; an edge's weight is its lower
     end.  Within any section these edges connect the positions exactly
     as face adjacency connects their cells, with O(d) edges per position
-    even on paths that revisit cells.  A link-cut tree (Sleator & Tarjan,
-    1983) keeps F_b, a maximum spanning forest of the edges whose upper
-    end is at most b.  The edges of F_b of weight >= a then span the
-    section [a, b], which therefore has
+    even on paths that revisit cells.  A forest of parent pointers keeps
+    F_b, a maximum spanning forest of the edges whose upper end is at
+    most b.  The edges of F_b of weight >= a then span the section
+    [a, b], which therefore has
     (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
     tree counts F_b's edges by weight.
 
-    Each edge (q, b) costs one access, and each b one more at most.  b's
-    first edge is linked by hanging b's lone node under q's.  At b's
-    first edge within one tree, b's node is everted once and stays the
-    root of its tree for b's remaining edges: a later link hangs q's
-    tree under b's node, with q's node everted, and a cut keeps b's side
-    where it is.  So an edge within one tree is a single access of q's
-    node, whose splay tree is then the cycle's path from b, and its
-    least-key node the lightest edge e.  If e is lighter than q, e is
-    splayed and cut out of that path: its left part keeps b's node as
-    its root, and its right part, flipped so that q's node is its root,
-    hangs under e, which becomes the new edge by hanging under b's node.
-    The node fields live in Python lists, not arrays: a list read
-    returns the int object it holds, where an array read boxes a new
-    one, and the kernel does little else.
+    Each position p holds ``parent[p]`` (-1 at a root) and
+    ``weight[p]``, the weight of its edge to its parent.  The root of
+    each tree is its last position, which is also its root in a
+    union-find over positions, so b is the root of its tree while its
+    edges are added.  An edge (q, b) whose ends lie in two trees links
+    them: q's tree is everted at q, by reversing the parent pointers
+    from q to its root, and q hangs under b.  An edge within b's tree
+    closes a cycle: the walk from q up to b finds the cycle's lightest
+    edge, and if that is lighter than q it is cut, the part cut off is
+    everted at q, and q hangs under b.  The cost is the union-find plus
+    one walk of a tree path per edge, not O(log n): on every family and
+    fixed curve of the paper the walks average 4.5-48 parent steps per
+    position (d = 2 and 3), and on one-level serpentines 6-11; a path
+    that spirals inwards ring by ring walks about a ring's length per
+    position, about five times its side.
     """
     n = len(cell_of_pos)
     first, after = _by_upper_end(n, sections_b)
-
-    # Link-cut tree: position p is node p + 1, forest edges take nodes
-    # n + 1 .. 2n - 1, node 0 is null.  key is an edge's weight (n for
-    # the other nodes); low[x] is the least-key node of x's splay
-    # subtree; up is the splay parent or, at a splay root, the path
-    # parent; flip marks a subtree whose left and right are swapped.
-    size = 2 * n
-    left = [0] * size
-    right = [0] * size
-    up = [0] * size
-    flip = [0] * size
-    key = [n] * size
-    low = list(range(size))
-
-    def splay(x):
-        y = x
-        p = up[y]
-        if left[p] != y and right[p] != y:  # x is its splay tree's root
-            if flip[y]:
-                l = left[y]
-                r = right[y]
-                left[y] = r
-                right[y] = l
-                flip[l] ^= 1
-                flip[r] ^= 1
-                flip[y] = 0
-            return
-        chain = [x]
-        while left[p] == y or right[p] == y:
-            chain.append(p)
-            y = p
-            p = up[y]
-        for y in reversed(chain):  # push pending flips down to x
-            if flip[y]:
-                l = left[y]
-                r = right[y]
-                left[y] = r
-                right[y] = l
-                flip[l] ^= 1
-                flip[r] ^= 1
-                flip[y] = 0
-        while True:
-            p = up[x]
-            is_left = left[p] == x
-            if not is_left and right[p] != x:
-                break
-            g = up[p]
-            if left[g] == p:
-                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
-            elif right[g] == p:
-                order = (x, x) if is_left else (p, x)
-            else:
-                order = (x,)  # zig: p is the root
-            for y in order:  # rotate y over its parent p
-                p = up[y]
-                g = up[p]
-                if left[g] == p:
-                    left[g] = y
-                elif right[g] == p:
-                    right[g] = y
-                up[y] = g
-                if left[p] == y:
-                    c = right[y]
-                    left[p] = c
-                    right[y] = p
-                else:
-                    c = left[y]
-                    right[p] = c
-                    left[y] = p
-                if c:
-                    up[c] = p
-                up[p] = y
-                low[y] = low[p]  # y's subtree is p's old one
-                m = p
-                k = key[p]
-                z = low[left[p]]
-                if key[z] < k:
-                    m = z
-                    k = key[z]
-                z = low[right[p]]
-                if key[z] < k:
-                    m = z
-                low[p] = m
-
-    def access(x):  # make root..x one splay tree, with x at its root
-        last = 0
-        y = x
-        while y:
-            splay(y)
-            right[y] = last
-            m = y
-            k = key[y]
-            z = low[left[y]]
-            if key[z] < k:
-                m = z
-                k = key[z]
-            z = low[last]
-            if key[z] < k:
-                m = z
-            low[y] = m
-            last = y
-            y = up[y]
-        splay(x)
-
+    parent = [-1] * n
+    weight = [0] * n
     # union-find over positions: the components of F_b, which a swap of
     # one forest edge for another never changes
     comp = list(range(n))
     fenwick = [0] * (n + 1)  # forest edges by weight
     forest = 0
-    spare = n + 1  # next unused edge node
     last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
     out = array.array("i", bytes(4 * len(sections_a)))
-    for b in range(n):
+    for b in range(max(sections_b, default=-1) + 1):
         c = cell_of_pos[b]
         prev = last_visit[c]
         last_visit[c] = b
@@ -407,55 +306,44 @@ def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
             q = last_visit[adj[k]]
             if q > prev:
                 lower.append(q)
-        v = b + 1
-        single = True  # v has no edge yet
-        rooted = False  # v is the root of its tree
         for q in lower:
-            u = q + 1
             r = q
             while comp[r] != r:
                 comp[r] = r = comp[comp[r]]
-            if r != b:  # b's root is b itself until its first edge
+            if r != b:  # r is the root of q's tree, as b is of b's
                 comp[r] = b
-                e = spare
-                spare += 1
                 forest += 1
-                key[e] = q
-                if single:  # v hangs under u
-                    up[e] = u
-                    up[v] = e
-                    single = False
-                else:  # u's tree hangs under v, rooted at u
-                    access(u)
-                    flip[u] ^= 1
-                    up[u] = e
-                    up[e] = v
-            else:
-                if not rooted:
-                    access(v)
-                    flip[v] ^= 1  # v becomes the root of its tree
-                    rooted = True
-                access(u)  # the splay tree of u is now the path v..u
-                e = low[u]
-                w = key[e]
-                if w >= q:
+                top = r  # evert q's whole tree
+            else:  # find the lightest edge of the cycle
+                w = q
+                top = -1
+                x = q
+                while x != b:
+                    if weight[x] < w:
+                        w = weight[x]
+                        top = x
+                    x = parent[x]
+                if top < 0:
                     continue
-                # Cut e out of the path.  Its left part keeps v as the
-                # root; its right part, flipped, is u's new tree rooted
-                # at u, which hangs under e, and e under v.
-                splay(e)
-                x = left[e]
-                up[x] = 0
-                x = right[e]
-                flip[x] ^= 1
-                left[e] = right[e] = 0
-                key[e] = q
-                low[e] = e
-                up[e] = v
                 i = w + 1
                 while i <= n:
                     fenwick[i] -= 1
                     i += i & -i
+            # Reverse the pointers from q up to top, which drops top's
+            # edge to its parent, and hang q under b.
+            x = q
+            p = parent[x]
+            w = weight[x]
+            while x != top:
+                y = parent[p]
+                v = weight[p]
+                parent[p] = x
+                weight[p] = w
+                x = p
+                p = y
+                w = v
+            parent[q] = b
+            weight[q] = q
             i = q + 1
             while i <= n:
                 fenwick[i] += 1

@@ -58,8 +58,9 @@ TEST_MEMORY_MARGIN = 2**30  # bytes of address space a test may add
 def bounded():
     """Fail a test that runs over ``TEST_TIME_LIMIT_S`` or grows the
     address space by more than ``TEST_MEMORY_MARGIN``, instead of letting
-    it hang or exhaust memory: in a link-cut tree whose links form a
-    cycle, a splay never ends and its chain list grows without bound.
+    it hang or exhaust memory: in a forest of parent pointers that
+    holds a cycle, the section kernel's walk to the root never ends, and
+    the link-cut oracle's splay grows its chain list without bound.
     The alarm needs SIGALRM and the cap Linux; elsewhere each is left out."""
     with contextlib.ExitStack() as stack:
         if hasattr(signal, "SIGALRM"):
@@ -620,24 +621,318 @@ def old_section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
     return out
 
 
-def assert_same_counts(auditor, sections):
+# The link-cut kernel of one access per cycle edge that the parent-pointer
+# forest replaced, kept verbatim as its oracle.
+def link_cut_section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
+    """Component counts of the sections [a, b] by one sweep over b.
+
+    The vertices are path positions.  Position b gets an edge to the
+    previous visit of its cell and, for each face-adjacent cell visited
+    since then, to that cell's last visit; an edge's weight is its lower
+    end.  Within any section these edges connect the positions exactly
+    as face adjacency connects their cells, with O(d) edges per position
+    even on paths that revisit cells.  A link-cut tree (Sleator & Tarjan,
+    1983) keeps F_b, a maximum spanning forest of the edges whose upper
+    end is at most b.  The edges of F_b of weight >= a then span the
+    section [a, b], which therefore has
+    (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
+    tree counts F_b's edges by weight.
+
+    Each edge (q, b) costs one access, and each b one more at most.  b's
+    first edge is linked by hanging b's lone node under q's.  At b's
+    first edge within one tree, b's node is everted once and stays the
+    root of its tree for b's remaining edges: a later link hangs q's
+    tree under b's node, with q's node everted, and a cut keeps b's side
+    where it is.  So an edge within one tree is a single access of q's
+    node, whose splay tree is then the cycle's path from b, and its
+    least-key node the lightest edge e.  If e is lighter than q, e is
+    splayed and cut out of that path: its left part keeps b's node as
+    its root, and its right part, flipped so that q's node is its root,
+    hangs under e, which becomes the new edge by hanging under b's node.
+    The node fields live in Python lists, not arrays: a list read
+    returns the int object it holds, where an array read boxes a new
+    one, and the kernel does little else.
+    """
+    n = len(cell_of_pos)
+    first, after = _by_upper_end(n, sections_b)
+
+    # Link-cut tree: position p is node p + 1, forest edges take nodes
+    # n + 1 .. 2n - 1, node 0 is null.  key is an edge's weight (n for
+    # the other nodes); low[x] is the least-key node of x's splay
+    # subtree; up is the splay parent or, at a splay root, the path
+    # parent; flip marks a subtree whose left and right are swapped.
+    size = 2 * n
+    left = [0] * size
+    right = [0] * size
+    up = [0] * size
+    flip = [0] * size
+    key = [n] * size
+    low = list(range(size))
+
+    def splay(x):
+        y = x
+        p = up[y]
+        if left[p] != y and right[p] != y:  # x is its splay tree's root
+            if flip[y]:
+                l = left[y]
+                r = right[y]
+                left[y] = r
+                right[y] = l
+                flip[l] ^= 1
+                flip[r] ^= 1
+                flip[y] = 0
+            return
+        chain = [x]
+        while left[p] == y or right[p] == y:
+            chain.append(p)
+            y = p
+            p = up[y]
+        for y in reversed(chain):  # push pending flips down to x
+            if flip[y]:
+                l = left[y]
+                r = right[y]
+                left[y] = r
+                right[y] = l
+                flip[l] ^= 1
+                flip[r] ^= 1
+                flip[y] = 0
+        while True:
+            p = up[x]
+            is_left = left[p] == x
+            if not is_left and right[p] != x:
+                break
+            g = up[p]
+            if left[g] == p:
+                order = (p, x) if is_left else (x, x)  # zig-zig or zig-zag
+            elif right[g] == p:
+                order = (x, x) if is_left else (p, x)
+            else:
+                order = (x,)  # zig: p is the root
+            for y in order:  # rotate y over its parent p
+                p = up[y]
+                g = up[p]
+                if left[g] == p:
+                    left[g] = y
+                elif right[g] == p:
+                    right[g] = y
+                up[y] = g
+                if left[p] == y:
+                    c = right[y]
+                    left[p] = c
+                    right[y] = p
+                else:
+                    c = left[y]
+                    right[p] = c
+                    left[y] = p
+                if c:
+                    up[c] = p
+                up[p] = y
+                low[y] = low[p]  # y's subtree is p's old one
+                m = p
+                k = key[p]
+                z = low[left[p]]
+                if key[z] < k:
+                    m = z
+                    k = key[z]
+                z = low[right[p]]
+                if key[z] < k:
+                    m = z
+                low[p] = m
+
+    def access(x):  # make root..x one splay tree, with x at its root
+        last = 0
+        y = x
+        while y:
+            splay(y)
+            right[y] = last
+            m = y
+            k = key[y]
+            z = low[left[y]]
+            if key[z] < k:
+                m = z
+                k = key[z]
+            z = low[last]
+            if key[z] < k:
+                m = z
+            low[y] = m
+            last = y
+            y = up[y]
+        splay(x)
+
+    # union-find over positions: the components of F_b, which a swap of
+    # one forest edge for another never changes
+    comp = list(range(n))
+    fenwick = [0] * (n + 1)  # forest edges by weight
+    forest = 0
+    spare = n + 1  # next unused edge node
+    last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
+    out = array.array("i", bytes(4 * len(sections_a)))
+    for b in range(n):
+        c = cell_of_pos[b]
+        prev = last_visit[c]
+        last_visit[c] = b
+        lower = [prev] if prev >= 0 else []
+        for k in range(indptr[c], indptr[c + 1]):
+            q = last_visit[adj[k]]
+            if q > prev:
+                lower.append(q)
+        v = b + 1
+        single = True  # v has no edge yet
+        rooted = False  # v is the root of its tree
+        for q in lower:
+            u = q + 1
+            r = q
+            while comp[r] != r:
+                comp[r] = r = comp[comp[r]]
+            if r != b:  # b's root is b itself until its first edge
+                comp[r] = b
+                e = spare
+                spare += 1
+                forest += 1
+                key[e] = q
+                if single:  # v hangs under u
+                    up[e] = u
+                    up[v] = e
+                    single = False
+                else:  # u's tree hangs under v, rooted at u
+                    access(u)
+                    flip[u] ^= 1
+                    up[u] = e
+                    up[e] = v
+            else:
+                if not rooted:
+                    access(v)
+                    flip[v] ^= 1  # v becomes the root of its tree
+                    rooted = True
+                access(u)  # the splay tree of u is now the path v..u
+                e = low[u]
+                w = key[e]
+                if w >= q:
+                    continue
+                # Cut e out of the path.  Its left part keeps v as the
+                # root; its right part, flipped, is u's new tree rooted
+                # at u, which hangs under e, and e under v.
+                splay(e)
+                x = left[e]
+                up[x] = 0
+                x = right[e]
+                flip[x] ^= 1
+                left[e] = right[e] = 0
+                key[e] = q
+                low[e] = e
+                up[e] = v
+                i = w + 1
+                while i <= n:
+                    fenwick[i] -= 1
+                    i += i & -i
+            i = q + 1
+            while i <= n:
+                fenwick[i] += 1
+                i += i & -i
+        s = first[b]
+        while s >= 0:
+            a = sections_a[s]
+            count = b - a + 1 - forest
+            i = a
+            while i:
+                count += fenwick[i]
+                i -= i & -i
+            out[s] = count
+            s = after[s]
+    return out
+
+
+def assert_same_counts(auditor, sections, oracle=old_section_counts):
     a = array.array("i", [lo for lo, _ in sections])
     b = array.array("i", [hi for _, hi in sections])
     tables = (auditor._cell_of_pos, auditor._indptr, auditor._adj, a, b)
-    assert auditor.counts(sections) == old_section_counts(*tables)
+    assert auditor.counts(sections) == oracle(*tables)
+
+
+def every_section(auditor):
+    n = auditor.length
+    return [(a, b) for a in range(n) for b in range(a, n)]
 
 
 def test_kernel_matches_the_two_access_kernel_on_every_section():
     for p in exhaustive_sweep_paths() + [path_of(k, 3, 3) for k in ("z", "gray", "maehara")]:
         auditor = SectionAuditor(p)
-        n = auditor.length
-        assert_same_counts(auditor, [(a, b) for a in range(n) for b in range(a, n)])
+        assert_same_counts(auditor, every_section(auditor))
 
 
 @pytest.mark.parametrize("kind, d, depth", [("z", 4, 3), ("harmonious", 3, 4), ("maehara", 3, 3)])
 def test_kernel_matches_the_two_access_kernel_on_seeded_sections(kind, d, depth):
     auditor = SectionAuditor(path_of(kind, d, depth))
     assert_same_counts(auditor, list(_seeded_sections(auditor.length, 20000, 5)))
+
+
+def test_kernel_matches_the_link_cut_kernel_on_every_section():
+    for p in exhaustive_sweep_paths() + [path_of(k, 3, 3) for k in ("z", "gray", "maehara")]:
+        auditor = SectionAuditor(p)
+        assert_same_counts(auditor, every_section(auditor), link_cut_section_counts)
+
+
+@pytest.mark.parametrize("kind, d, depth", [("z", 4, 3), ("harmonious", 3, 4), ("maehara", 3, 3)])
+def test_kernel_matches_the_link_cut_kernel_on_seeded_sections(kind, d, depth):
+    auditor = SectionAuditor(path_of(kind, d, depth))
+    sections = list(_seeded_sections(auditor.length, 20000, 5))
+    assert_same_counts(auditor, sections, link_cut_section_counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_paths())
+def test_kernel_matches_the_link_cut_kernel_on_walks(p):
+    auditor = SectionAuditor(p)
+    assert_same_counts(auditor, every_section(auditor), link_cut_section_counts)
+
+
+def serpentine(d, side):
+    """The one-level serpentine (boustrophedon) of the cube of ``side``
+    cells per axis: each layer is the serpentine of one dimension less,
+    run backwards in every other layer."""
+    cells = [()]
+    for _ in range(d):
+        cells = [(i,) + c for i in range(side) for c in (cells[::-1] if i % 2 else cells)]
+    return cell_path(cells)
+
+
+def spiral(side):
+    """The square of ``side`` cells per axis, walked inwards ring by ring.
+    Each position of a ring meets the ring outside it about a ring's
+    length back, so the kernel's tree paths are about as long as a ring."""
+    cells = []
+    lo, hi = 0, side - 1
+    while lo <= hi:
+        ring = [(x, lo) for x in range(lo, hi + 1)] + [(hi, y) for y in range(lo + 1, hi + 1)]
+        if lo < hi:
+            ring += [(x, hi) for x in range(hi - 1, lo - 1, -1)]
+            ring += [(lo, y) for y in range(hi - 1, lo, -1)]
+        cells += ring
+        lo, hi = lo + 1, hi - 1
+    return cell_path(cells)
+
+
+def test_serpentine_and_spiral_are_face_continuous():
+    for p, side, d in [(serpentine(3, 5), 5, 3), (serpentine(2, 40), 40, 2), (spiral(12), 12, 2)]:
+        assert sorted(p.points) == sorted(itertools.product(range(side), repeat=d))
+        assert adjacency_profile(p).other_steps == 0
+
+
+@pytest.mark.parametrize("p", [serpentine(3, 5), spiral(12)], ids=["serpentine-3-5", "spiral-12"])
+def test_section_sweep_matches_union_find_on_long_tree_paths(p):
+    auditor = SectionAuditor(p)
+    sections = every_section(auditor)
+    assert auditor.counts(sections) == union_find_counts(auditor, sections)
+
+
+@pytest.mark.parametrize(
+    "p", [serpentine(3, 12), serpentine(2, 40), spiral(64)],
+    ids=["serpentine-3-12", "serpentine-2-40", "spiral-64"],
+)
+def test_kernel_matches_the_link_cut_kernel_on_long_tree_paths(p):
+    auditor = SectionAuditor(p)
+    sections = list(_seeded_sections(auditor.length, 10000, 5))
+    assert_same_counts(auditor, sections, link_cut_section_counts)
 
 
 def assert_same_tables(p):
