@@ -418,8 +418,11 @@ def palindromic_on_cells(
     depth-level cells touching the facet from either side must be exact
     reverses of each other, position by position across the facet.  One
     pass over ``cells`` (any iterable) builds all the facet sequences.
+    Depth 0 has no level-1 cells to compare.
     """
     _require_int_depth(depth)
+    if depth < 1:
+        raise ValueError("palindromicity is checked at depth >= 1")
     half = 2**depth // 2  # cells per axis in one level-1 cell
     # facet_seqs[level1 * d + axis]: the cells of level-1 cell `level1`
     # on its facet across `axis` (coordinate half - 1 or half), in visit

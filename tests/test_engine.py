@@ -9,7 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
-from operator import mul, sub
+from operator import sub
 
 import pytest
 from conftest import UNEVEN_RULES, differential_rules
@@ -43,7 +43,6 @@ from traversals.generators import (
     generate,
 )
 from traversals.notation import (
-    Move,
     SignedPermutation,
     TraversalDefinition,
     _cube_symmetries,
@@ -607,14 +606,26 @@ def test_walk_matches_recursive_enumeration_at_depth_four():
     _check_walk("harmonious d=3", ["harmonious", "3"], generate("harmonious", 3), 4)
 
 
-def test_streamed_square_matches_materialised_square():
-    for kind, d, depths in (("harmonious", 2, (1, 2)), ("gray", 2, (1, 2)),
-                            ("peano", 2, (1,)), ("inside-out", 3, (1,))):
-        defn = generate(kind, d)
-        for depth in depths:
-            want = materialised_squared_path(defn, depth)
-            assert squared_path(defn, depth) == want, (kind, d, depth)
-            assert tuple(iter_squared_path(defn, depth)) == want.points
+@pytest.mark.parametrize("kind,d,depths", [
+    ("harmonious", 2, (1, 2, 3, 4)),
+    ("z", 2, (1, 2, 3, 4)),
+    ("inside-out", 2, (1, 2, 3, 4)),
+    ("gray", 2, (1, 2)),
+    ("peano", 2, (1, 2)),
+    ("harmonious", 3, (1, 2)),
+    ("inside-out", 3, (1,)),
+])
+def test_streamed_square_matches_materialised_square(kind, d, depths):
+    """Points, and at depths 1-2 cells, of the square walked in cells."""
+    defn = generate(kind, d)
+    w = cell_units(defn)
+    for depth in depths:
+        want = materialised_squared_path(defn, depth)
+        assert squared_path(defn, depth) == want, (kind, d, depth)
+        assert tuple(iter_squared_path(defn, depth)) == want.points
+        if depth <= 2:
+            cells = [tuple(x // w for x in p) for p in want.points]
+            assert list(iter_squared_path(defn, depth, cells=True)) == cells, (kind, d, depth)
 
 
 def test_cell_walk_matches_floor_divided_point_walk():
@@ -639,42 +650,14 @@ def test_cell_walk_needs_corner_origin():
             next(iter_path(generate("z", 2), 1, origin, cells=True))
 
 
-def held_squared_path(defn, depth):
-    """``iter_squared_path`` as it was before it walked in cells, kept
-    verbatim."""
-    _require_cubic(defn)
-    if depth < 1:
-        raise ValueError("squared paths need depth >= 1")
-    w = cell_units(defn)
-    xs = tuple(iter_path(defn, depth, "corner"))
-    for qp in iter_path(defn, defn.dimension * depth, "corner"):
-        yield tuple(itertools.chain.from_iterable([xs[x // w] for x in qp]))
-
-
-@pytest.mark.parametrize("kind,d,depths", [
-    ("harmonious", 2, (1, 2, 3, 4)),
-    ("z", 2, (1, 2, 3, 4)),
-    ("inside-out", 2, (1, 2, 3, 4)),
-    ("peano", 2, (1, 2)),
-    ("harmonious", 3, (1, 2)),
-])
-def test_squared_walk_in_cells_matches_held_square(kind, d, depths):
-    defn = generate(kind, d)
-    w = cell_units(defn)
-    for depth in depths:
-        want = list(held_squared_path(defn, depth))
-        assert list(iter_squared_path(defn, depth)) == want, (kind, d, depth)
-        if depth <= 2:
-            cells = [tuple(x // w for x in p) for p in want]
-            assert list(iter_squared_path(defn, depth, cells=True)) == cells, (kind, d, depth)
-
-
 def test_walk_rejects_bad_arguments():
     defn = generate("z", 2)
     with pytest.raises(ValueError):
         next(iter_path(defn, -1))
     with pytest.raises(ValueError):
         next(iter_path(defn, 1, "middle"))
+    with pytest.raises(ValueError, match="squared paths need depth >= 1"):
+        next(iter_squared_path(defn, 0))
 
 
 def test_leaf_blocks_span_the_most_levels_within_the_cap(monkeypatch):
@@ -869,7 +852,11 @@ def _plus_with_sign(base: int, b: int) -> int:
 
 def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     """The ``squared_definition`` over ``Fraction`` centres and composed
-    transforms, kept verbatim as the oracle of the integer descent."""
+    transforms of the forward entries, kept as the oracle of the integer
+    descent.  The D**d cells of depth d are built one level at a time, in
+    visit order: the cells under one prefix of digits share its transform
+    and centre, and each level composes and scales a child under one
+    transform once."""
     _require_cubic(defn)
     sigma = find_reversal_symmetry(defn)
     if sigma is None:
@@ -882,21 +869,26 @@ def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinitio
     ]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
-    half = Fraction(1, 2)
+
+    level = [(SignedPermutation.identity(d), [Fraction(0)] * d)]
+    scale = Fraction(1)
+    for _ in range(d):
+        steps: dict = {}  # (transform, child) -> (its next transform, its scaled step)
+        nxt = []
+        for acc, centre in level:
+            for m in range(D):
+                step = steps.get((acc, m))
+                if step is None:
+                    step = steps[acc, m] = acc.compose(forward[m]), [scale * x for x in acc.apply(centres[m])]
+                nxt.append((step[0], [c + x for c, x in zip(centre, step[1])]))
+        level = nxt
+        scale /= s
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list = []
-    for seq in itertools.product(range(D), repeat=d):
-        acc = SignedPermutation.identity(d)
-        centre = [Fraction(0)] * d
-        scale = Fraction(1)
-        for m in seq:
-            step = acc.apply(centres[m])
-            for j in range(d):
-                centre[j] += scale * step[j]
-            acc = acc.compose(forward[m])
-            scale /= s
-        x = [int((centre[j] + half) * D) for j in range(d)]  # 0-based cells
+    for acc, centre in level:
+        # 0-based cells: floor((c + 1/2) * D), c in [-1/2, 1/2]
+        x = [(2 * c.numerator + c.denominator) * D // (2 * c.denominator) for c in centre]
         ent = [0] * (d * d)
         for j in range(d):
             pj = acc.entries[j]
@@ -939,25 +931,40 @@ def test_locate_matches_fraction_locate(tmp_path):
     assert cases > 250
 
 
-def test_squared_definition_matches_fraction_squaring():
-    squared = 0
+def _square_outcome(f, defn):
+    """What ``f(defn)`` gives: the ``repr`` of the square's fields but its
+    centres, the centres and the types of their coordinates (as strict as
+    their ``repr``, at a tenth of the cost on 19 683 nine-dimensional
+    centres); or the type and text of the ``ValueError`` it raises."""
+    try:
+        sq = f(defn)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    parts = repr((sq.dimension, sq.scale, sq.entries, sq.moves, sq.step_den))
+    return parts, sq.centres, {type(x) for c in sq.centres for x in c}
+
+
+def _squaring_rules():
+    """(label, rule): every family rule at d = 1..3 and every fixed curve."""
     for kind in TraversalKind:
-        for d in (2, 3):
+        for d in (1, 2, 3):
             try:
-                defn = generate(kind, d)
+                yield f"{kind.value} d={d}", generate(kind, d)
             except BetaUndefinedError:
                 continue
-            if d == 3 and defn.scale != 2:
-                continue
-            try:
-                want = format_definition(fraction_squared_definition(defn))
-            except (NotCubicError, NotSymmetricError) as exc:
-                with pytest.raises(type(exc)):
-                    squared_definition(defn)
-                continue
-            assert format_definition(squared_definition(defn)) == want, (kind.value, d)
-            squared += 1
-    assert squared >= 15
+    for name in FIXED_NAMES:
+        yield name, builtin_fixed(name)
+
+
+@pytest.mark.parametrize("defn", [pytest.param(defn, id=label) for label, defn in _squaring_rules()])
+def test_squared_definition_matches_fraction_squaring(defn):
+    """The same square, with ``Fraction`` centres, or the same error.
+    The dimensions at which each family squares are pinned by
+    ``_SQUARED_AT`` in ``test_notation.py``."""
+    want = _square_outcome(fraction_squared_definition, defn)
+    assert _square_outcome(squared_definition, defn) == want
+    if len(want) == 3:
+        assert want[2] == {Fraction}
 
 
 # -- every differential rule, and the cached table ----------------------------
@@ -980,28 +987,66 @@ def test_locate_matches_fraction_locate_on_every_differential_rule():
     assert cases == 120
 
 
-def per_level_descend(table, digits):
-    """``_Table.descend`` as it was when it rebuilt the point at every
-    level, kept verbatim as the oracle of the per-axis sum."""
-    s, pos, i, rows = table.s, (0,) * table.d, table.root, table.rows
-    for k in digits:
-        off, i = (rows[i] or table.row(i))[k]
-        pos = [x * s + o for x, o in zip(pos, off)]
-    return pos, i
+def _outcome(f, *args):
+    """``repr`` of what ``f(*args)`` returns, or the type and text of the
+    ``ValueError`` it raises."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
-def test_descent_matches_the_per_level_loop_on_every_differential_rule():
+def test_locate_matches_fraction_locate_for_every_form_of_t():
+    """Every differential rule at depths 0..12, both sides, with ``t`` a
+    ``Fraction``, an ``int``, a ``float`` and a ``str``: the same point,
+    or the same error."""
+    rng = random.Random(19)
+    cases = 0
+    for label, defn in differential_rules():
+        for depth in range(13):
+            n = len(defn.entries) ** depth
+            i = rng.randrange(n)
+            mid = F(2 * i + 1, 2 * n)
+            for t in (mid, float(mid), str(F(i, n)), 0, 1, 2.0):
+                for side in ("plus", "minus"):
+                    want = _outcome(fraction_locate, defn, t, depth, side)
+                    assert _outcome(locate, defn, t, depth, side) == want, (label, depth, t, side)
+                    cases += 1
+    assert cases == 120 * 13 * 12
+
+
+def test_locate_matches_fraction_locate_on_seeded_digits():
+    """The cell of four seeded digit strings per depth 0..6 on every
+    differential rule, found through ``_Table.descend``."""
     rng = random.Random(13)
     for label, defn in differential_rules():
         table = _table(defn)
         for depth in range(7):
             for _ in range(4):
-                digits = [rng.randrange(table.n) for _ in range(depth)]
-                pos, i = per_level_descend(table, digits)
-                assert table.descend(digits) == (list(pos), i), (label, digits)
+                i = 0
+                for _ in range(depth):
+                    i = i * table.n + rng.randrange(table.n)
+                t = F(2 * i + 1, 2 * table.n**depth)
+                assert locate(defn, t, depth) == fraction_locate(defn, t, depth), (label, depth, i)
         for depth in (0, 1):
             pos, _ = table.descend([table.n - 1] * depth)
             assert type(pos) is list and len(pos) == table.d, (label, depth)
+
+
+def test_locate_matches_fraction_locate_across_chunks():
+    """The last cell and a seeded one at depths on both sides of one and
+    two ``_CHUNK`` boundaries and three chunks deep, where ``locate``
+    cuts its index into chunks and ``_Table.descend`` sums them."""
+    assert engine._CHUNK == 64
+    rng = random.Random(21)
+    rules = [("harmonious d=2", generate("harmonious", 2)), ("harmonious d=3", generate("harmonious", 3)),
+             ("peano d=2", generate("peano", 2)), ("peano d=3", generate("peano", 3)),
+             ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
+    for label, defn in rules:
+        for depth in (63, 64, 65, 128, 129, 200):
+            n = len(defn.entries) ** depth
+            for t in (F(n - 1, n), F(2 * rng.randrange(n) + 1, 2 * n)):
+                assert locate(defn, t, depth) == fraction_locate(defn, t, depth), (label, depth, t)
 
 
 def test_derived_permutations_equal_their_checked_rebuilds():
@@ -1121,187 +1166,7 @@ def test_threads_sharing_a_rule_intern_each_state_once():
     assert all(table._ids[st.entries, st.reverse] == i for i, st in enumerate(table.states))
 
 
-# -- squaring, locate and the descent against the code they replaced ----------
-
-
-def descent_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
-    """``squared_definition`` as it was when it descended the table from
-    the root once per cell and built each move checked, kept verbatim as
-    the oracle of the level-order walk."""
-    _require_cubic(defn)
-    sigma = find_reversal_symmetry(defn)
-    if sigma is None:
-        raise NotSymmetricError("the rule is not symmetric; squaring is not self-similar")
-    d, s = defn.dimension, defn.scale
-    D = len(defn.entries)
-    forward = [e.compose(sigma) if e.reverse else e for e in defn.entries]
-    low_sigma = [f.compose(sigma) for f in forward]
-    centres = defn.centres
-    table = _table(defn)
-    lattice = table.centres  # the first-level centres, cells 2*m wide
-    w, corner = 2 * table.m, table.m * D  # D = s**d cells per axis at depth d
-
-    sq_entries: list[SignedPermutation] = []
-    sq_centres: list = []
-    sq_moves: list[Move] = []
-    prev = None
-    for seq in itertools.product(range(D), repeat=d):
-        pos, i = table.descend(seq)
-        state = table.states[i]
-        acc = (state.compose(sigma) if state.reverse else state).entries
-        x = [(v + corner) // w for v in pos]  # 0-based cells
-        ent = [0] * (d * d)
-        for j in range(d):
-            pj = acc[j]
-            mcell = x[abs(pj) - 1]
-            low = forward[mcell] if pj > 0 else low_sigma[mcell]
-            base = (abs(pj) - 1) * d
-            for j2 in range(d):
-                ent[j * d + j2] = _plus_with_sign(base, low.entries[j2])
-        sq_entries.append(SignedPermutation._of(tuple(ent)))
-        cvec: list[Fraction] = []
-        for j in range(d):
-            cvec.extend(centres[x[j]])
-        sq_centres.append(tuple(cvec))
-        if prev is not None:
-            steps = []  # ascending axes, one sign per axis: canonical
-            for j in range(d):
-                a, b = lattice[prev[j]], lattice[x[j]]
-                for k in range(d):
-                    n = (b[k] - a[k]) // w
-                    steps += [j * d + k + 1 if n > 0 else -(j * d + k + 1)] * abs(n)
-            sq_moves.append(Move(tuple(steps)))
-        prev = x
-    return TraversalDefinition._of(
-        d * d, s, tuple(sq_entries), tuple(sq_moves), s, tuple(sq_centres)
-    )
-
-
-def converting_locate(
-    defn: TraversalDefinition,
-    t: Fraction,
-    depth: int,
-    side: str = "plus",
-):
-    """``locate`` as it was when it converted every ``t`` to a
-    ``Fraction``, kept verbatim as its oracle."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    t = Fraction(t)
-    p, q = t.numerator, t.denominator
-    D = len(defn.entries)
-    N = D**depth
-    if side == "plus":
-        if not 0 <= p < q:
-            raise ValueError("plus side needs t in [0, 1)")
-        i = p * N // q
-    elif side == "minus":
-        if not 0 < p <= q:
-            raise ValueError("minus side needs t in (0, 1]")
-        i = -(-p * N // q) - 1
-    else:
-        raise ValueError("side must be 'plus' or 'minus'")
-
-    digits = [0] * depth
-    for e in range(depth - 1, -1, -1):
-        i, digits[e] = divmod(i, D)
-    table = _table(defn)
-    pos, _ = table.descend(digits)
-    unit = 2 * table.m * defn.scale**depth
-    return tuple(Fraction(x, unit) for x in pos)
-
-
-def _outcome(f, *args):
-    """``repr`` of what ``f(*args)`` returns, or the type and text of the
-    ``ValueError`` it raises."""
-    try:
-        return repr(f(*args))
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _square_outcome(f, defn):
-    """What ``f(defn)`` gives: the ``repr`` of the square's fields but its
-    centres, the centres and the types of their coordinates (as strict as
-    their ``repr``, at a tenth of the cost on 19 683 nine-dimensional
-    centres); or the type and text of the ``ValueError`` it raises."""
-    try:
-        sq = f(defn)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    parts = repr((sq.dimension, sq.scale, sq.entries, sq.moves, sq.step_den))
-    return parts, sq.centres, {type(x) for c in sq.centres for x in c}
-
-
-def test_squared_definition_matches_the_descent_squaring():
-    """Every cube-filling family rule at d = 1..3 and every fixed curve:
-    the same square, or the same error."""
-    rules = []
-    for kind in TraversalKind:
-        for d in (1, 2, 3):
-            try:
-                defn = generate(kind, d)
-            except BetaUndefinedError:
-                continue
-            if defn.fills_cube:
-                rules.append((f"{kind.value} d={d}", defn))
-    rules += [(name, builtin_fixed(name)) for name in FIXED_NAMES]
-    squared = refused = 0
-    for label, defn in rules:
-        want = _square_outcome(descent_squared_definition, defn)
-        assert _square_outcome(squared_definition, defn) == want, label
-        if len(want) == 3:
-            assert want[2] == {Fraction}, label
-            squared += 1
-        else:
-            refused += 1
-    assert squared >= 34 and refused >= 8
-
-
-def test_locate_matches_the_converting_locate_for_every_form_of_t():
-    """Every differential rule at depths 0..12, both sides, with ``t`` a
-    ``Fraction``, an ``int``, a ``float`` and a ``str``: the same point,
-    or the same error."""
-    rng = random.Random(19)
-    cases = 0
-    for label, defn in differential_rules():
-        for depth in range(13):
-            n = len(defn.entries) ** depth
-            i = rng.randrange(n)
-            mid = F(2 * i + 1, 2 * n)
-            for t in (mid, float(mid), str(F(i, n)), 0, 1, 2.0):
-                for side in ("plus", "minus"):
-                    want = _outcome(converting_locate, defn, t, depth, side)
-                    assert _outcome(locate, defn, t, depth, side) == want, (label, depth, t, side)
-                    cases += 1
-    assert cases == 120 * 13 * 12
-
-
-def sum_descend(table, digits):
-    """``_Table.descend`` as it was when it summed each axis against one
-    table of all L powers of ``s``, kept verbatim as the oracle of the
-    chunked sum (its weights are built here, outside any cache)."""
-    i, rows, offsets = table.root, table.rows, []
-    for k in digits:
-        off, i = (rows[i] or table.row(i))[k]
-        offsets.append(off)
-    if not offsets:
-        return [0] * table.d, i
-    powers = tuple([table.s**e for e in range(len(offsets) - 1, -1, -1)])
-    return [sum(map(mul, column, powers)) for column in zip(*offsets)], i
-
-
-def test_chunked_descent_matches_the_one_table_sum_across_chunks():
-    rng = random.Random(20)
-    rules = [("harmonious d=2", generate("harmonious", 2)), ("peano d=2", generate("peano", 2)),
-             ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
-    for label, defn in rules:
-        table = _table(defn)
-        for depth in range(201):
-            digits = [rng.randrange(table.n) for _ in range(depth)]
-            assert table.descend(digits) == sum_descend(table, digits), (label, depth)
-        last = [table.n - 1] * 200
-        assert table.descend(last) == sum_descend(table, last), label
+# -- deep locate: memory and time ---------------------------------------------
 
 
 def _locate_peak(defn, depth):
@@ -1325,7 +1190,7 @@ def test_deep_locate_memory_grows_linearly():
 
 def per_digit_locate(defn, t, depth):
     """``locate`` on the plus side, with its digit loop as it was before
-    it cut the index into chunks, kept verbatim as the oracle."""
+    it cut the index into chunks, kept verbatim as the timing reference."""
     D = len(defn.entries)
     i = t.numerator * D**depth // t.denominator
     digits = [0] * depth
@@ -1335,21 +1200,6 @@ def per_digit_locate(defn, t, depth):
     pos, _ = table.descend(digits)
     unit = 2 * table.m * defn.scale**depth
     return tuple(F(x, unit) for x in pos)
-
-
-def test_chunked_digits_match_the_per_digit_loop():
-    rng = random.Random(21)
-    rules = [("harmonious d=2", generate("harmonious", 2)), ("harmonious d=3", generate("harmonious", 3)),
-             ("peano d=2", generate("peano", 2)), ("peano d=3", generate("peano", 3)),
-             ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
-    for label, defn in rules:
-        for depth in range(201):
-            n = len(defn.entries) ** depth
-            for t in (F(n - 1, n), F(2 * rng.randrange(n) + 1, 2 * n)):
-                assert locate(defn, t, depth) == per_digit_locate(defn, t, depth), (label, depth, t)
-    h = generate("harmonious", 2)
-    for t in (F(1, 3), F(rng.randrange(4**16000), 4**16000)):
-        assert locate(h, t, 16000) == per_digit_locate(h, t, 16000)
 
 
 def test_deep_locate_takes_a_fraction_of_the_per_digit_time():
