@@ -852,11 +852,7 @@ def _plus_with_sign(base: int, b: int) -> int:
 
 def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
     """The ``squared_definition`` over ``Fraction`` centres and composed
-    transforms of the forward entries, kept as the oracle of the integer
-    descent.  The D**d cells of depth d are built one level at a time, in
-    visit order: the cells under one prefix of digits share its transform
-    and centre, and each level composes and scales a child under one
-    transform once."""
+    transforms, kept verbatim as the oracle of the integer descent."""
     _require_cubic(defn)
     sigma = find_reversal_symmetry(defn)
     if sigma is None:
@@ -869,26 +865,21 @@ def fraction_squared_definition(defn: TraversalDefinition) -> TraversalDefinitio
     ]
     low_sigma = [f.compose(sigma) for f in forward]
     centres = defn.centres
-
-    level = [(SignedPermutation.identity(d), [Fraction(0)] * d)]
-    scale = Fraction(1)
-    for _ in range(d):
-        steps: dict = {}  # (transform, child) -> (its next transform, its scaled step)
-        nxt = []
-        for acc, centre in level:
-            for m in range(D):
-                step = steps.get((acc, m))
-                if step is None:
-                    step = steps[acc, m] = acc.compose(forward[m]), [scale * x for x in acc.apply(centres[m])]
-                nxt.append((step[0], [c + x for c, x in zip(centre, step[1])]))
-        level = nxt
-        scale /= s
+    half = Fraction(1, 2)
 
     sq_entries: list[SignedPermutation] = []
     sq_centres: list = []
-    for acc, centre in level:
-        # 0-based cells: floor((c + 1/2) * D), c in [-1/2, 1/2]
-        x = [(2 * c.numerator + c.denominator) * D // (2 * c.denominator) for c in centre]
+    for seq in itertools.product(range(D), repeat=d):
+        acc = SignedPermutation.identity(d)
+        centre = [Fraction(0)] * d
+        scale = Fraction(1)
+        for m in seq:
+            step = acc.apply(centres[m])
+            for j in range(d):
+                centre[j] += scale * step[j]
+            acc = acc.compose(forward[m])
+            scale /= s
+        x = [int((centre[j] + half) * D) for j in range(d)]  # 0-based cells
         ent = [0] * (d * d)
         for j in range(d):
             pj = acc.entries[j]
@@ -1015,38 +1006,62 @@ def test_locate_matches_fraction_locate_for_every_form_of_t():
     assert cases == 120 * 13 * 12
 
 
+def composed_state(defn, digits):
+    """The state under the visit positions ``digits``: the entries they
+    pick composed from the identity, read backwards under a reversed
+    state."""
+    acc, n = SignedPermutation.identity(defn.dimension), len(defn.entries)
+    for k in digits:
+        acc = acc.compose(defn.entries[n - 1 - k if acc.reverse else k])
+    return acc
+
+
 def test_locate_matches_fraction_locate_on_seeded_digits():
     """The cell of four seeded digit strings per depth 0..6 on every
-    differential rule, found through ``_Table.descend``."""
+    differential rule, found through ``_Table.descend``, and the state
+    ``descend`` reaches: the entries the digits pick, composed."""
     rng = random.Random(13)
     for label, defn in differential_rules():
         table = _table(defn)
         for depth in range(7):
             for _ in range(4):
+                digits = [rng.randrange(table.n) for _ in range(depth)]
                 i = 0
-                for _ in range(depth):
-                    i = i * table.n + rng.randrange(table.n)
+                for k in digits:
+                    i = i * table.n + k
                 t = F(2 * i + 1, 2 * table.n**depth)
                 assert locate(defn, t, depth) == fraction_locate(defn, t, depth), (label, depth, i)
+                _, state = table.descend(digits)
+                assert table.states[state] == composed_state(defn, digits), (label, digits)
         for depth in (0, 1):
             pos, _ = table.descend([table.n - 1] * depth)
             assert type(pos) is list and len(pos) == table.d, (label, depth)
 
 
 def test_locate_matches_fraction_locate_across_chunks():
-    """The last cell and a seeded one at depths on both sides of one and
-    two ``_CHUNK`` boundaries and three chunks deep, where ``locate``
-    cuts its index into chunks and ``_Table.descend`` sums them."""
+    """The last cell and a seeded one at every depth 0..200, across three
+    ``_CHUNK`` boundaries, where ``locate`` cuts its index into chunks
+    and ``_Table.descend`` sums them."""
     assert engine._CHUNK == 64
     rng = random.Random(21)
     rules = [("harmonious d=2", generate("harmonious", 2)), ("harmonious d=3", generate("harmonious", 3)),
              ("peano d=2", generate("peano", 2)), ("peano d=3", generate("peano", 3)),
              ("meander2d", builtin_fixed("meander2d")), (UNEVEN_RULES[3], parse_definition(UNEVEN_RULES[3]))]
     for label, defn in rules:
-        for depth in (63, 64, 65, 128, 129, 200):
+        for depth in range(201):
             n = len(defn.entries) ** depth
             for t in (F(n - 1, n), F(2 * rng.randrange(n) + 1, 2 * n)):
                 assert locate(defn, t, depth) == fraction_locate(defn, t, depth), (label, depth, t)
+
+
+def test_locate_matches_fraction_locate_250_chunks_deep():
+    """Harmonious d=2 at depth 16 000, 250 ``_CHUNK``s: at t = 1/3, whose
+    digits repeat, and at a seeded t.  Nearly all of the 6 s is the
+    oracle's ``Fraction`` sums."""
+    h = generate("harmonious", 2)
+    n = 4**16000
+    for t in (F(1, 3), F(random.Random(22).randrange(n), n)):
+        assert locate(h, t, 16000) == fraction_locate(h, t, 16000), t
 
 
 def test_derived_permutations_equal_their_checked_rebuilds():
