@@ -674,8 +674,8 @@ def check_well_folded_rank(
     reflected binary Gray code ``(i-1) ^ ((i-1) >> 1)``.
     """
     d = defn.dimension
-    if defn.scale != 2:
-        raise ValueError("the rank law applies to scale-2 rules")
+    if defn.scale != 2 or not defn.fills_cube:
+        raise ValueError("the rank law applies to scale-2 cube rules")
     for i, c in enumerate(defn.centres):
         bits = 0
         for j, x in enumerate(c):

@@ -154,6 +154,8 @@ class SignedPermutation(_Frozen):
             raise ValueError(
                 f"absolute values of {entries} are not a permutation of 1..{d}"
             )
+        if type(reverse) is not bool:
+            raise ValueError(f"reverse flag {reverse!r} is not a bool")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "reverse", reverse)
 

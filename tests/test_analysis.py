@@ -13,7 +13,7 @@ except ImportError:  # not a POSIX platform
     resource = None
 
 import pytest
-from conftest import UNEVEN_RULES, differential_rules
+from conftest import UNEVEN_RULES
 from hypothesis import given, settings, strategies as st
 
 from traversals import analysis
@@ -38,7 +38,7 @@ from traversals.analysis import (
     section_component_audit,
 )
 from traversals.engine import Path, generate_full_path, iter_path
-from traversals.notation import _cube_symmetries, parse_definition
+from traversals.notation import parse_definition
 from traversals.generators import (
     FIXED_NAMES,
     BetaUndefinedError,
@@ -127,8 +127,8 @@ def test_butz_depth_three_has_no_jumps():
 
 def test_z_depth_two_jumps():
     prof = adjacency_profile(path_of("z", 2, 2))
-    assert prof.other_steps > 0
-    assert prof.max_jump > 1
+    assert prof == AdjacencyProfile(8, 7, Fraction(3), (1, 2))
+    assert type(prof.max_jump) is Fraction
 
 
 def test_inside_out_jump_depth_threshold():
@@ -140,57 +140,6 @@ def test_face_steps_count_all_steps_for_continuous_curves():
     prof = adjacency_profile(path_of("harmonious", 2, 3))
     assert prof.face_steps == 4**3 - 1
     assert prof.max_jump == 1
-
-
-def fraction_adjacency_profile(path: Path) -> AdjacencyProfile:
-    """The profile with one Fraction per step, kept as its oracle."""
-    pts = path.points
-    w = path.cell_units
-    face = other = 0
-    max_jump = Fraction(0)
-    first_jump = None
-    for k in range(len(pts) - 1):
-        a, b = pts[k], pts[k + 1]
-        diffs = [abs(x - y) for x, y in zip(a, b)]
-        max_jump = max(max_jump, Fraction(max(diffs), w))
-        if max(diffs) == w and sum(1 for x in diffs if x) == 1:
-            face += 1
-        else:
-            other += 1
-            if first_jump is None:
-                first_jump = (k, k + 1)
-    return AdjacencyProfile(face, other, max_jump, first_jump)
-
-
-def test_adjacency_profile_matches_fraction_oracle():
-    for kind, p in family_paths():
-        prof = adjacency_profile(p)
-        assert prof == fraction_adjacency_profile(p), (kind, p.dimension, p.depth)
-        assert isinstance(prof.max_jump, Fraction)
-
-
-def profile_check_continuity(defn, depth, *, kind=""):
-    """The CLI's continuity check as it read the adjacency profile of the
-    whole path, kept as the oracle of ``check_continuity``."""
-    d = defn.dimension
-    path = generate_full_path(defn, depth, "corner")
-    prof = adjacency_profile(path)
-    if prof.other_steps == 0:
-        return PropertyReport("continuity", kind, d, depth, "holds")
-    return PropertyReport("continuity", kind, d, depth, "fails", prof.first_jump)
-
-
-def test_streamed_continuity_matches_the_adjacency_profile():
-    verdicts, cases = set(), 0
-    for label, defn in differential_rules():
-        for depth in range(1, 5):
-            if len(defn) ** depth > 4096:
-                break
-            got = check_continuity(defn, depth, kind=label)
-            assert got == profile_check_continuity(defn, depth, kind=label), (label, depth)
-            verdicts.add(got.verdict)
-            cases += 1
-    assert verdicts == {"holds", "fails"} and cases > 300
 
 
 def test_continuity_reads_points_not_cells():
@@ -571,6 +520,11 @@ def test_palindromic_cells_refuse_a_depth_below_one(depth):
         palindromic_on_cells([(0, 0), (0, 1), (1, 1), (1, 0)], 2, depth)
 
 
+def test_palindromic_check_refuses_a_rule_that_does_not_fill_the_cube():
+    with pytest.raises(ValueError, match=r"^palindromicity is checked on scale-2 cube rules$"):
+        check_palindromic(generate("hill-z", 3), 2)
+
+
 def test_harmonious_palindromic_witness():
     report = check_palindromic(generate("harmonious", 3), 4, kind="harmonious")
     assert report.line() == "palindromic harmonious 3 4 fails 0 2 2 0"
@@ -727,6 +681,15 @@ def test_z_is_not_straight_jumping():
     assert check_straight_jumping(gen_z(2), 2).verdict == "fails"
 
 
+def test_a_repeated_cell_is_not_a_straight_jump():
+    # tiles 2 and 3 of Hill-Z d=2 share a box: the step changes no axis
+    report = check_straight_jumping(generate("hill-z", 2), 1)
+    assert report.line() == "straight-jumping - 2 1 fails 1 2"
+    # points 1 and 2 differ, 4 and 6 units, but lie in the one cell 1
+    report = check_straight_jumping(parse_definition(UNEVEN_RULES[3]), 2)
+    assert report.line() == "straight-jumping - 1 2 fails 1 2"
+
+
 # -- facet orders ------------------------------------------------------------
 
 
@@ -758,6 +721,12 @@ def test_peano_family_facet_recursion_everywhere():
 def test_z_facet_restriction_is_lower_dimensional_z():
     z3, z2 = gen_z(3), gen_z(2)
     assert check_facet_order(z3, z2, (1, -1), 2).holds
+
+
+def test_facet_order_of_unequal_lengths_is_inconclusive():
+    # 81 facet cells of Peano d=3 against the 16 of Harmonious d=2
+    report = check_facet_order(generate("peano", 3), generate("harmonious", 2), (1, 1), 2)
+    assert report.line() == "facet-order - 3 2 inconclusive 1 1"
 
 
 @pytest.mark.parametrize("facet,message", [
@@ -935,6 +904,15 @@ def test_well_folded_rank_families():
     assert check_well_folded_rank(gen_z(3)).verdict == "fails"
 
 
+@pytest.mark.parametrize("name", ["hill-z", "maehara", "peano", *FIXED_NAMES])
+def test_well_folded_rank_refuses_a_rule_that_is_not_a_scale_2_cube(name):
+    # Hill-Z d=3 used to fail with witness (3, 1, 3), from a law stated
+    # for cube rules.
+    defn = builtin_fixed(name) if name in FIXED_NAMES else generate(name, 3)
+    with pytest.raises(ValueError, match=r"^the rank law applies to scale-2 cube rules$"):
+        check_well_folded_rank(defn)
+
+
 def test_well_folded_rank_law_for_every_g2_family():
     folded = ("u", "gray", "double-gray", "inside-out",
               "base-camp", "harmonious", "alfa", "butz")
@@ -952,117 +930,3 @@ def test_report_line_format():
 
 def test_backend_is_reported():
     assert KERNEL_BACKEND == "python"
-
-
-# -- the streamed checks against their Path-based forms -------------------------
-#
-# The three functions below are the checks as they read a whole Path,
-# kept verbatim (apart from their names) as oracles for the checks that
-# read the walk as a stream.
-
-
-def path_check_palindromic(
-    defn, depth: int, *, kind: str = ""
-) -> PropertyReport:
-    if defn.scale != 2 or not defn.fills_cube:
-        raise ValueError("palindromicity is checked on scale-2 cube rules")
-    path = generate_full_path(defn, depth, "corner")
-    return palindromic_on_cells(
-        path.cell_indices(), defn.dimension, depth, kind=kind
-    )
-
-
-def path_check_straight_jumping(
-    defn, depth: int, *, kind: str = ""
-) -> PropertyReport:
-    """Consecutive cells must differ in exactly one coordinate axis."""
-    path = generate_full_path(defn, depth, "corner")
-    cells = path.cell_indices()
-    for k in range(len(cells) - 1):
-        changed = sum(1 for x, y in zip(cells[k], cells[k + 1]) if x != y)
-        if changed != 1:
-            return PropertyReport(
-                "straight-jumping", kind, defn.dimension, depth, "fails", (k, k + 1)
-            )
-    return PropertyReport("straight-jumping", kind, defn.dimension, depth, "holds")
-
-
-def path_check_facet_order(
-    defn_d,
-    defn_dminus1,
-    facet: tuple[int, int],
-    depth: int,
-    *,
-    kind: str = "",
-) -> PropertyReport:
-    axis, side = facet
-    d = defn_d.dimension
-    if defn_dminus1.dimension != d - 1:
-        raise ValueError("the comparison rule must have one dimension less")
-    n_side = defn_d.scale**depth
-    cells = generate_full_path(defn_d, depth, "corner").cell_indices()
-    boundary = n_side - 1 if side > 0 else 0
-    seq = [
-        tuple(x for j, x in enumerate(c) if j != axis - 1)
-        for c in cells
-        if c[axis - 1] == boundary
-    ]
-    target = generate_full_path(defn_dminus1, depth, "corner").cell_indices()
-    if len(seq) != len(target):
-        return PropertyReport(
-            "facet-order", kind, d, depth, "inconclusive", (axis, side)
-        )
-
-    def centred(c):  # odd lattice, symmetric about 0
-        return tuple(2 * x - (n_side - 1) for x in c)
-
-    seq_c = [centred(c) for c in seq]
-    tgt_c = [centred(c) for c in target]
-    for g in _cube_symmetries(d - 1):
-        if g.apply(seq_c[0]) != tgt_c[0]:
-            continue
-        if all(g.apply(a) == b for a, b in zip(seq_c, tgt_c)):
-            return PropertyReport("facet-order", kind, d, depth, "holds")
-    return PropertyReport("facet-order", kind, d, depth, "fails", (axis, side))
-
-
-def families(d):
-    """(name, rule) of every family defined in ``d`` dimensions."""
-    for kind in TraversalKind:
-        try:
-            yield kind.value, generate(kind, d)
-        except BetaUndefinedError:
-            pass
-
-
-SCALE_2_CUBES = [
-    (name, d, depth)
-    for d, depths in ((2, range(1, 5)), (3, range(1, 5)), (4, range(1, 4)))
-    for name, defn in families(d)
-    if defn.scale == 2 and defn.fills_cube
-    for depth in depths
-]
-
-
-@pytest.mark.parametrize("kind,d,depth", SCALE_2_CUBES)
-def test_streamed_cell_checks_match_their_path_forms(kind, d, depth):
-    defn = generate(kind, d)
-    assert check_palindromic(defn, depth, kind=kind) == path_check_palindromic(
-        defn, depth, kind=kind
-    )
-    assert check_straight_jumping(defn, depth, kind=kind) == (
-        path_check_straight_jumping(defn, depth, kind=kind)
-    )
-
-
-def test_streamed_facet_order_matches_its_path_form():
-    verdicts = set()
-    for name3, d3 in families(3):
-        for name2, d2 in families(2):
-            for axis in (1, 2, 3):
-                for side in (-1, 1):
-                    got = check_facet_order(d3, d2, (axis, side), 2, kind=name3)
-                    want = path_check_facet_order(d3, d2, (axis, side), 2, kind=name3)
-                    assert got == want, (name3, name2, axis, side)
-                    verdicts.add(got.verdict)
-    assert verdicts == {"holds", "fails", "inconclusive"}

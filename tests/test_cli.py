@@ -202,6 +202,17 @@ def test_check_palindromic_refuses_a_depth_below_one(depth):
     assert err == "error: palindromicity is checked at depth >= 1\n"
 
 
+@pytest.mark.parametrize("source", [
+    "hill-z 3", "maehara 3", "polya2d", "sub8", "prism3d", "palindromic-tetra",
+])
+def test_check_well_folded_refuses_a_rule_that_does_not_fill_the_cube(source):
+    # hill-z 3 used to print "well-folded-rank hill-z 3 1 fails 3 1 3" and
+    # exit 1, from a law stated for cube rules.
+    code, out, err = run(["check", *source.split(), "--property", "well-folded"])
+    assert (code, out) == (2, "")
+    assert err == "error: the rank law applies to scale-2 cube rules\n"
+
+
 def test_check_bbox_reports_ratio():
     code, out, _ = run(
         ["check", "alfa", "3", "--property", "bbox", "--depth", "2"]

@@ -270,26 +270,15 @@ def test_symmetries_mapping_keeps_the_cube_symmetry_order():
     assert len(list(_symmetries_mapping(2, [(0, 0)], [(0, 0)]))) == 8
 
 
-def path_find_reversal_symmetry(defn):
-    """find_reversal_symmetry as it read whole Paths, kept verbatim
-    (apart from its name) as the oracle of the streamed search."""
-    _require_cubic(defn)
-    d = defn.dimension
-    pts2 = generate_path(defn, 2).points
-    pts3 = None
-    n = len(pts2)
-    first, last = pts2[0], pts2[-1]
-    for cand in _cube_symmetries(d):
-        if cand.apply(first) != last:
-            continue
-        if all(cand.apply(pts2[k]) == pts2[n - 1 - k] for k in range(n)):
-            if pts3 is None:
-                pts3 = generate_path(defn, 3).points
-            n3 = len(pts3)
-            if all(
-                cand.apply(pts3[k]) == pts3[n3 - 1 - k] for k in range(n3)
-            ):
-                return cand
+def defined_reversal_symmetry(defn):
+    """The definition, kept as the oracle of the search: the first cube
+    symmetry in ``_cube_symmetries`` order that maps the depth-3 path onto
+    its reverse point by point, or None when there is none."""
+    pts = generate_path(defn, 3).points
+    back = pts[::-1]
+    for g in _cube_symmetries(defn.dimension):
+        if all(g.apply(p) == q for p, q in zip(pts, back)):
+            return g
     return None
 
 
@@ -302,14 +291,14 @@ CUBE_FILLING = [
 
 
 @pytest.mark.parametrize("kind,d", CUBE_FILLING)
-def test_streamed_reversal_symmetry_matches_its_path_form(kind, d):
+def test_reversal_symmetry_matches_its_definition(kind, d):
     defn = generate(kind, d)
-    assert find_reversal_symmetry(defn) == path_find_reversal_symmetry(defn)
+    assert find_reversal_symmetry(defn) == defined_reversal_symmetry(defn)
 
 
-def test_streamed_reversal_symmetry_of_meander_matches_its_path_form():
+def test_reversal_symmetry_of_meander_matches_its_definition():
     defn = builtin_fixed("meander2d")
-    assert find_reversal_symmetry(defn) is path_find_reversal_symmetry(defn) is None
+    assert find_reversal_symmetry(defn) is defined_reversal_symmetry(defn) is None
 
 
 def test_gray_code_is_asymmetric():
@@ -318,6 +307,11 @@ def test_gray_code_is_asymmetric():
 
 def test_u_traversal_is_symmetric():
     assert find_reversal_symmetry(generate("u", 2)) is not None
+
+
+def test_reversal_symmetry_needs_cube_filling_rule():
+    with pytest.raises(NotCubicError):
+        find_reversal_symmetry(builtin_fixed("polya2d"))
 
 
 def test_meander_is_asymmetric():

@@ -1,8 +1,6 @@
 """The sixteen families against their printed forms and stated rules."""
 
 import hashlib
-from collections.abc import Callable
-from fractions import Fraction
 from importlib import resources
 from math import comb
 
@@ -23,8 +21,6 @@ from traversals.generators import (
 from traversals.notation import (
     Move,
     SignedPermutation,
-    TraversalDefinition,
-    Vector,
     format_definition,
     parse_definition,
 )
@@ -206,10 +202,10 @@ def test_butz_rotation_when_all_digits_equal():
 
 
 def test_beta_undefined_below_three_dimensions():
-    with pytest.raises(BetaUndefinedError):
-        generate("beta", 2)
-    with pytest.raises(BetaUndefinedError):
-        generate("beta", 1)
+    for d in (1, 2):
+        for build in (generators.gen_beta, lambda d: generate("beta", d)):
+            with pytest.raises(BetaUndefinedError, match=f"^the Beta curve is undefined for d={d}$"):
+                build(d)
 
 
 def _paths_equal(a, b, depth):
@@ -394,331 +390,12 @@ def test_every_builtin_round_trips_through_text():
         assert parse_definition(format_definition(defn)).structurally_equal(defn)
 
 
-# -- the G2 builder against the centre-based generators ----------------------
-#
-# The nine G2(d) generators as they were before the shared builder, verbatim
-# (bar the absolute import of ``gray``): each built 2^d Fraction centres
-# through ``bitmatrix.gray`` and compared their coordinates with 0.
-
-
-def _digits(n: int, base: int, d: int) -> tuple[int, ...]:
-    """Digits of n in the given base; index j-1 is the j-th least significant."""
-    out = []
-    for _ in range(d):
-        out.append(n % base)
-        n //= base
-    return tuple(out)
-
-
-def _centre_from_bits(bits: tuple[int, ...]) -> Vector:
-    q = Fraction(1, 4)
-    return tuple(q if b else -q for b in bits)
-
-
-def _gray_centres(d: int) -> list[Vector]:
-    from traversals.bitmatrix import gray
-
-    return [
-        _centre_from_bits(_digits(gray(i), 2, d)) for i in range(2**d)
-    ]
-
-def gen_u(d: int) -> TraversalDefinition:
-    """Reflected-Gray base pattern, identical forward copy in every cell."""
-    ident = SignedPermutation.identity(d)
-    return TraversalDefinition.from_moves([ident] * 2**d, gen_base_pattern(2, d))
-
-
-def gen_gray(d: int) -> TraversalDefinition:
-    """Identity copies, reversed in every second cell."""
-    entries = [
-        SignedPermutation.identity(d, reverse=bool(i & 1)) for i in range(2**d)
-    ]
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def _signs_entry(signs: list[int], reverse: bool) -> SignedPermutation:
-    return SignedPermutation(
-        tuple(s * (j + 1) for j, s in enumerate(signs)), reverse
-    )
-
-
-def gen_double_gray(d: int) -> TraversalDefinition:
-    """Reflections through the bisecting planes, reversed in even cells."""
-    entries = []
-    for i, c in enumerate(_gray_centres(d)):
-        signs = [-1 if x > 0 else 1 for x in c]
-        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def gen_inside_out(d: int) -> TraversalDefinition:
-    """Like Double-Gray but with end points pulled into the interior."""
-    entries = []
-    for i, c in enumerate(_gray_centres(d)):
-        signs = [1 if x > 0 else -1 for x in c]
-        entries.append(_signs_entry(signs, reverse=bool(i & 1)))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def _harmonious_signs(perm: list[int], c: Vector) -> list[int]:
-    out = []
-    for p in perm:
-        if p == 1:
-            out.append(1 if c[0] > 0 else -1)
-        else:
-            out.append(-1 if c[p - 1] > 0 else 1)
-    return out
-
-
-def gen_base_camp(d: int) -> TraversalDefinition:
-    """Inside-out with the first and last entries swapped axis-wise.
-
-    First and last entry exchange axes 1 and d; the first is also
-    reflected in every axis, which makes the whole order continuous.
-    """
-    centres = _gray_centres(d)
-    entries = []
-    D = 2**d
-    for i in range(1, D + 1):
-        if i == 1:
-            perm = [d] + list(range(2, d)) + [1] if d > 1 else [1]
-            entries.append(SignedPermutation(tuple(perm)))
-        elif i == D:
-            perm = [-d] + [-j for j in range(2, d)] + [1] if d > 1 else [-1]
-            entries.append(SignedPermutation(tuple(perm), reverse=True))
-        else:
-            c = centres[i - 1]
-            signs = [1 if x > 0 else -1 for x in c]
-            entries.append(_signs_entry(signs, reverse=i % 2 == 0))
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def gen_harmonious(d: int) -> TraversalDefinition:
-    """The Hilbert generalization that recurses on cube facets.
-
-    Entry i starts from the axis-reversing permutation (d,...,1) and
-    pulls to the front, in order, all axes whose digit of i-1 equals the
-    lowest digit; signs follow the centre, and every odd entry runs
-    backwards.
-    """
-    centres = _gray_centres(d)
-    entries = []
-    for i in range(1, 2**d + 1):
-        r = _digits(i - 1, 2, d)
-        start = list(range(d, 0, -1))
-        front = [j for j in start if r[j - 1] == r[0]]
-        back = [j for j in start if r[j - 1] != r[0]]
-        perm = front + back
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entries.append(
-            SignedPermutation(
-                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-            )
-        )
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def _alfa_beta_perm(i: int, d: int) -> list[int]:
-    """Unsigned permutation shared by the Alfa and Beta curves.
-
-    Built from an extended digit table r'[-1..d] of i-1; position j gets
-    the smallest index h > d-j-1 whose digit matches the digit at
-    d-j-1.  The override of r'[d-1] for the last eighth of the entries
-    ("all of the top three digits set") only applies from d = 3 up.
-    """
-    D = 2**d
-    r = _digits(i - 1, 2, d)
-    rp = {-1: r[0], 0: 1 - r[0]}
-    for j in range(1, d - 1):
-        rp[j] = r[j - 1]
-    if d >= 3 and 8 * i > 7 * D:
-        rp[d - 1] = 0
-    elif d >= 2:
-        rp[d - 1] = r[d - 2]
-    rp[d] = 1 - rp[d - 1]
-    perm = []
-    for j in range(1, d + 1):
-        target = rp[d - j - 1]
-        h = d - j
-        while rp[h] != target:
-            h += 1
-        perm.append(h)
-    return perm
-
-
-def _apply_end_corrections(entry: SignedPermutation, d: int) -> SignedPermutation:
-    """Swap the two highest positions, negate the last, flip direction."""
-    ent = list(entry.entries)
-    if d >= 2:
-        ent[d - 2], ent[d - 1] = ent[d - 1], ent[d - 2]
-    ent[d - 1] = -ent[d - 1]
-    return SignedPermutation(tuple(ent), not entry.reverse)
-
-
-def gen_alfa(d: int) -> TraversalDefinition:
-    """Hyperorthogonal Hilbert variant ending in cube vertices."""
-    centres = _gray_centres(d)
-    D = 2**d
-    entries = []
-    for i in range(1, D + 1):
-        perm = _alfa_beta_perm(i, d)
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entry = SignedPermutation(
-            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-        )
-        if 1 < i < D:
-            entry = _apply_end_corrections(entry, d)
-        entries.append(entry)
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def gen_beta(d: int) -> TraversalDefinition:
-    """Hyperorthogonal Hilbert variant ending on cube facets; needs d >= 3."""
-    if d < 3:
-        raise BetaUndefinedError(f"the Beta curve is undefined for d={d}")
-    centres = _gray_centres(d)
-    D = 2**d
-    entries = []
-    for i in range(1, D + 1):
-        perm = _alfa_beta_perm(i, d)
-        c = centres[i - 1]
-        signs = [1 if c[p - 1] > 0 else -1 for p in perm]
-        entry = SignedPermutation(
-            tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-        )
-        if i == 1 or i == D:
-            entry = _apply_end_corrections(entry, d)
-        entries.append(entry)
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-def gen_butz(d: int) -> TraversalDefinition:
-    """The classic rotation-based Hilbert generalization.
-
-    Entry i rotates the axes by k places, where k is the lowest digit
-    position of i-1 that differs from the lowest digit (1 when all
-    digits agree); signs and reversals as for the harmonious curve.
-    """
-    centres = _gray_centres(d)
-    entries = []
-    for i in range(1, 2**d + 1):
-        r = _digits(i - 1, 2, d)
-        k = 1
-        for j in range(2, d + 1):
-            if r[j - 1] != r[0]:
-                k = j
-                break
-        perm = [(j + k - 1) % d + 1 for j in range(1, d + 1)]
-        signs = _harmonious_signs(perm, centres[i - 1])
-        entries.append(
-            SignedPermutation(
-                tuple(s * p for s, p in zip(signs, perm)), reverse=i % 2 == 1
-            )
-        )
-    return TraversalDefinition.from_moves(entries, gen_base_pattern(2, d))
-
-
-G2_ORACLE = {
-    "u": gen_u,
-    "gray": gen_gray,
-    "double-gray": gen_double_gray,
-    "inside-out": gen_inside_out,
-    "base-camp": gen_base_camp,
-    "harmonious": gen_harmonious,
-    "alfa": gen_alfa,
-    "beta": gen_beta,
-    "butz": gen_butz,
-}
-
-
-@pytest.mark.parametrize("kind", G2_ORACLE)
-def test_g2_builder_matches_the_centre_based_generators(kind):
-    old = G2_ORACLE[kind]
-    new = getattr(generators, old.__name__)
-    for d in range(1, 9):
-        if kind == "beta" and d < 3:
-            for build in (old, new, lambda d: generate(kind, d)):
-                with pytest.raises(BetaUndefinedError, match=f"undefined for d={d}"):
-                    build(d)
-            continue
-        want = old(d)
-        for got in (new(d), generate(kind, d)):
-            assert got == want, (kind, d)
-            assert repr(got) == repr(want), (kind, d)
-
-
-# -- the simplex builder against the two orders it replaced --------------------
-#
-# Hill-Z and Maehara as they were before the shared builder, verbatim but
-# for the names of the two generators.
-
-
-def _hill_centres(d: int) -> list[Vector]:
-    """Tile-box centres shared by the Hill-Z and Maehara orders.
-
-    Coordinate j of the i-th centre is +1/4 when j does not exceed the
-    number of one-digits of i-1, else -1/4.
-    """
-    q = Fraction(1, 4)
-    out = []
-    for i in range(2**d):
-        ones = bin(i).count("1")
-        out.append(tuple(q if j < ones else -q for j in range(d)))
-    return out
-
-
-def old_gen_hill_z(d: int) -> TraversalDefinition:
-    """Order on Freudenthal's simplex subdivision, in the style of Z.
-
-    Entry i sorts the binary digits of i-1: position j maps to the rank
-    of its digit among equal digits (ones count from the left, zeros
-    from the right).  No reflections, no reversals.
-    """
-    entries = []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
-        perm = []
-        for j in range(1, d + 1):
-            if r[j - 1] == 1:
-                perm.append(sum(r[: j]))
-            else:
-                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
-        entries.append(SignedPermutation(tuple(perm)))
-    return TraversalDefinition.from_centres(entries, _hill_centres(d))
-
-
-def old_gen_maehara(d: int) -> TraversalDefinition:
-    """Order on Maehara's orthoscheme bisection, by the direct formula.
-
-    Same centres as Hill-Z; one-digits get negated reversed ranks, and
-    every second entry is reversed.
-    """
-    entries = []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
-        perm = []
-        for j in range(1, d + 1):
-            if r[j - 1] == 1:
-                perm.append(-sum(r[h - 1] for h in range(j, d + 1)))
-            else:
-                perm.append(d - sum(1 - r[h - 1] for h in range(j + 1, d + 1)))
-        entries.append(SignedPermutation(tuple(perm), reverse=bool(r[0])))
-    return TraversalDefinition.from_centres(entries, _hill_centres(d))
-
-
-@pytest.mark.parametrize("kind, old", [("hill-z", old_gen_hill_z), ("maehara", old_gen_maehara)])
-def test_simplex_builder_matches_the_digit_sum_generators(kind, old):
-    new = getattr(generators, old.__name__[len("old_"):])
-    for d in range(1, 9):
-        want = old(d)
-        for got in (new(d), generate(kind, d)):
-            assert got == want, (kind, d)
-            assert repr(got) == repr(want), (kind, d)
-
-
-# sha256 of the reprs of generate(kind, d) for d = 1..8 (Beta from 3, the
-# Peano family to 5), concatenated in ascending d: the rules as they were
-# built before the G2 builder, first 16 hex digits.
+# The oracle of the family rules: sha256 of the reprs of generate(kind, d)
+# for d = 1..8 (Beta from 3, the Peano family to 5), concatenated in
+# ascending d, first 16 hex digits.  The digests were recorded from the
+# rules as they were built before the shared builders, and the old
+# builders agreed with them on every input.  A deliberate change of a rule
+# re-records its digest, in a change of its own.
 RULE_DIGESTS = {
     "z": "78171d00c1f4d42a",
     "u": "ea49cb3611549804",
@@ -747,165 +424,6 @@ def test_every_family_rule_keeps_its_repr():
         for d in range(3 if kind == "beta" else 1, top + 1):
             h.update(repr(generate(kind, d)).encode())
         assert h.hexdigest()[:16] == digest, kind
-
-
-# -- shared pattern halves against the per-family builders --------------------
-#
-# The builders as they were before the families shared one pattern half per
-# (pattern, d), verbatim but for their names and the ``generators.`` prefix of
-# two helpers: each rule rebuilt its moves and centres through ``from_moves``
-# or ``from_centres``.  Z, U and the Peano family are copied whole; the other
-# families keep the module's own entry formulas, which the test runs through
-# these copies of ``_g2_rule`` and ``_simplex_rule``.
-
-
-def old_gen_base_pattern(base: int, d: int) -> tuple[Move, ...]:
-    """The reflected Gray-code move pattern G2(d) or G3(d).
-
-    G2(k) concatenates G2(k-1), a step along axis k, and the reverse of
-    G2(k-1) (order flipped, signs negated).  G3(k) concatenates G3(k-1),
-    a step along k, the reverse, another step along k, and G3(k-1) once
-    more.
-    """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if base not in (2, 3):
-        raise ValueError("base pattern exists for bases 2 and 3")
-    seq: list[Move] = []
-    for k in range(1, d + 1):
-        rev = [m.negated() for m in reversed(seq)]
-        if base == 2:
-            seq = seq + [Move((k,))] + rev
-        else:
-            seq = seq + [Move((k,))] + rev + [Move((k,))] + list(seq)
-    return tuple(seq)
-
-
-def old_zigzag_pattern(d: int) -> tuple[Move, ...]:
-    """Move list of the Z-traversal: binary increment with borrows."""
-    moves = []
-    for i in range(1, 2**d):
-        steps = []
-        n = i - 1
-        j = 1
-        while n & 1:
-            steps.append(-j)
-            n >>= 1
-            j += 1
-        steps.append(j)
-        moves.append(Move(tuple(steps)))
-    return tuple(moves)
-
-
-def old_g2_rule(
-    d: int, entry: Callable[[int, tuple[int, ...], tuple[int, ...]], SignedPermutation]
-) -> TraversalDefinition:
-    """The rule on G2(d) whose i-th entry, i = 1..2^d, is ``entry(i, r, g)``.
-
-    ``r`` holds the binary digits of i-1 and ``g`` its Gray bits, both
-    lowest first.  G2(d) visits the tiles in reflected Gray order, so
-    tile i lies on the high side of axis j exactly when ``g[j-1]`` is 1.
-    """
-    entries = []
-    for i in range(1, 2**d + 1):
-        n = i - 1
-        entries.append(entry(i, _digits(n, 2, d), _digits(n ^ (n >> 1), 2, d)))
-    return TraversalDefinition.from_moves(entries, old_gen_base_pattern(2, d))
-
-
-def old_gen_z(d: int) -> TraversalDefinition:
-    """Bit-interleaving order: identity entries along a zig-zag pattern."""
-    ident = SignedPermutation.identity(d)
-    return TraversalDefinition.from_moves([ident] * 2**d, old_zigzag_pattern(d))
-
-
-def old_gen_u(d: int) -> TraversalDefinition:
-    """Reflected-Gray base pattern, identical forward copy in every cell."""
-    ident = SignedPermutation.identity(d)
-    return old_g2_rule(d, lambda i, r, g: ident)
-
-
-def old_simplex_rule(
-    d: int, one_rank: Callable[[int, int], int], reverse_odd: bool
-) -> TraversalDefinition:
-    """The Hill-Z or Maehara order: entry i sorts the binary digits of i.
-
-    With k one-digits up to position j, of ``ones`` in all, a one-digit
-    there maps to ``one_rank(k, ones)`` and a zero-digit to d minus the
-    zero-digits after it; with ``reverse_odd`` odd entries are reversed.
-    Coordinate j of centre i is +1/4 when j < ``ones``, else -1/4.
-    """
-    q = Fraction(1, 4)
-    entries, centres = [], []
-    for i in range(2**d):
-        r = _digits(i, 2, d)
-        ones, k, perm = sum(r), 0, []
-        for j, digit in enumerate(r, 1):
-            k += digit
-            perm.append(one_rank(k, ones) if digit else j + ones - k)
-        entries.append(SignedPermutation(tuple(perm), reverse=reverse_odd and i % 2 == 1))
-        centres.append(tuple(q if j < ones else -q for j in range(d)))
-    return TraversalDefinition.from_centres(entries, centres)
-
-
-def old_gen_peano_family(variant: str | TraversalKind, d: int) -> TraversalDefinition:
-    """The four order-preserving traversals on the 3^d subdivision.
-
-    All follow the ternary reflected Gray pattern and differ only in the
-    unsigned permutations: Peano uses the identity everywhere, Coil the
-    axis reversal, Half-coil alternates the two, and Meurthe pushes the
-    axes with ternary digit 0 or 1 to the back in reversed relative
-    order.  Signs flip wherever the axis digit and the digit sum have
-    different parity; no entry is ever reversed.
-    """
-    kind = TraversalKind(variant) if not isinstance(variant, TraversalKind) else variant
-    if generators._scale(kind) != 3:
-        raise ValueError(f"{kind} is not a scale-3 variant")
-    entries = []
-    for i in range(1, 3**d + 1):
-        t = _digits(i - 1, 3, d)
-        if kind is TraversalKind.PEANO:
-            perm = list(range(1, d + 1))
-        elif kind is TraversalKind.COIL:
-            perm = list(range(d, 0, -1))
-        elif kind is TraversalKind.HALF_COIL:
-            perm = list(range(d, 0, -1)) if i % 2 == 1 else list(range(1, d + 1))
-        else:
-            keep = [j for j in range(1, d + 1) if t[j - 1] == 2]
-            moved = [j for j in range(d, 0, -1) if t[j - 1] in (0, 1)]
-            perm = keep + moved
-        signs = generators._peano_signs(perm, t)
-        entries.append(
-            SignedPermutation(tuple(s * p for s, p in zip(signs, perm)))
-        )
-    return TraversalDefinition.from_moves(
-        entries, old_gen_base_pattern(3, d), scale=3
-    )
-
-
-def _family_keys():
-    """Every (kind, d) at d = 1..8 (Beta from 3, the Peano family to 5),
-    ascending d first, so the patterns of one d are built side by side."""
-    for d in range(1, 9):
-        for kind in TraversalKind:
-            if (kind.value != "beta" or d >= 3) and (generators._scale(kind) == 2 or d <= 5):
-                yield kind, d
-
-
-def test_shared_pattern_halves_match_the_per_family_builders(monkeypatch):
-    new = {key: generate(*key) for key in _family_keys()}
-    monkeypatch.setattr(generators, "_g2_rule", old_g2_rule)
-    monkeypatch.setattr(generators, "_simplex_rule", old_simplex_rule)
-    for (kind, d), got in new.items():
-        if kind in (TraversalKind.Z, TraversalKind.U):
-            want = old_gen_z(d) if kind is TraversalKind.Z else old_gen_u(d)
-        elif generators._scale(kind) == 3:
-            want = old_gen_peano_family(kind, d)
-        else:
-            want = generators._GENERATORS[kind](d)
-        assert got == want, (kind, d)
-        assert repr(got) == repr(want), (kind, d)
-        assert format_definition(got) == format_definition(want), (kind, d)
 
 
 def test_families_on_one_pattern_share_its_half():

@@ -306,6 +306,16 @@ def test_permutations_and_moves_take_only_ints(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("flag", ["no", 2, None, 0.0], ids=repr)
+def test_a_reverse_flag_that_is_not_a_bool_is_refused(flag):
+    # "no" was accepted: it printed "{1 2]", equalled neither direction,
+    # made compose raise a TypeError and broke the text round trip.
+    with pytest.raises(ValueError) as info:
+        SignedPermutation((1, 2), reverse=flag)
+    assert str(info.value) == f"reverse flag {flag!r} is not a bool"
+    assert SignedPermutation._of((1, 2), flag).reverse is flag  # left unchecked
+
+
 def test_trusted_moves_are_left_as_given():
     move = Move._of((3, -1))  # derived in canonical order by its caller, never re-sorted
     assert move.steps == (3, -1) and type(move) is Move

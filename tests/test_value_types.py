@@ -242,7 +242,8 @@ def test_rules_permutations_and_moves_behave_like_their_dataclasses():
     moved = h.reanchored((Fraction(1, 4),) * 3)  # differs from h in its centres only
     assert_equality_matches(all_rules + [generate("z", 2), h.reversed(), moved])
     assert_equality_matches(sorted(moves, key=lambda m: m.steps) + [Move(), Move((2, 1))])
-    assert_equality_matches([SignedPermutation((2, -1), r) for r in (False, True, 0, 1)])
+    # the constructor refuses a flag that is not a bool; _of takes any
+    assert_equality_matches([SignedPermutation._of((2, -1), r) for r in (False, True, 0, 1)])
 
 
 def test_rule_copies_carry_the_fields_and_not_the_cached_data():

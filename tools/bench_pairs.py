@@ -23,9 +23,11 @@ won.  The metrics and their better direction come from the change tree's
 whether the claim holds: the change wins at least nine pairs in ten and
 the medians differ by more than the base's interquartile range.  With
 ``--traced`` it adds one traced pass (``--trace 1``) per workload and side.
-As context, not gated, it records once per tree the wall time of the
-Tier-1 suite (the ROADMAP command) and of each ``tests/test_*.py`` file
-run alone, in the same bytecode state.
+As context, not gated, it records the wall time of the Tier-1 suite
+(the ROADMAP command) ``TIER1_RUNS`` times per tree, the side that runs
+first alternating from run to run, with every run and each side's
+median; and once per tree the wall time of each ``tests/test_*.py`` file
+run alone.  All of them run in the same bytecode state.
 Standard library only.
 """
 
@@ -44,6 +46,7 @@ from pathlib import Path
 
 SIDES = ("base", "change")
 TRACED_SECONDS = 3
+TIER1_RUNS = 3  # whole-suite runs per tree: one cannot tell 0.2 s from drift
 
 
 def git_state(tree: Path) -> dict:
@@ -100,23 +103,34 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     }
 
 
-def tier1_times(tree: Path) -> dict:
-    """Wall time of the Tier-1 suite in ``tree`` and of each test file run
-    alone, each from an empty bytecode cache; with pytest's last line."""
+def timed_pytest(tree: Path, *paths: str) -> dict:
+    """Wall time of one pytest run in ``tree`` (the Tier-1 suite, or only
+    ``paths``) from an empty bytecode cache; with pytest's last line."""
     pythonpath = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=pythonpath)
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    clear_bytecode(tree)
+    t0 = time.perf_counter()
+    proc = subprocess.run([*argv, *paths], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"exit": proc.returncode, "wall_s": wall, "summary": lines[-1] if lines else ""}
 
-    def timed(*paths: str) -> dict:
-        clear_bytecode(tree)
-        t0 = time.perf_counter()
-        proc = subprocess.run([*argv, *paths], cwd=tree, env=env, capture_output=True, text=True)
-        wall = time.perf_counter() - t0
-        lines = proc.stdout.strip().splitlines()
-        return {"exit": proc.returncode, "wall_s": wall, "summary": lines[-1] if lines else ""}
 
-    files = sorted((tree / "tests").glob("test_*.py"))
-    return {"suite": timed(), "files": {f.name: timed(f"tests/{f.name}") for f in files}}
+def tier1_times(trees: dict[str, Path]) -> dict:
+    """Per side: ``TIER1_RUNS`` runs of the Tier-1 suite, the side that
+    runs first alternating, and their median; then one run of each test
+    file alone."""
+    out = {side: {"suite": []} for side in SIDES}
+    for i in range(TIER1_RUNS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for side in order:
+            out[side]["suite"].append(timed_pytest(trees[side]) | {"first": order[0]})
+    for side in SIDES:
+        out[side]["suite_median_s"] = statistics.median(r["wall_s"] for r in out[side]["suite"])
+        files = sorted((trees[side] / "tests").glob("test_*.py"))
+        out[side]["files"] = {f.name: timed_pytest(trees[side], f"tests/{f.name}") for f in files}
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -181,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "trees": {side: git_state(tree) for side, tree in trees.items()},
         "seconds": args.seconds,
         "bytecode": "no __pycache__; PYTHONDONTWRITEBYTECODE=1",
-        "tier1": {side: tier1_times(tree) for side, tree in trees.items()},
+        "tier1": tier1_times(trees),
         "workloads": {},
     }
     k = 0
