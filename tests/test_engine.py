@@ -622,20 +622,24 @@ def test_streamed_square_matches_materialised_square(kind, d, depths):
             assert list(iter_squared_path(defn, depth, cells=True)) == cells, (kind, d, depth)
 
 
-def test_cell_walk_matches_floor_divided_point_walk():
+CELL_WALK_RULES = list(differential_rules())
+
+
+def _cell_walk_depths(defn):
+    """Depths 0-4 whose paths have at most 4096 points."""
+    return [depth for depth in range(5) if len(defn.entries) ** depth <= 4096]
+
+
+@pytest.mark.parametrize("label,defn", CELL_WALK_RULES, ids=[label for label, _ in CELL_WALK_RULES])
+def test_cell_walk_matches_floor_divided_point_walk(label, defn):
     """``cells=True`` against the conversion it replaced, ``x // w`` of
-    each point of the corner walk, on every rule at depths 0-4 (paths of
-    at most 4096 points)."""
-    cases = 0
-    for label, defn in differential_rules():
-        w = cell_units(defn)
-        for depth in range(5):
-            if len(defn.entries) ** depth > 4096:
-                break
-            want = [tuple(x // w for x in p) for p in iter_path(defn, depth, "corner")]
-            assert list(iter_path(defn, depth, "corner", cells=True)) == want, (label, depth)
-            cases += 1
-    assert cases > 400
+    each point of the corner walk, on every rule (one test each) at depths
+    0-4 (paths of at most 4096 points)."""
+    w = cell_units(defn)
+    for depth in _cell_walk_depths(defn):
+        want = [tuple(x // w for x in p) for p in iter_path(defn, depth, "corner")]
+        assert list(iter_path(defn, depth, "corner", cells=True)) == want, (label, depth)
+    assert sum(len(_cell_walk_depths(r)) for _, r in CELL_WALK_RULES) > 400
 
 
 def test_cell_walk_needs_corner_origin():

@@ -416,14 +416,14 @@ RULE_DIGESTS = {
 }
 
 
-def test_every_family_rule_keeps_its_repr():
+@pytest.mark.parametrize("kind", RULE_DIGESTS)
+def test_every_family_rule_keeps_its_repr(kind):
     assert list(RULE_DIGESTS) == [k.value for k in TraversalKind]
-    for kind, digest in RULE_DIGESTS.items():
-        top = 5 if kind in ("peano", "coil", "half-coil", "meurthe") else 8
-        h = hashlib.sha256()
-        for d in range(3 if kind == "beta" else 1, top + 1):
-            h.update(repr(generate(kind, d)).encode())
-        assert h.hexdigest()[:16] == digest, kind
+    top = 5 if kind in ("peano", "coil", "half-coil", "meurthe") else 8
+    h = hashlib.sha256()
+    for d in range(3 if kind == "beta" else 1, top + 1):
+        h.update(repr(generate(kind, d)).encode())
+    assert h.hexdigest()[:16] == RULE_DIGESTS[kind]
 
 
 def test_families_on_one_pattern_share_its_half():
