@@ -13,29 +13,33 @@ a (d-1)-facet throughout; corner contact counts as a jump.
 
 Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
-audit follows the box geometry of the underlying tiling.  Section
-component counts come from one offline sweep over the path (see
-:class:`SectionAuditor`), exact for every section, at O((n + Q) log n)
-for n points and Q sections plus one walk of a spanning-tree path for
-each of the O(n·d) edges between positions.  Section bounding
-boxes come from a second offline sweep that keeps a monotonic minimum
-and maximum stack per axis (see :func:`max_bbox_ratio`), exact at
-O(n·d + Q·d log n).  Dominance is exact over all cell pairs: when the
-first-visited cells fill their bounding box it is decided by comparing
-each cell with its lower face-neighbours, O(m·d) for m cells; other
-cell sets, and boxes that fail, go to a scan over all pairs in visit
-order, which reports the first failing pair (see
-:func:`check_dominance`).
+audit follows the box geometry of the underlying tiling.  Components,
+bounding boxes and dominance read one table of the path's cells
+(:class:`_CellTable`): a column of cell coordinates per axis and a
+mixed-radix key per cell, numbered by first visit.  Section component
+counts come from one offline sweep (see :class:`SectionAuditor`), exact for
+every section, at O((n + Q) log n) for n points and Q sections plus one
+walk of a spanning-tree path for each of the O(n·d) edges between
+positions.  Section bounding boxes come from a second offline sweep
+over the columns that keeps a monotonic minimum and maximum stack per
+axis (see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).
+Dominance is exact over all cell pairs: when the first-visited cells
+fill their bounding box, each cell's number is compared with those of
+its lower face-neighbours, O(m·d) for m cells; other cell sets, and
+boxes that fail, go to a scan over all pairs in visit order, which
+reports the first failing pair (see :func:`check_dominance`).
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import itertools
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .engine import Path, _require_int_depth, cell_units, iter_path
 from .generators import _pattern
@@ -175,6 +179,46 @@ def check_continuity(
     return PropertyReport("continuity", kind, defn.dimension, depth, "holds")
 
 
+class _CellTable:
+    """The cells of a held path.  ``columns[j]`` holds each position's
+    cell coordinate on axis j, its point floor-divided by the cell width.
+    A cell's key is its mixed-radix number, with ``(stride, radix,
+    lowest)`` per axis in ``axes``: the radix is the width of the range of
+    coordinates seen on the axis, so any integer path, negative
+    coordinates included, gets one key per cell; ``base`` is the key of
+    the range box's lowest corner.  ``keys`` (one per position) and
+    ``ids`` (first-visit numbers by key) are built on first read.
+    """
+
+    def __init__(self, path: Path):
+        w = path.cell_units
+        points = path.points
+        self.columns = [[p[j] // w for p in points] for j in range(len(points[0]) if points else 0)]
+        self.axes = []
+        self.base = 0
+        stride = 1
+        for col in self.columns:
+            lo = min(col)
+            radix = max(col) - lo + 1
+            self.axes.append((stride, radix, lo))
+            self.base += lo * stride
+            stride *= radix
+
+    @functools.cached_property
+    def keys(self) -> list[int]:
+        keys = [0] * len(self.columns[0]) if self.columns else []
+        for col, (stride, _, _) in zip(self.columns, self.axes):
+            keys = [k + c * stride for k, c in zip(keys, col)]
+        return keys
+
+    @functools.cached_property
+    def ids(self) -> dict[int, int]:
+        ids = dict.fromkeys(self.keys)
+        for i, k in enumerate(ids):
+            ids[k] = i
+        return ids
+
+
 class SectionAuditor:
     """Prepared component-count queries over one path.
 
@@ -185,33 +229,16 @@ class SectionAuditor:
     """
 
     def __init__(self, path: Path):
-        # A cell's key is its mixed-radix number: the radix of each axis
-        # is the width of the range of cell coordinates seen on it, so
-        # any integer path, negative coordinates included, gets one key
-        # per cell.  Ids follow first visits.
-        w = path.cell_units
-        points = path.points
-        keys = [0] * len(points)
-        axes = []  # (stride, radix) per axis
-        base = 0  # the key of the lowest corner of the range box
-        stride = 1
-        for axis in range(len(points[0]) if points else 0):
-            col = [p[axis] // w for p in points]
-            lo = min(col)
-            radix = max(col) - lo + 1
-            keys = [k + c * stride for k, c in zip(keys, col)]
-            axes.append((stride, radix))
-            base += lo * stride
-            stride *= radix
-        ids = dict.fromkeys(keys)
-        for i, k in enumerate(ids):
-            ids[k] = i
+        table = _CellTable(path)
+        ids, base, axes = table.ids, table.base, table.axes
+        self._cell_of_pos = array.array("i", map(ids.__getitem__, table.keys))
+        del table  # its columns and keys, before the adjacency grows
         get = ids.get
         indptr = array.array("i", [0])
         adj = array.array("i")
         for k in ids:
             r = k - base
-            for stride, radix in axes:
+            for stride, radix, _ in axes:
                 c = r // stride % radix
                 if c:
                     nb = get(k - stride)
@@ -223,10 +250,9 @@ class SectionAuditor:
                         adj.append(nb)
             indptr.append(len(adj))
         self.n_cells = len(ids)
-        self._cell_of_pos = array.array("i", map(ids.__getitem__, keys))
         self._indptr = indptr
         self._adj = adj
-        self.length = len(points)
+        self.length = len(path.points)
 
     def counts(self, sections: Iterable[tuple[int, int]]) -> array.array:
         a = array.array("i")
@@ -479,55 +505,34 @@ def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
     visit order, O(m²), finds the first failing pair.  The witness of a
     failure is (dominated cell, earlier cell).
     """
-    seen: dict[tuple[int, ...], int] = {}
-    w = path.cell_units
-    for k, p in enumerate(path.points):
-        seen.setdefault(tuple(x // w for x in p), k)
-    cells = list(seen)  # in visit order
+    table = _CellTable(path)
     d = path.dimension
-    if _box_dominance(cells):
+    if _box_dominance(table):
         return PropertyReport("dominance", kind, d, path.depth, "holds")
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            a, b = cells[i], cells[j]
-            # b visited after a; fails if b is dominated by a
-            if all(x >= y for x, y in zip(a, b)) and a != b:
-                return PropertyReport(
-                    "dominance", kind, d, path.depth, "fails", (b, a)
-                )
+    ids, base, axes = table.ids, table.base, table.axes
+    del table  # its columns and keys, before the cells are decoded
+    cells = [  # the first-visit keys decoded, in visit order
+        tuple((k - base) // stride % radix + lo for stride, radix, lo in axes) for k in ids
+    ]
+    for i, a in enumerate(cells):
+        for b in itertools.islice(cells, i + 1, None):
+            # b visited after a; fails if b is dominated by a (cells are distinct)
+            if all(x >= y for x, y in zip(a, b)):
+                return PropertyReport("dominance", kind, d, path.depth, "fails", (b, a))
     return PropertyReport("dominance", kind, d, path.depth, "holds")
 
 
-def _box_dominance(cells: Sequence[tuple[int, ...]]) -> bool:
-    """True if ``cells`` (distinct, in visit order) exactly fill their
-    bounding box and each one comes after its lower face-neighbours.
-
-    Cells are numbered by their offset in the box, so the neighbour one
-    step down axis j is ``stride`` places back and each test is one list
-    read.
-    """
-    axes = []  # (lowest coordinate, stride) per axis
-    volume = 1
-    for coords in zip(*cells):
-        lo = min(coords)
-        axes.append((lo, volume))
-        volume *= max(coords) - lo + 1
-    if volume != len(cells):
-        return False
-    offsets = [0] * len(cells)
-    visit = [0] * volume  # visit rank by box offset
-    for t, c in enumerate(cells):
-        i = 0
-        for x, (lo, stride) in zip(c, axes):
-            i += (x - lo) * stride
-        offsets[t] = i
-        visit[i] = t
-    for t, c in enumerate(cells):
-        i = offsets[t]
-        for x, (lo, stride) in zip(c, axes):
-            if lo < x and visit[i - stride] > t:
-                return False
-    return True
+def _box_dominance(table: _CellTable) -> bool:
+    """True if the cells of ``table`` exactly fill their bounding box and
+    each one comes after its lower face-neighbours: in a filled box, the
+    neighbour one step down axis j is the key ``stride`` below."""
+    ids = table.ids
+    return len(ids) == math.prod(radix for _, radix, _ in table.axes) and all(
+        ids[k - stride] < i
+        for k, i in ids.items()
+        for stride, radix, _ in table.axes
+        if (k - table.base) // stride % radix
+    )
 
 
 def check_straight_jumping(
@@ -607,29 +612,24 @@ def max_bbox_ratio(
         raise ValueError(
             f"max_section_count must be at least 1 or None, got {max_section_count!r}"
         )
-    w = path.cell_units
-    cells = [tuple(x // w for x in p) for p in path.points]
-    n = len(cells)
+    columns = _CellTable(path).columns
+    n = len(path.points)
     if max_section_count is None or n <= 512:
-        return _max_bbox_ratio(cells, lambda b: range(b + 1))
-    lower = array.array("i")
-    upper = array.array("i")
-    for a, b in _seeded_sections(n, max_section_count, seed):
-        lower.append(a)
-        upper.append(b)
-    first, after = _by_upper_end(n, upper)
+        return _max_bbox_ratio(columns, lambda b: range(b + 1))
+    sections = list(_seeded_sections(n, max_section_count, seed))
+    first, after = _by_upper_end(n, (b for _, b in sections))
 
     def sampled(b):
         s = first[b]
         while s >= 0:
-            yield lower[s]
+            yield sections[s][0]
             s = after[s]
 
-    return _max_bbox_ratio(cells, sampled)
+    return _max_bbox_ratio(columns, sampled)
 
 
-def _max_bbox_ratio(cells, lower_ends) -> Fraction:
-    """Largest box volume / length over sections [a, b] of ``cells``.
+def _max_bbox_ratio(columns, lower_ends) -> Fraction:
+    """Largest box volume / length over sections [a, b] of cell ``columns``.
 
     ``lower_ends(b)`` gives the lower ends a of the sections whose upper
     end is b.  Sweeps b along the path.  Per axis, two monotonic stacks
@@ -639,9 +639,9 @@ def _max_bbox_ratio(cells, lower_ends) -> Fraction:
     O(n·d + Q·d log n) time and O(n·d) memory.  The best ratio is kept
     as an integer pair and compared by cross-multiplying.
     """
-    axes = [(coords, array.array("i"), array.array("i")) for coords in zip(*cells)]
+    axes = [(coords, array.array("i"), array.array("i")) for coords in columns]
     best_vol, best_len = 0, 1
-    for b in range(len(cells)):
+    for b in range(len(columns[0]) if columns else 0):
         for coords, mins, maxs in axes:
             x = coords[b]
             while mins and coords[mins[-1]] >= x:

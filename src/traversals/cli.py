@@ -31,7 +31,10 @@ and ``palindromic``, whose facet cells grow with it); more than
 check but ``base-pattern`` and ``well-folded``); a family rule of more
 than ``MAX_RULE_ENTRIES`` (2**16) entries (every command).
 A palindromicity check below depth 1, which has no level-1 cells to
-compare, also exits 2 with one ``error:`` line.
+compare, also exits 2 with one ``error:`` line.  ``check`` runs all its
+properties before it writes a line, so a refusal that only a property
+itself makes (this one, a negative depth, a rank law asked of a rule
+that is not a scale-2 cube) also comes before any output.
 """
 
 from __future__ import annotations
@@ -286,13 +289,12 @@ def _cmd_check(args) -> int:
             held.append(engine.generate_full_path(defn, args.depth, "corner"))
         return held[0]
 
-    all_hold = True
+    # every property runs before any line is written, so that a refusal
+    # of one property's input leaves the output empty
+    reports = [_run_property(prop, defn, label, args.depth, args.seed, path) for prop in props]
     with _output(args) as write:
-        for prop in props:
-            report = _run_property(prop, defn, label, args.depth, args.seed, path)
-            write(f"{report.line()}\n".encode())
-            all_hold &= report.holds
-    return 0 if all_hold else 1
+        write("".join(f"{report.line()}\n" for report in reports).encode())
+    return 0 if all(report.holds for report in reports) else 1
 
 
 def _svg_polyline(points, width=640, margin=20) -> str:

@@ -23,6 +23,7 @@ from traversals.analysis import (
     PropertyReport,
     SectionAuditor,
     _box_dominance,
+    _CellTable,
     _seeded_sections,
     adjacency_profile,
     check_base_pattern,
@@ -605,7 +606,7 @@ def test_dominance_matches_pair_scan(origin):
         assert report.line() == expected.line(), (kind, p.dimension, p.depth)
         cells = first_cells(p)
         if fills_box(cells):  # the box test alone decides
-            assert _box_dominance(cells) == expected.holds
+            assert _box_dominance(_CellTable(p)) == expected.holds
             boxes += 1
         lowest = min(lowest, *map(min, cells))
     assert boxes >= 100
@@ -659,14 +660,14 @@ def test_dominance_on_box_orders_gives_the_scan_witness(cells):
     p = cell_path(cells)
     report = check_dominance(p)
     assert report.line() == scan_dominance(p).line()
-    assert _box_dominance(cells) == report.holds
+    assert _box_dominance(_CellTable(p)) == report.holds
 
 
 def test_z_depth_four_dominance_holds():
     p = path_of("z", 3, 4)
     assert len(p.points) == 4096
     assert check_dominance(p).line() == "dominance - 3 4 holds"
-    assert _box_dominance(first_cells(p))
+    assert _box_dominance(_CellTable(p))
 
 
 # -- straight jumping ------------------------------------------------------
@@ -893,6 +894,24 @@ def test_bbox_sweep_matches_point_scan_on_synthetic_paths(p):
     ratio = max_bbox_ratio(p, None)
     assert ratio == point_scan_bbox_ratio(p, None)
     assert isinstance(ratio, Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthetic_paths())
+def test_dominance_matches_pair_scan_on_synthetic_paths(p):
+    """Cell widths 1-3, points off their cell's lowest corner, repeated
+    cells and negative coordinates; where the cells fill their box, the
+    box test alone decides."""
+    expected = scan_dominance(p)
+    assert check_dominance(p).line() == expected.line()
+    if fills_box(first_cells(p)):
+        assert _box_dominance(_CellTable(p)) == expected.holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthetic_paths())
+def test_cell_numbers_match_the_tuple_keys_on_synthetic_paths(p):
+    assert_same_tables(p)
 
 
 # -- well-folded rank law --------------------------------------------------------

@@ -213,6 +213,19 @@ def test_check_well_folded_refuses_a_rule_that_does_not_fill_the_cube(source):
     assert err == "error: the rank law applies to scale-2 cube rules\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "check hill-z 3 --property continuity,well-folded --depth 2",
+    "check z 2 --property base-pattern,bbox --depth -1",
+    "check z 2 --property well-folded,palindromic --depth 0",
+])
+def test_check_refuses_before_the_lines_of_the_properties_that_ran(argv):
+    """A property whose input is refused after others have run still
+    leaves the output empty: one ``error:`` line and exit 2."""
+    code, out, err = run(argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_check_bbox_reports_ratio():
     code, out, _ = run(
         ["check", "alfa", "3", "--property", "bbox", "--depth", "2"]
