@@ -182,12 +182,11 @@ def check_continuity(
 class _CellTable:
     """The cells of a held path.  ``columns[j]`` holds each position's
     cell coordinate on axis j, its point floor-divided by the cell width.
-    A cell's key is its mixed-radix number, with ``(stride, radix,
-    lowest)`` per axis in ``axes``: the radix is the width of the range of
-    coordinates seen on the axis, so any integer path, negative
-    coordinates included, gets one key per cell; ``base`` is the key of
-    the range box's lowest corner.  ``keys`` (one per position) and
-    ``ids`` (first-visit numbers by key) are built on first read.
+    A cell's key is its mixed-radix number, ``axes`` giving ``(stride,
+    radix, lowest)`` per axis, the radix the width of the axis's range of
+    coordinates, so that any integer path has one key per cell; ``base``
+    is the key of the range box's lowest corner.  ``keys`` (one per
+    position) and ``ids`` (first-visit numbers) are built on first read.
     """
 
     def __init__(self, path: Path):
@@ -195,14 +194,13 @@ class _CellTable:
         points = path.points
         self.columns = [[p[j] // w for p in points] for j in range(len(points[0]) if points else 0)]
         self.axes = []
-        self.base = 0
         stride = 1
         for col in self.columns:
             lo = min(col)
             radix = max(col) - lo + 1
             self.axes.append((stride, radix, lo))
-            self.base += lo * stride
             stride *= radix
+        self.base = sum(lo * stride for stride, _, lo in self.axes)
 
     @functools.cached_property
     def keys(self) -> list[int]:
@@ -510,10 +508,8 @@ def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
     if _box_dominance(table):
         return PropertyReport("dominance", kind, d, path.depth, "holds")
     ids, base, axes = table.ids, table.base, table.axes
-    del table  # its columns and keys, before the cells are decoded
-    cells = [  # the first-visit keys decoded, in visit order
-        tuple((k - base) // stride % radix + lo for stride, radix, lo in axes) for k in ids
-    ]
+    del table  # its columns and keys, before the first-visit keys are decoded
+    cells = [tuple((k - base) // stride % radix + lo for stride, radix, lo in axes) for k in ids]
     for i, a in enumerate(cells):
         for b in itertools.islice(cells, i + 1, None):
             # b visited after a; fails if b is dominated by a (cells are distinct)
@@ -616,13 +612,17 @@ def max_bbox_ratio(
     n = len(path.points)
     if max_section_count is None or n <= 512:
         return _max_bbox_ratio(columns, lambda b: range(b + 1))
-    sections = list(_seeded_sections(n, max_section_count, seed))
-    first, after = _by_upper_end(n, (b for _, b in sections))
+    lower = array.array("i")
+    upper = array.array("i")
+    for a, b in _seeded_sections(n, max_section_count, seed):
+        lower.append(a)
+        upper.append(b)
+    first, after = _by_upper_end(n, upper)
 
     def sampled(b):
         s = first[b]
         while s >= 0:
-            yield sections[s][0]
+            yield lower[s]
             s = after[s]
 
     return _max_bbox_ratio(columns, sampled)
