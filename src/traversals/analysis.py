@@ -14,26 +14,26 @@ a (d-1)-facet throughout; corner contact counts as a jump.
 Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
 audit follows the box geometry of the underlying tiling.  Components,
-bounding boxes and dominance read one table of the path's cells
-(:class:`_CellTable`): a column of cell coordinates per axis and a
-mixed-radix key per cell, numbered by first visit.  Section component
-counts come from one offline sweep (see :class:`SectionAuditor`), exact for
+bounding boxes and dominance take the path's cells from one
+conversion (:func:`_cell_columns`), and components and dominance number
+them in one table (:class:`_CellTable`).  Section component counts
+come from one offline sweep (see :class:`SectionAuditor`), exact for
 every section, at O((n + Q) log n) for n points and Q sections plus one
 walk of a spanning-tree path for each of the O(n·d) edges between
-positions.  Section bounding boxes come from a second offline sweep
-over the columns that keeps a monotonic minimum and maximum stack per
-axis (see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).
-Dominance is exact over all cell pairs: when the first-visited cells
-fill their bounding box, each cell's number is compared with those of
-its lower face-neighbours, O(m·d) for m cells; other cell sets, and
-boxes that fail, go to a scan over all pairs in visit order, which
-reports the first failing pair (see :func:`check_dominance`).
+positions.
+Section bounding boxes come from a second offline sweep over the
+cell columns that keeps a monotonic minimum and maximum stack per axis
+(see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).  Dominance
+is exact over all cell pairs: when the first-visited cells fill their
+bounding box, each cell's number is compared with those of its lower
+face-neighbours, O(m·d) for m cells; other cell sets, and boxes that
+fail, go to a scan over all pairs in visit order, which reports the
+first failing pair (see :func:`check_dominance`).
 """
 
 from __future__ import annotations
 
 import array
-import functools
 import itertools
 import math
 import random
@@ -179,42 +179,40 @@ def check_continuity(
     return PropertyReport("continuity", kind, defn.dimension, depth, "holds")
 
 
+def _cell_columns(path: Path) -> Iterator[list[int]]:
+    """The cell coordinates of a held path, one column per axis and one
+    entry per position: each point floor-divided by the cell width."""
+    w = path.cell_units
+    points = path.points
+    for j in range(len(points[0]) if points else 0):
+        yield [p[j] // w for p in points]
+
+
 class _CellTable:
-    """The cells of a held path.  ``columns[j]`` holds each position's
-    cell coordinate on axis j, its point floor-divided by the cell width.
-    A cell's key is its mixed-radix number, ``axes`` giving ``(stride,
-    radix, lowest)`` per axis, the radix the width of the axis's range of
-    coordinates, so that any integer path has one key per cell; ``base``
-    is the key of the range box's lowest corner.  ``keys`` (one per
-    position) and ``ids`` (first-visit numbers) are built on first read.
+    """The cells of a held path, numbered.  A cell's key is its
+    mixed-radix number, ``axes`` giving ``(stride, radix, lowest)`` per
+    axis, each radix the width of the axis's range, so that any integer
+    path has one key per cell; ``base`` is the key of the lowest corner.
+    ``keys`` holds each position's key and ``ids`` numbers the keys in
+    first-visit order.  The columns are read one at a time, so that the
+    checks that number cells never hold them all.
     """
 
     def __init__(self, path: Path):
-        w = path.cell_units
-        points = path.points
-        self.columns = [[p[j] // w for p in points] for j in range(len(points[0]) if points else 0)]
+        keys = [0] * len(path.points)
         self.axes = []
         stride = 1
-        for col in self.columns:
+        for col in _cell_columns(path):
             lo = min(col)
             radix = max(col) - lo + 1
+            keys = [k + c * stride for k, c in zip(keys, col)]
             self.axes.append((stride, radix, lo))
             stride *= radix
+        self.keys = keys
         self.base = sum(lo * stride for stride, _, lo in self.axes)
-
-    @functools.cached_property
-    def keys(self) -> list[int]:
-        keys = [0] * len(self.columns[0]) if self.columns else []
-        for col, (stride, _, _) in zip(self.columns, self.axes):
-            keys = [k + c * stride for k, c in zip(keys, col)]
-        return keys
-
-    @functools.cached_property
-    def ids(self) -> dict[int, int]:
-        ids = dict.fromkeys(self.keys)
-        for i, k in enumerate(ids):
-            ids[k] = i
-        return ids
+        self.ids = dict.fromkeys(keys)
+        for i, k in enumerate(self.ids):
+            self.ids[k] = i
 
 
 class SectionAuditor:
@@ -230,7 +228,7 @@ class SectionAuditor:
         table = _CellTable(path)
         ids, base, axes = table.ids, table.base, table.axes
         self._cell_of_pos = array.array("i", map(ids.__getitem__, table.keys))
-        del table  # its columns and keys, before the adjacency grows
+        del table  # its keys, before the adjacency grows
         get = ids.get
         indptr = array.array("i", [0])
         adj = array.array("i")
@@ -508,7 +506,7 @@ def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
     if _box_dominance(table):
         return PropertyReport("dominance", kind, d, path.depth, "holds")
     ids, base, axes = table.ids, table.base, table.axes
-    del table  # its columns and keys, before the first-visit keys are decoded
+    del table  # its keys, before the first-visit keys are decoded
     cells = [tuple((k - base) // stride % radix + lo for stride, radix, lo in axes) for k in ids]
     for i, a in enumerate(cells):
         for b in itertools.islice(cells, i + 1, None):
@@ -608,7 +606,7 @@ def max_bbox_ratio(
         raise ValueError(
             f"max_section_count must be at least 1 or None, got {max_section_count!r}"
         )
-    columns = _CellTable(path).columns
+    columns = list(_cell_columns(path))
     n = len(path.points)
     if max_section_count is None or n <= 512:
         return _max_bbox_ratio(columns, lambda b: range(b + 1))
