@@ -20,15 +20,14 @@ them in one table (:class:`_CellTable`).  Section component counts
 come from one offline sweep (see :class:`SectionAuditor`), exact for
 every section, at O((n + Q) log n) for n points and Q sections plus one
 walk of a spanning-tree path for each of the O(n·d) edges between
-positions.
-Section bounding boxes come from a second offline sweep over the
-cell columns that keeps a monotonic minimum and maximum stack per axis
-(see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).  Dominance
-is exact over all cell pairs: when the first-visited cells fill their
-bounding box, each cell's number is compared with those of its lower
-face-neighbours, O(m·d) for m cells; other cell sets, and boxes that
-fail, go to a scan over all pairs in visit order, which reports the
-first failing pair (see :func:`check_dominance`).
+positions.  Section bounding boxes come from a second offline sweep
+over the cell columns that keeps a monotonic minimum and maximum stack
+per axis (see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).
+Dominance is exact over all cell pairs: when the first-visited cells
+fill their bounding box, each cell's number is compared with those of
+its lower face-neighbours, O(m·d) for m cells; other cell sets, and
+boxes that fail, go to a scan over all pairs in visit order, which
+reports the first failing pair (see :func:`check_dominance`).
 """
 
 from __future__ import annotations
@@ -192,7 +191,8 @@ class _CellTable:
     """The cells of a held path, numbered.  A cell's key is its
     mixed-radix number, ``axes`` giving ``(stride, radix, lowest)`` per
     axis, each radix the width of the axis's range, so that any integer
-    path has one key per cell; ``base`` is the key of the lowest corner.
+    path has one key per cell; ``base`` is the key of the range box's
+    lowest corner.
     ``keys`` holds each position's key and ``ids`` numbers the keys in
     first-visit order.  The columns are read one at a time, so that the
     checks that number cells never hold them all.
