@@ -15,7 +15,7 @@ Tile paths over simplices may visit one bounding box several times;
 component counting collapses all visits of a box onto one node, so the
 audit follows the box geometry of the underlying tiling.  Components,
 bounding boxes and dominance take the path's cells from one
-conversion (:func:`_cell_columns`), and components and dominance number
+conversion (:func:`~.engine._cell_columns`), and components and dominance number
 them in one table (:class:`_CellTable`).  Section component counts
 come from one offline sweep (see :class:`SectionAuditor`), exact for
 every section, at O((n + Q) log n) for n points and Q sections plus one
@@ -40,7 +40,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .engine import Path, _require_int_depth, cell_units, iter_path
+from .engine import Path, _cell_columns, _require_int_depth, cell_units, iter_path
 from .generators import _pattern
 from .notation import TraversalDefinition, _Frozen, _symmetries_mapping
 
@@ -79,14 +79,7 @@ class PropertyReport(_Frozen):
     witness: tuple
 
     def __init__(self, name, kind, dimension, depth, verdict, witness=()):
-        self.__dict__.update(
-            name=name,
-            kind=kind,
-            dimension=dimension,
-            depth=depth,
-            verdict=verdict,
-            witness=witness,
-        )
+        self._set(name, kind, dimension, depth, verdict, witness)
 
     def line(self) -> str:
         parts = [self.name, self.kind or "-", str(self.dimension), str(self.depth), self.verdict]
@@ -109,12 +102,7 @@ class AdjacencyProfile(_Frozen):
     first_jump: tuple[int, int] | None
 
     def __init__(self, face_steps, other_steps, max_jump, first_jump=None):
-        self.__dict__.update(
-            face_steps=face_steps,
-            other_steps=other_steps,
-            max_jump=max_jump,
-            first_jump=first_jump,
-        )
+        self._set(face_steps, other_steps, max_jump, first_jump)
 
 
 def check_base_pattern(defn: TraversalDefinition) -> str:
@@ -176,15 +164,6 @@ def check_continuity(
                 "continuity", kind, defn.dimension, depth, "fails", (k, k + 1)
             )
     return PropertyReport("continuity", kind, defn.dimension, depth, "holds")
-
-
-def _cell_columns(path: Path) -> Iterator[list[int]]:
-    """The cell coordinates of a held path, one column per axis and one
-    entry per position: each point floor-divided by the cell width."""
-    w = path.cell_units
-    points = path.points
-    for j in range(len(points[0]) if points else 0):
-        yield [p[j] // w for p in points]
 
 
 class _CellTable:

@@ -35,6 +35,15 @@ compare, also exits 2 with one ``error:`` line.  ``check`` runs all its
 properties before it writes a line, so a refusal that only a property
 itself makes (this one, a negative depth, a rank law asked of a rule
 that is not a scale-2 cube) also comes before any output.
+
+A check that reads the walk (``continuity``, ``straight-jumping``)
+stops at the first failing step, but one whose property holds reads the
+whole walk: its memory stays O(depth), while its time grows as
+D**depth for a rule of D entries.  ``MAX_CELLS_PER_AXIS`` bounds only
+its memory, so ``--depth 64`` is accepted and does not finish.  On a
+shared 2-vCPU VM, ``check harmonious 2 --property
+continuity,straight-jumping`` took 0.7 s, 2.3 s and 9.7 s at depths 9,
+10 and 11, four times longer per level.
 """
 
 from __future__ import annotations

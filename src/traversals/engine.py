@@ -77,14 +77,7 @@ class Path(_Frozen):
     cell_units: int
 
     def __init__(self, points, dimension, scale, depth, origin, cell_units=2):
-        self.__dict__.update(
-            points=points,
-            dimension=dimension,
-            scale=scale,
-            depth=depth,
-            origin=origin,
-            cell_units=cell_units,
-        )
+        self._set(points, dimension, scale, depth, origin, cell_units)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -93,8 +86,16 @@ class Path(_Frozen):
         """Points converted to 0-based per-axis cell indices (corner origin)."""
         if self.origin != "corner":
             raise ValueError("cell indices are defined for corner-origin paths")
-        w = self.cell_units
-        return tuple(tuple(x // w for x in p) for p in self.points)
+        return tuple(zip(*_cell_columns(self)))
+
+
+def _cell_columns(path: Path) -> Iterator[list[int]]:
+    """The cell coordinates of a held path, one column per axis and one
+    entry per position: each point floor-divided by the cell width."""
+    w = path.cell_units
+    points = path.points
+    for j in range(len(points[0]) if points else 0):
+        yield [p[j] // w for p in points]
 
 
 class _Table:
@@ -237,7 +238,8 @@ def _table(defn: TraversalDefinition) -> _Table:
 # A rule with 8 children gets three levels (512 points), Peano at d = 3
 # two (729).  The cap is there for rules with many states: a rule with 32
 # children keeps one level, as its blocks over all its states (7 680 for
-# Maehara at d = 5) would otherwise hold millions of points.
+# Maehara at d = 5) would otherwise hold millions of points.  A rule with
+# one child keeps one level too, as a further level adds no points.
 _BLOCK_MAX = 729
 
 
@@ -290,7 +292,8 @@ def iter_path(
     (:func:`_columns`), so a point costs one tuple addition, and memory
     stays O(depth) plus the rows and blocks of the states met.  A block
     spans the most levels whose block holds at most ``_BLOCK_MAX`` points
-    (at least one level, at most the depth).  Cell blocks are kept per
+    (at least one level, at most the depth, and one level when the
+    rule has one entry).  Cell blocks are kept per
     state and per residue of the block root modulo the cell width ``w``,
     since ``(base + x) // w == base // w + (base % w + x) // w``; this is
     exact for every rule, including those whose points are off the cell
@@ -310,7 +313,7 @@ def iter_path(
     d, s, n, m, row = table.d, table.s, table.n, table.m, table.row
     w = 2 * m
     leaf_levels = min(depth, 1)
-    while leaf_levels < depth and n ** (leaf_levels + 1) <= _BLOCK_MAX:
+    while leaf_levels < depth and 1 < n and n ** (leaf_levels + 1) <= _BLOCK_MAX:
         leaf_levels += 1
 
     blocks: dict = {}  # by state, or with cells by (state, *root residues)
@@ -555,7 +558,7 @@ def squared_definition(defn: TraversalDefinition) -> TraversalDefinition:
         ent = []
         for p in acc:
             ent += items[p, x[abs(p) - 1]]
-        sq_entries.append(SignedPermutation._of(tuple(ent)))
+        sq_entries.append(SignedPermutation._of(tuple(ent), False))
         sq_centres.append(tuple(itertools.chain.from_iterable(map(centres.__getitem__, x))))
         if prev is not None:
             steps = []  # ascending axes, one sign per axis: canonical

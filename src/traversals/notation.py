@@ -52,7 +52,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, eq, sub
+from operator import add, attrgetter, eq, sub
 from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -75,19 +75,21 @@ class ParseError(ValueError):
 class _Frozen:
     """The methods of a frozen dataclass over the fields ``_fields``.
 
-    A subclass names its fields in ``_fields`` and stores them in its
-    ``__init__``, with ``object.__setattr__`` in its ``__slots__`` or in
-    its instance ``__dict__``.  Its instances compare equal when their
-    classes are the same and their fields are equal, hash as the tuple of
-    their fields, print as ``Name(field=value, ...)``, refuse assignment
-    and deletion with ``dataclasses.FrozenInstanceError``, and pickle and
-    copy as the list of their fields, so data cached on an instance
-    outside its fields is neither pickled nor copied.  Unlike the
-    ``@dataclass`` decorator, this builds no code at import time; the
-    functions of :mod:`dataclasses` (``fields``, ``replace``,
-    ``is_dataclass``) do not apply to these classes.  The value types
-    that are compared and hashed in bulk name their fields in their own
-    ``__eq__`` and ``__hash__``, which is faster than :meth:`_values`.
+    A subclass names its fields in ``_fields``, keeps them in its
+    ``__slots__`` or in its instance ``__dict__``, and stores them with
+    :meth:`_set`, in its checked ``__init__`` or through the unchecked
+    :meth:`_of`.  An ``operator.attrgetter`` of the fields, taken when the
+    subclass is created, reads them as one tuple (a one-tuple for a single
+    field), and that tuple is what the instances compare, hash, print and
+    pickle: they compare equal when their classes are the same and their
+    fields are equal, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion with
+    ``dataclasses.FrozenInstanceError``, and pickle and copy as their
+    fields alone, so data cached on an instance outside its fields is
+    neither pickled nor copied.  Unlike the ``@dataclass`` decorator, this
+    builds no code at import time; the functions of :mod:`dataclasses`
+    (``fields``, ``replace``, ``is_dataclass``) do not apply to these
+    classes.
     """
 
     __slots__ = ()
@@ -95,21 +97,34 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls._fields
+        names = cls.__match_args__ = cls._fields
+        get = attrgetter(*names)
+        cls._values = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def _set(self, *values) -> None:
+        """Store the fields, given in the order of ``_fields``."""
+        store = object.__setattr__
+        for name, value in zip(self._fields, values):
+            store(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """A value derived from checked ones, stored unchecked."""
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -118,12 +133,11 @@ class _Frozen:
     def __delattr__(self, name):
         _refuse(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> list:
-        return list(self._values())
+    def __getstate__(self) -> tuple:
+        return self._values(self)
 
     def __setstate__(self, state) -> None:
-        for name, value in zip(self._fields, state):
-            object.__setattr__(self, name, value)
+        self._set(*state)
 
 
 def _refuse(message: str):
@@ -156,24 +170,7 @@ class SignedPermutation(_Frozen):
             )
         if type(reverse) is not bool:
             raise ValueError(f"reverse flag {reverse!r} is not a bool")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "reverse", reverse)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.reverse == other.reverse
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.reverse))
-
-    @classmethod
-    def _of(cls, entries: tuple[int, ...], reverse: bool = False) -> "SignedPermutation":
-        """A permutation derived from checked ones, left unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "entries", entries)
-        object.__setattr__(p, "reverse", reverse)
-        return p
+        self._set(entries, reverse)
 
     @property
     def dimension(self) -> int:
@@ -250,7 +247,7 @@ def _cube_symmetries(d: int) -> Iterator[SignedPermutation]:
     for unsigned in itertools.permutations(range(1, d + 1)):
         for mask in range(1 << d):
             yield SignedPermutation._of(
-                tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned))
+                tuple(-u if mask & (1 << j) else u for j, u in enumerate(unsigned)), False
             )
 
 
@@ -280,22 +277,7 @@ class Move(_Frozen):
             raise ValueError("move element 0 is not a valid axis index")
         if len(steps) > 1 or type(steps) is not tuple:
             steps = tuple(sorted(steps, key=lambda e: (abs(e), e < 0)))
-        object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self) -> int:
-        return hash((self.steps,))
-
-    @classmethod
-    def _of(cls, steps: tuple[int, ...]) -> "Move":
-        """A move whose steps are derived in canonical order, left unchecked."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "steps", steps)
-        return m
+        self._set(steps)
 
     def check_dimension(self, d: int) -> None:
         for e in self.steps:
@@ -393,14 +375,7 @@ class TraversalDefinition(_Frozen):
     centres: tuple[Vector, ...]
 
     def __init__(self, dimension, scale, entries, moves, step_den, centres):
-        self.__dict__.update(
-            dimension=dimension,
-            scale=scale,
-            entries=entries,
-            moves=moves,
-            step_den=step_den,
-            centres=centres,
-        )
+        self._set(dimension, scale, entries, moves, step_den, centres)
         _check_parts(self.dimension, self.scale, self.entries, self.moves, self.centres)
         _check_step_den(self.step_den)
         for c in self.centres:
@@ -420,37 +395,6 @@ class TraversalDefinition(_Frozen):
                 raise ValueError(
                     f"centre {k + 1} has {len(c)} coordinates, expected {self.dimension}"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.scale == other.scale
-            and self.entries == other.entries
-            and self.moves == other.moves
-            and self.step_den == other.step_den
-            and self.centres == other.centres
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.dimension, self.scale, self.entries, self.moves, self.step_den, self.centres)
-        )
-
-    @classmethod
-    def _of(cls, dimension, scale, entries, moves, step_den, centres) -> "TraversalDefinition":
-        """A rule derived from checked ones, left unchecked."""
-        r = object.__new__(cls)
-        r.__dict__.update(
-            dimension=dimension,
-            scale=scale,
-            entries=entries,
-            moves=moves,
-            step_den=step_den,
-            centres=centres,
-        )
-        return r
 
     @classmethod
     def _derived(cls, dimension, scale, entries, moves, step_den, centres) -> "TraversalDefinition":

@@ -746,6 +746,21 @@ def test_facet_order_rejects_a_bad_facet_before_any_walk(facet, message, monkeyp
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SectionAuditor(path_of("z", 2, 1)).counts([(0, 4)]), "section (0, 4) out of range"),
+    (lambda: SectionAuditor(path_of("z", 2, 1)).counts([(2, 1)]), "section (2, 1) out of range"),
+    (lambda: SectionAuditor(path_of("z", 2, 1)).counts([(-1, 0)]), "section (-1, 0) out of range"),
+    (lambda: check_facet_order(gen_z(3), gen_z(3), (1, 1), 2),
+     "the comparison rule must have one dimension less"),
+    (lambda: check_facet_order(gen_z(3), gen_z(1), (1, -1), 2),
+     "the comparison rule must have one dimension less"),
+], ids=["past the end", "reversed", "below zero", "same dimension", "two less"])
+def test_refusals_that_name_their_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 
 @pytest.mark.parametrize("depth", [2.0, 1.5, True, "2"], ids=repr)
 def test_every_depth_taking_check_refuses_a_depth_that_is_not_an_int(depth, monkeypatch):

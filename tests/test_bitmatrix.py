@@ -704,3 +704,18 @@ def test_rank_word_rejects_bad_width_and_value():
         RankWord(1.0, 3)
     with pytest.raises(ValueError, match="rank does not fit its width"):
         RankWord(8, 3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gray(-1), "gray is defined for non-negative integers"),
+    (lambda: gray_inverse(-1), "gray_inverse is defined for non-negative integers"),
+    (lambda: CoordinateMatrix(()), "matrix must have at least one row and column"),
+    (lambda: CoordinateMatrix(((),)), "matrix must have at least one row and column"),
+    (lambda: CoordinateMatrix(((0, 1), (1,))), "ragged matrix"),
+    (lambda: cell_of_rank("hilbert", RankWord(0, 4), 2, 2), "no bit-matrix recipe for kind 'hilbert'"),
+    (lambda: cell_of_rank("z", RankWord(0, 3), 2, 2), "rank width does not match d*level"),
+], ids=["gray", "gray_inverse", "no rows", "no columns", "ragged", "unknown kind", "wrong width"])
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -443,6 +443,19 @@ def test_a_pattern_half_refuses_entries_of_the_wrong_count_or_dimension():
         generators._on(half, list(half.entries[1:]))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: gen_base_pattern(4, 2), "base pattern exists for bases 2 and 3"),
+    (lambda: gen_base_pattern(1, 3), "base pattern exists for bases 2 and 3"),
+    (lambda: generators.gen_peano_family("z", 2), "TraversalKind.Z is not a scale-3 variant"),
+    (lambda: generators.gen_peano_family(TraversalKind.HARMONIOUS_HILBERT, 3),
+     "TraversalKind.HARMONIOUS_HILBERT is not a scale-3 variant"),
+], ids=["base 4", "base 1", "z", "harmonious"])
+def test_builders_refuse_a_base_or_kind_they_do_not_build(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 BUILDERS_OF_D = {
     "generate": lambda d: generate("z", d),
     "gen_base_pattern": lambda d: gen_base_pattern(2, d),

@@ -316,6 +316,25 @@ def test_a_reverse_flag_that_is_not_a_bool_is_refused(flag):
     assert SignedPermutation._of((1, 2), flag).reverse is flag  # left unchecked
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SignedPermutation((2, 1)).apply((1, 2, 3)), "dimension mismatch: 2 vs 3"),
+    (lambda: SignedPermutation((1, -2, 3)).apply((5,)), "dimension mismatch: 3 vs 1"),
+    (lambda: SignedPermutation((2, 1)).compose(SignedPermutation((1,))),
+     "dimension mismatch in composition"),
+    (lambda: SignedPermutation((1,)).compose(SignedPermutation((3, 1, 2))),
+     "dimension mismatch in composition"),
+], ids=["apply 2 to 3", "apply 3 to 1", "compose 2 with 1", "compose 1 with 3"])
+def test_permutations_refuse_operands_of_another_dimension(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_rule_prints_as_its_text_form():
+    rule = generate("harmonious", 2)
+    assert str(rule) == format_definition(rule) == "{2 -1] 1 [1 2} 2 {1 -2] -1 [-2 -1}"
+
+
 def test_trusted_moves_are_left_as_given():
     move = Move._of((3, -1))  # derived in canonical order by its caller, never re-sorted
     assert move.steps == (3, -1) and type(move) is Move
