@@ -643,9 +643,14 @@ def test_cell_walk_matches_floor_divided_point_walk(label, defn):
 
 
 def test_cell_walk_needs_corner_origin():
+    message = "^cell indices are defined for corner-origin paths$"
     for origin in ("centre", "first", "last"):
-        with pytest.raises(ValueError, match="corner-origin"):
+        with pytest.raises(ValueError, match=message):
             next(iter_path(generate("z", 2), 1, origin, cells=True))
+        path = generate_full_path(generate("z", 2), 2, origin)
+        assert len(path) == 16
+        with pytest.raises(ValueError, match=message):
+            path.cell_indices()
 
 
 def test_walk_rejects_bad_arguments():
@@ -683,24 +688,14 @@ def test_leaf_blocks_span_the_most_levels_within_the_cap(monkeypatch):
 
 def test_a_rule_of_one_entry_walks_to_any_depth():
     """A level of a one-entry rule adds no points, so its leaf block stays
-    one level high; growing it by one level per depth level recursed once
-    per level and raised ``RecursionError`` at depth 5000."""
+    one level high and the block builder does not recurse once per level."""
     one = parse_definition("[1 2}")
-    far = -(2**5000 - 1)  # the centres -1/4, -1/8, ... summed on the lattice
+    far = -(2**5000 - 1)  # -(1 + 2 + ... + 2**4999): the low tile of every level
     assert list(iter_path(one, 5000)) == [(far, far)]
     assert generate_path(one, 5000).points == ((far, far),)
     corner = generate_full_path(one, 5000)
     assert corner.points == ((1, 1),) and corner.cell_indices() == ((0, 0),)
     assert list(iter_path(one, 5000, "corner", cells=True)) == [(0, 0)]
-
-
-@pytest.mark.parametrize("origin", ["centre", "first", "last"])
-def test_cell_indices_refuse_a_path_not_in_corner_origin(origin):
-    path = generate_full_path(generate("z", 2), 2, origin)
-    assert len(path) == 16
-    with pytest.raises(ValueError) as info:
-        path.cell_indices()
-    assert str(info.value) == "cell indices are defined for corner-origin paths"
 
 
 def test_walk_matches_the_recursion_at_every_block_size(monkeypatch):
