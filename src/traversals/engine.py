@@ -11,8 +11,10 @@ object (:func:`_table`), so repeated calls on one rule share its rows.
 Enumeration walks the table depth first, down to blocks of the lowest
 levels that are built once per state as per-axis columns (the most
 levels whose block holds at most ``_BLOCK_MAX`` points); location
-descends it one child per level, and squaring expands it one whole
-level at a time down to depth d.  All arithmetic is
+and the ``first``/``last`` shift descend it to one cell index, split in
+halves down to leaves of ``_LEAF`` levels that read one row per level
+(:meth:`_Table.descend`), and squaring expands it one whole level at a
+time down to depth d.  All arithmetic is
 exact; the emitted points are integers on a lattice where one
 lowest-level cell is two units wide, so cube-tile centres land on odd
 coordinates in corner origin mode.  With ``cells`` the walk emits
@@ -23,11 +25,10 @@ groups by the cells of such a walk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from fractions import Fraction
-from operator import add, eq, itemgetter, mul
+from operator import add, eq, itemgetter
 from typing import Iterator
 
 from .notation import Move, SignedPermutation, TraversalDefinition, Vector
@@ -161,33 +162,43 @@ class _Table:
             ))
         return r
 
-    def descend(self, digits):
-        """Centred-frame point (a list of d ints) and state id of the cell
-        reached from the root.
+    def descend(self, index: int, levels: int, state: int = 0) -> tuple[list[int], int]:
+        """Centred-frame point (a list of d ints) and state id of cell
+        ``index`` (0-based, in visit order) ``levels`` levels under state
+        ``state``, the root by default.
 
-        ``digits`` are the visit positions, top level first; the point
-        is on the lattice where a cell of that level is ``2*m`` wide.
-        The point is the sum over the L levels of each level's offset
-        times ``s**(L-1)``, ..., ``s**0``, summed per axis over the top
-        1 to ``_CHUNK`` levels, then over each further ``_CHUNK`` levels
-        added by Horner's rule, so it holds O(L) ints at any depth.
+        The point is taken from the centre of the state's cell, on the
+        lattice where a cell of the lowest level is ``2*m`` wide.  Above
+        ``_LEAF`` levels one divmod with ``n**low`` splits the index in
+        halves: the high half is descended from ``state``, the low half
+        from the state the high half reaches, and the points join as
+        ``top * s**low + low``: a division of a long index cuts it in
+        half, not one digit off it.  A leaf takes its digits by divmod
+        with ``n``, reads one row per digit and sums each axis by
+        Horner's rule.
         """
-        i, rows, offsets = self.root, self.rows, []
-        for k in digits:
-            off, i = (rows[i] or self.row(i))[k]
+        if levels > _LEAF:
+            low = levels // 2
+            high, index = divmod(index, self.n**low)
+            top, state = self.descend(high, levels - low, state)
+            pos, state = self.descend(index, low, state)
+            f = self.s**low
+            return [x * f + y for x, y in zip(top, pos)], state
+        digits = []
+        for _ in range(levels):
+            index, k = divmod(index, self.n)
+            digits.append(k)
+        rows, offsets = self.rows, []
+        for k in reversed(digits):
+            off, state = (rows[state] or self.row(state))[k]
             offsets.append(off)
-        if not offsets:
-            return [0] * self.d, i
-        s, n = self.s, len(offsets)
-        top = (n - 1) % _CHUNK + 1  # the levels above the full chunks
-        powers = _powers(s, top)  # map stops at the shorter: the top levels only
-        pos = [sum(map(mul, column, powers)) for column in zip(*offsets)]
-        for k in range(top, n, _CHUNK):
-            powers = _powers(s, _CHUNK)
-            f = s * powers[0]
-            chunk = zip(*offsets[k : k + _CHUNK])
-            pos = [x * f + sum(map(mul, column, powers)) for x, column in zip(pos, chunk)]
-        return pos, i
+        s, pos = self.s, []
+        for column in zip(*offsets):
+            x = 0
+            for o in column:
+                x = x * s + o
+            pos.append(x)
+        return pos or [0] * self.d, state
 
 
 def _signed(v) -> tuple:
@@ -205,15 +216,9 @@ def _picker(indices):
     return itemgetter(*indices)
 
 
-# Levels summed at a time by _Table.descend: its weight tables hold at
-# most _CHUNK powers, so the cache holds O(_CHUNK**2) bits at any depth.
-_CHUNK = 64
-
-
-@functools.lru_cache(maxsize=64)
-def _powers(s: int, n: int) -> tuple[int, ...]:
-    """``s**(n-1), ..., s, 1``: the weights of n levels of a descent."""
-    return tuple([s**e for e in range(n - 1, -1, -1)])
+# Levels that _Table.descend reads as one leaf, one digit and one row
+# each; a longer descent is split in halves until it is this short.
+_LEAF = 32
 
 
 def _require_int_depth(depth) -> None:
@@ -299,8 +304,8 @@ def iter_path(
     exact for every rule, including those whose points are off the cell
     centres.
     The shift of ``origin`` is taken from the rule: ``first``/``last``
-    descend through the first/last child, ``corner`` takes the per-axis
-    minimum over the refinement levels.
+    descend to cell 0 or ``n**depth - 1`` (:meth:`_Table.descend`),
+    ``corner`` takes the per-axis minimum over the refinement levels.
     """
     _require_int_depth(depth)
     if depth < 0:
@@ -336,8 +341,8 @@ def iter_path(
     elif origin == "centre":
         start = (0,) * d
     else:
-        k = 0 if origin == "first" else n - 1
-        start = tuple(-x for x in table.descend([k] * depth)[0])
+        i = 0 if origin == "first" else n**depth - 1
+        start = tuple(-x for x in table.descend(i, depth)[0])
 
     def emit(base, state):
         """The points, or with ``cells`` the cells, of the block at ``base``."""
@@ -398,9 +403,10 @@ def locate(
     """Exact centre of the depth-level cell whose parameter segment holds t.
 
     ``side='plus'`` breaks ties towards later cells (t in [0,1)),
-    ``side='minus'`` towards earlier cells (t in (0,1]).  Follows the
-    base-D digits of the cell index down the rule's state table: O(depth)
-    row lookups, no enumeration.
+    ``side='minus'`` towards earlier cells (t in (0,1]).  The cell index
+    goes to :meth:`_Table.descend` whole, which splits it in halves down
+    to leaves that read one row of the rule's state table per level:
+    O(depth) row lookups, no enumeration.
     """
     _require_int_depth(depth)
     if depth < 0:
@@ -421,23 +427,8 @@ def locate(
     else:
         raise ValueError("side must be 'plus' or 'minus'")
 
-    # The digits of i, top level first.  Below the top _CHUNK digits, i
-    # is cut from its low end into pieces of _CHUNK digits, the chunks of
-    # _Table.descend, by divmod with D**_CHUNK, and each piece into digits
-    # by divmod with D: each division of the long index takes _CHUNK
-    # digits off it, where one per digit would make the time grow with
-    # the square of the depth.
-    digits = [0] * depth
-    end = depth
-    while end > _CHUNK:
-        i, piece = divmod(i, D**_CHUNK)
-        for e in range(end - 1, end - _CHUNK - 1, -1):
-            piece, digits[e] = divmod(piece, D)
-        end -= _CHUNK
-    for e in range(end - 1, -1, -1):
-        i, digits[e] = divmod(i, D)
     table = _table(defn)
-    pos, _ = table.descend(digits)
+    pos, _ = table.descend(i, depth)
     unit = 2 * table.m * defn.scale**depth
     return tuple(Fraction(x, unit) for x in pos)
 

@@ -1046,19 +1046,57 @@ def test_locate_matches_fraction_locate_on_seeded_digits():
                     i = i * table.n + k
                 t = F(2 * i + 1, 2 * table.n**depth)
                 assert locate(defn, t, depth) == fraction_locate(defn, t, depth), (label, depth, i)
-                _, state = table.descend(digits)
+                _, state = table.descend(i, depth)
                 assert table.states[state] == composed_state(defn, digits), (label, digits)
         for depth in (0, 1):
-            pos, _ = table.descend([table.n - 1] * depth)
+            pos, _ = table.descend(table.n**depth - 1, depth)
             assert type(pos) is list and len(pos) == table.d, (label, depth)
 
 
-def test_locate_matches_fraction_locate_across_chunks():
-    """The last cell and a seeded one at every depth 0..200, across three
-    ``_CHUNK`` boundaries, where ``locate`` cuts its index into chunks
-    and ``_Table.descend`` sums them; then 250 chunks deep on harmonious
-    d=2, where nearly all the time is the oracle's ``Fraction`` sums."""
-    assert engine._CHUNK == 64
+def test_descend_joins_its_halves_across_the_split_points():
+    """A seeded cell at levels 31-33, 63-65 and 127-129 on every
+    differential rule, on both sides of the depths where
+    ``_Table.descend`` splits its index in halves: the state it reaches
+    is the entries the digits pick, composed, and its point is
+    ``fraction_locate``'s.  Started one level down, under the state of a
+    first digit, it reaches the state of all the digits."""
+    rng = random.Random(31)
+    for label, defn in differential_rules():
+        table = _table(defn)
+        for levels in (31, 32, 33, 63, 64, 65, 127, 128, 129):
+            digits = [rng.randrange(table.n) for _ in range(levels)]
+            i = functools.reduce(lambda a, k: a * table.n + k, digits, 0)
+            pos, state = table.descend(i, levels)
+            assert table.states[state] == composed_state(defn, digits), (label, levels)
+            unit = 2 * table.m * defn.scale**levels
+            t = F(2 * i + 1, 2 * table.n**levels)
+            assert tuple(F(x, unit) for x in pos) == fraction_locate(defn, t, levels), (label, levels)
+            _, first = table.descend(digits[0], 1)
+            _, state = table.descend(i % table.n ** (levels - 1), levels - 1, first)
+            assert table.states[state] == composed_state(defn, digits), (label, levels)
+
+
+def test_last_origin_shift_matches_fraction_locate_across_the_split_points():
+    """The first point of a ``last``-origin walk is the first cell's
+    centre less the last cell's, both from ``fraction_locate``, on the
+    uneven rules, Harmonious and Maehara at d=3 and SUB8, at depths on
+    both sides of where ``_Table.descend`` splits the last index."""
+    rules = [(text, parse_definition(text)) for text in UNEVEN_RULES]
+    rules += [("harmonious d=3", generate("harmonious", 3)), ("maehara d=3", generate("maehara", 3)),
+              ("sub8", builtin_fixed("sub8"))]
+    for label, defn in rules:
+        for depth in (0, 1, 31, 32, 33, 34, 35, 64, 65):
+            unit = cell_units(defn) * defn.scale**depth
+            first, last = fraction_locate(defn, 0, depth), fraction_locate(defn, 1, depth, "minus")
+            want = tuple(unit * (a - b) for a, b in zip(first, last))
+            assert next(iter_path(defn, depth, "last")) == want, (label, depth)
+
+
+def test_locate_matches_fraction_locate_across_leaf_splits():
+    """The last cell and a seeded one at every depth 0..200, where
+    ``_Table.descend`` splits the index in halves zero to three times
+    deep; then 16 000 levels deep on harmonious d=2, where nearly all the
+    time is the oracle's ``Fraction`` sums."""
     rng = random.Random(21)
     rules = [("harmonious d=2", generate("harmonious", 2)), ("harmonious d=3", generate("harmonious", 3)),
              ("peano d=2", generate("peano", 2)), ("peano d=3", generate("peano", 3)),
@@ -1203,33 +1241,36 @@ def _locate_peak(defn, depth):
 
 
 def test_deep_locate_memory_grows_linearly():
-    """Doubling the depth at most about doubles the peak: the cached
-    weight tables hold at most ``_CHUNK`` powers, whatever the depth."""
+    """Doubling the depth at most about doubles the peak: the halves of
+    a descent hold O(depth) ints between them, whatever the depth."""
     defn = generate("harmonious", 2)
     locate(defn, F(1, 3), 30)  # the table's rows, built once
     small, large = _locate_peak(defn, 4000), _locate_peak(defn, 8000)
     assert large <= 2.5 * small, (small, large)
-    assert engine._powers.cache_info().currsize <= 64
 
 
 def per_digit_locate(defn, t, depth):
-    """``locate`` on the plus side, with its digit loop as it was before
-    it cut the index into chunks, kept verbatim as the timing reference."""
+    """``locate`` on the plus side, taking the index apart by one
+    division per digit and descending one level per digit, each level's
+    offset added to the point by Horner's rule: the timing reference."""
     D = len(defn.entries)
     i = t.numerator * D**depth // t.denominator
     digits = [0] * depth
     for e in range(depth - 1, -1, -1):
         i, digits[e] = divmod(i, D)
     table = _table(defn)
-    pos, _ = table.descend(digits)
+    pos, state = [0] * table.d, table.root
+    for k in digits:
+        off, state = table.descend(k, 1, state)
+        pos = [x * table.s + o for x, o in zip(pos, off)]
     unit = 2 * table.m * defn.scale**depth
     return tuple(F(x, unit) for x in pos)
 
 
 def test_deep_locate_takes_a_fraction_of_the_per_digit_time():
-    """Each division of the long index takes ``_CHUNK`` digits off it; one
-    per digit makes the time grow with the square of the depth (about 70
-    against 9 ms at depth 16 000 on harmonious d=2, on a 2-vCPU VM)."""
+    """The halving descent takes half the index off with each division;
+    one division per digit makes the time grow with the square of the
+    depth."""
     h = generate("harmonious", 2)
 
     def best(find):

@@ -4,9 +4,12 @@
         --pairs query=10 enumerate=3 audit=3 --seconds 35 --seed 501 \\
         --claim query:wall_s --traced --out BENCH_13.json
 
-Each tree is a checkout of the repository, for example the parent commit
-in a ``git worktree`` (or a ``git archive`` copy) under a scratch
-directory, and the change.  A pair runs ``perfbench/run.py --trace 0``
+Each tree is a git checkout of the repository: the base is the parent
+commit, made with ``git worktree add --detach DIR COMMIT`` under a
+scratch directory, and the change is the working tree.  The file names
+each tree's commit, so a tree whose commit cannot be read (a ``git
+archive`` copy, say) stops the script with exit status 2 before any run,
+and no file is written.  A pair runs ``perfbench/run.py --trace 0``
 once in each tree with the same seed; the side that runs first
 alternates from pair to pair, so a drift of the machine's speed does not
 favour one side.  Pair ``i`` of a workload uses seed ``--seed + i``.
@@ -187,12 +190,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    states = {side: git_state(tree) for side, tree in trees.items()}
+    for side, state in states.items():
+        if state["commit"] is None:
+            print(f"bench_pairs: cannot read the commit of the {side} tree {trees[side]}; "
+                  "make it with git worktree add --detach DIR COMMIT", file=sys.stderr)
+            return 2
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     doc = {
         "environment": environment(),
-        "trees": {side: git_state(tree) for side, tree in trees.items()},
+        "trees": states,
         "seconds": args.seconds,
         "bytecode": "no __pycache__; PYTHONDONTWRITEBYTECODE=1",
         "tier1": tier1_times(trees),
