@@ -11,6 +11,25 @@ submodule that defines it, so a program pays only for the modules it
 runs.  ``traversals.engine`` and the other submodules that define
 public names resolve the same way.  Static type checkers read the same
 names from imports that run only under ``TYPE_CHECKING``.
+
+Where each capability lives:
+
+* ``notation``: signed permutations, moves, rules and their text form;
+* ``generators``: the sixteen families and the five fixed curves;
+* ``engine``: enumeration, ``locate`` and the rule's state table;
+* ``_squaring``: the reversal symmetry and the squared path and rule,
+  reached through ``engine``;
+* ``analysis``: the report types; the checks that take a rule live in
+  ``_rule_checks`` and those that take a held ``Path`` in
+  ``_path_checks``, both reached through ``analysis``;
+* ``bitmatrix``: the bit-matrix rank calculus, an independent oracle.
+
+``engine`` and ``analysis`` import their private modules on the first
+use of one of their names, so each command compiles only what it runs.
+``describe``, ``path`` and ``plot`` load ``cli``, ``notation``,
+``generators`` and ``engine``; ``path --exponent 2`` adds
+``_squaring``, and ``check`` adds ``analysis`` and the check modules
+of its properties.  No command loads ``bitmatrix``.
 """
 
 import importlib

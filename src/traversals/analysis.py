@@ -1,69 +1,96 @@
 """Finite-depth verification of traversal properties.
 
-Checks that need only the cells in visit order take a definition and
-read its walk as a stream (``iter_path(..., "corner", cells=True)``):
-palindromicity, straight jumping and facet order; continuity
-(:func:`check_continuity`) streams the corner points, whose steps also
-show offsets within a cell.  Checks that must hold the whole path take
-a :class:`~.engine.Path`: the step counts of :func:`adjacency_profile`,
-dominance, bounding boxes and section components.  Each returns raw
-numbers or a :class:`PropertyReport` whose failing verdicts carry a
-reproducible witness.  "Touching" means sharing
+Each check returns raw numbers or a :class:`PropertyReport` whose
+failing verdicts carry a reproducible witness.  "Touching" means sharing
 a (d-1)-facet throughout; corner contact counts as a jump.
 
-Tile paths over simplices may visit one bounding box several times;
-component counting collapses all visits of a box onto one node, so the
-audit follows the box geometry of the underlying tiling.  Components,
-bounding boxes and dominance take the path's cells from one
-conversion (:func:`~.engine._cell_columns`), and components and dominance number
-them in one table (:class:`_CellTable`).  Section component counts
-come from one offline sweep (see :class:`SectionAuditor`), exact for
-every section, at O((n + Q) log n) for n points and Q sections plus one
-walk of a spanning-tree path for each of the O(n·d) edges between
-positions.  Section bounding boxes come from a second offline sweep
-over the cell columns that keeps a monotonic minimum and maximum stack
-per axis (see :func:`max_bbox_ratio`), exact at O(n·d + Q·d log n).
-Dominance is exact over all cell pairs: when the first-visited cells
-fill their bounding box, each cell's number is compared with those of
-its lower face-neighbours, O(m·d) for m cells; other cell sets, and
-boxes that fail, go to a scan over all pairs in visit order, which
-reports the first failing pair (see :func:`check_dominance`).
+The checks live in two private modules, by what they read, and this
+module imports each on the first use of one of its names (PEP 562) and
+keeps the name, so every name stays reachable here as the same object:
+
+* :mod:`._rule_checks`, the checks that take a rule: the base pattern
+  and the rank law read its first level, and continuity,
+  palindromicity, straight jumping and facet order stream its walk;
+* :mod:`._path_checks`, the checks that take a held
+  :class:`~.engine.Path`: :func:`adjacency_profile`, dominance,
+  bounding boxes and section components, with the cell table and the
+  two offline sweeps they share.
+
+This module itself defines only the report types and the kernel's
+back-end name, so importing it loads neither :mod:`.engine` nor a
+check, and a process compiles only the checks it runs.  A new check
+goes into the module for what it reads.
 """
 
 from __future__ import annotations
 
-import array
-import itertools
-import math
-import random
-from bisect import bisect_left
+import importlib
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING
 
-from .engine import Path, _cell_columns, _require_int_depth, cell_units, iter_path
-from .generators import _pattern
-from .notation import TraversalDefinition, _Frozen, _symmetries_mapping
+from .notation import _Frozen
 
 KERNEL_BACKEND = "python"
 
-__all__ = [
-    "PropertyReport",
-    "AdjacencyProfile",
-    "SectionAuditor",
-    "KERNEL_BACKEND",
-    "check_base_pattern",
-    "adjacency_profile",
-    "check_continuity",
-    "component_count",
-    "section_component_audit",
-    "check_palindromic",
-    "palindromic_on_cells",
-    "check_dominance",
-    "check_straight_jumping",
-    "check_facet_order",
-    "max_bbox_ratio",
-    "check_well_folded_rank",
-]
+# Each check and the private module that defines it, imported on first use.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "check_base_pattern",
+            "check_continuity",
+            "check_palindromic",
+            "palindromic_on_cells",
+            "check_straight_jumping",
+            "check_facet_order",
+            "check_well_folded_rank",
+        ),
+        "_rule_checks",
+    ),
+    **dict.fromkeys(
+        (
+            "SectionAuditor",
+            "adjacency_profile",
+            "component_count",
+            "section_component_audit",
+            "check_dominance",
+            "max_bbox_ratio",
+        ),
+        "_path_checks",
+    ),
+}
+
+__all__ = ["PropertyReport", "AdjacencyProfile", "KERNEL_BACKEND", *_LAZY]
+
+if TYPE_CHECKING:  # the same names, imported eagerly for static checkers
+    from ._path_checks import (
+        SectionAuditor,
+        adjacency_profile,
+        check_dominance,
+        component_count,
+        max_bbox_ratio,
+        section_component_audit,
+    )
+    from ._rule_checks import (
+        check_base_pattern,
+        check_continuity,
+        check_facet_order,
+        check_palindromic,
+        check_straight_jumping,
+        check_well_folded_rank,
+        palindromic_on_cells,
+    )
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 
 class PropertyReport(_Frozen):
@@ -103,564 +130,3 @@ class AdjacencyProfile(_Frozen):
 
     def __init__(self, face_steps, other_steps, max_jump, first_jump=None):
         self._set(face_steps, other_steps, max_jump, first_jump)
-
-
-def check_base_pattern(defn: TraversalDefinition) -> str:
-    """Classify the move list: 'G2', 'G3', 'ZigZag' or 'Other'."""
-    d = defn.dimension
-    moves = defn.moves
-    if len(defn.entries) == 2**d:
-        for name in ("G2", "ZigZag"):
-            if moves == _pattern(name, d)[0].moves:
-                return name
-    if len(defn.entries) == 3**d and moves == _pattern("G3", d)[0].moves:
-        return "G3"
-    return "Other"
-
-
-def adjacency_profile(path: Path) -> AdjacencyProfile:
-    """Classify consecutive steps of a cube path.
-
-    A step is a face step when exactly one axis changes by one cell
-    width and all others are unchanged; everything else is a jump.
-    ``max_jump`` is the largest Chebyshev distance in cell units.
-    """
-    pts = path.points
-    w = path.cell_units
-    face = other = 0
-    widest = 0  # largest Chebyshev distance in point units
-    first_jump = None
-    for k in range(len(pts) - 1):
-        a, b = pts[k], pts[k + 1]
-        diffs = [abs(x - y) for x, y in zip(a, b)]
-        step = max(diffs)
-        if step > widest:
-            widest = step
-        if step == w and sum(1 for x in diffs if x) == 1:
-            face += 1
-        else:
-            other += 1
-            if first_jump is None:
-                first_jump = (k, k + 1)
-    return AdjacencyProfile(face, other, Fraction(widest, w), first_jump)
-
-
-def check_continuity(
-    defn: TraversalDefinition, depth: int, *, kind: str = ""
-) -> PropertyReport:
-    """Every step of the corner-origin path must be a face step, as
-    :func:`adjacency_profile` counts them.
-
-    Reads the walk's points pairwise and stops at the first other step,
-    whose positions are the witness of the failure.  It reads points, not
-    cells: on a rule whose points sit off the cell centres, a step between
-    face-neighbouring cells can be shorter or longer than one cell.
-    """
-    w = cell_units(defn)
-    points = iter_path(defn, depth, "corner")
-    for k, (a, b) in enumerate(itertools.pairwise(points)):
-        if [abs(x - y) for x, y in zip(a, b) if x != y] != [w]:
-            return PropertyReport(
-                "continuity", kind, defn.dimension, depth, "fails", (k, k + 1)
-            )
-    return PropertyReport("continuity", kind, defn.dimension, depth, "holds")
-
-
-class _CellTable:
-    """The cells of a held path, numbered.  A cell's key is its
-    mixed-radix number, ``axes`` giving ``(stride, radix, lowest)`` per
-    axis, each radix the width of the axis's range, so that any integer
-    path has one key per cell; ``base`` is the key of the range box's
-    lowest corner.
-    ``keys`` holds each position's key and ``ids`` numbers the keys in
-    first-visit order.  The columns are read one at a time, so that the
-    checks that number cells never hold them all.
-    """
-
-    def __init__(self, path: Path):
-        keys = [0] * len(path.points)
-        self.axes = []
-        stride = 1
-        for col in _cell_columns(path):
-            lo = min(col)
-            radix = max(col) - lo + 1
-            keys = [k + c * stride for k, c in zip(keys, col)]
-            self.axes.append((stride, radix, lo))
-            stride *= radix
-        self.keys = keys
-        self.base = sum(lo * stride for stride, _, lo in self.axes)
-        self.ids = dict.fromkeys(keys)
-        for i, k in enumerate(self.ids):
-            self.ids[k] = i
-
-
-class SectionAuditor:
-    """Prepared component-count queries over one path.
-
-    Builds the cell table and face-adjacency structure once; each call
-    to :meth:`counts` then answers all its sections in one offline sweep
-    over the path positions.  Repeated visits to one cell collapse onto
-    one node.
-    """
-
-    def __init__(self, path: Path):
-        table = _CellTable(path)
-        ids, base, axes = table.ids, table.base, table.axes
-        self._cell_of_pos = array.array("i", map(ids.__getitem__, table.keys))
-        del table  # its keys, before the adjacency grows
-        get = ids.get
-        indptr = array.array("i", [0])
-        adj = array.array("i")
-        for k in ids:
-            r = k - base
-            for stride, radix, _ in axes:
-                c = r // stride % radix
-                if c:
-                    nb = get(k - stride)
-                    if nb is not None:
-                        adj.append(nb)
-                if c + 1 < radix:
-                    nb = get(k + stride)
-                    if nb is not None:
-                        adj.append(nb)
-            indptr.append(len(adj))
-        self.n_cells = len(ids)
-        self._indptr = indptr
-        self._adj = adj
-        self.length = len(path.points)
-
-    def counts(self, sections: Iterable[tuple[int, int]]) -> array.array:
-        a = array.array("i")
-        b = array.array("i")
-        for lo, hi in sections:
-            if type(lo) is not int or type(hi) is not int:  # a bool included
-                raise ValueError(f"section ({lo!r}, {hi!r}) has a bound that is not an int")
-            if not 0 <= lo <= hi < self.length:
-                raise ValueError(f"section ({lo}, {hi}) out of range")
-            a.append(lo)
-            b.append(hi)
-        return _section_counts(self._cell_of_pos, self._indptr, self._adj, a, b)
-
-    def count(self, a: int, b: int) -> int:
-        return self.counts([(a, b)])[0]
-
-
-def _by_upper_end(n: int, upper_ends: Iterable[int]):
-    """Sections bucketed by upper end, one linked list per position: ``first[b]``
-    is the last section ending at b and ``after[s]`` the one before s (-1: none)."""
-    first = array.array("i", [-1]) * n
-    after = array.array("i")
-    for s, b in enumerate(upper_ends):
-        after.append(first[b])
-        first[b] = s
-    return first, after
-
-
-def _section_counts(cell_of_pos, indptr, adj, sections_a, sections_b):
-    """Component counts of the sections [a, b] by one sweep over b.
-
-    The vertices are path positions.  Position b gets an edge to the
-    previous visit of its cell and, for each face-adjacent cell visited
-    since then, to that cell's last visit; an edge's weight is its lower
-    end.  Within any section these edges connect the positions exactly
-    as face adjacency connects their cells, with O(d) edges per position
-    even on paths that revisit cells.  A forest of parent pointers keeps
-    F_b, a maximum spanning forest of the edges whose upper end is at
-    most b.  The edges of F_b of weight >= a then span the section
-    [a, b], which therefore has
-    (b - a + 1) - #{e in F_b : weight(e) >= a} components; a Fenwick
-    tree counts F_b's edges by weight.
-
-    Each position p holds ``parent[p]`` (-1 at a root) and
-    ``weight[p]``, the weight of its edge to its parent.  The root of
-    each tree is its last position, which is also its root in a
-    union-find over positions, so b is the root of its tree while its
-    edges are added.  An edge (q, b) whose ends lie in two trees links
-    them: q's tree is everted at q, by reversing the parent pointers
-    from q to its root, and q hangs under b.  An edge within b's tree
-    closes a cycle: the walk from q up to b finds the cycle's lightest
-    edge, and if that is lighter than q it is cut, the part cut off is
-    everted at q, and q hangs under b.  The cost is the union-find plus
-    one walk of a tree path per edge, not O(log n): on every family and
-    fixed curve of the paper the walks average 4.5-48 parent steps per
-    position (d = 2 and 3), and on one-level serpentines 6-11; a path
-    that spirals inwards ring by ring walks about a ring's length per
-    position, about five times its side.
-    """
-    n = len(cell_of_pos)
-    first, after = _by_upper_end(n, sections_b)
-    parent = [-1] * n
-    weight = [0] * n
-    # union-find over positions: the components of F_b, which a swap of
-    # one forest edge for another never changes
-    comp = list(range(n))
-    fenwick = [0] * (n + 1)  # forest edges by weight
-    forest = 0
-    last_visit = array.array("i", [-1]) * (len(indptr) - 1)  # per cell
-    out = array.array("i", bytes(4 * len(sections_a)))
-    for b in range(max(sections_b, default=-1) + 1):
-        c = cell_of_pos[b]
-        prev = last_visit[c]
-        last_visit[c] = b
-        lower = [prev] if prev >= 0 else []
-        for k in range(indptr[c], indptr[c + 1]):
-            q = last_visit[adj[k]]
-            if q > prev:
-                lower.append(q)
-        for q in lower:
-            r = q
-            while comp[r] != r:
-                comp[r] = r = comp[comp[r]]
-            if r != b:  # r is the root of q's tree, as b is of b's
-                comp[r] = b
-                forest += 1
-                top = r  # evert q's whole tree
-            else:  # find the lightest edge of the cycle
-                w = q
-                top = -1
-                x = q
-                while x != b:
-                    if weight[x] < w:
-                        w = weight[x]
-                        top = x
-                    x = parent[x]
-                if top < 0:
-                    continue
-                i = w + 1
-                while i <= n:
-                    fenwick[i] -= 1
-                    i += i & -i
-            # Reverse the pointers from q up to top, which drops top's
-            # edge to its parent, and hang q under b.
-            x = q
-            p = parent[x]
-            w = weight[x]
-            while x != top:
-                y = parent[p]
-                v = weight[p]
-                parent[p] = x
-                weight[p] = w
-                x = p
-                p = y
-                w = v
-            parent[q] = b
-            weight[q] = q
-            i = q + 1
-            while i <= n:
-                fenwick[i] += 1
-                i += i & -i
-        s = first[b]
-        while s >= 0:
-            a = sections_a[s]
-            count = b - a + 1 - forest
-            i = a
-            while i:
-                count += fenwick[i]
-                i -= i & -i
-            out[s] = count
-            s = after[s]
-    return out
-
-
-def component_count(path: Path, a: int, b: int) -> int:
-    """Connected components of cells path[a..b] under face adjacency."""
-    return SectionAuditor(path).count(a, b)
-
-
-def _seeded_sections(n: int, count: int, seed: int) -> Iterator[tuple[int, int]]:
-    """``count`` sections (a, b), 0 <= a <= b < n, drawn from ``seed``.
-
-    Each end is drawn as ``Random.randrange(n)`` draws it, by rejection
-    on ``getrandbits(n.bit_length())``, without its per-call checks.
-    """
-    if n < 1:
-        raise ValueError("no section of an empty path")
-    draw = random.Random(seed).getrandbits
-    k = n.bit_length()
-    for _ in range(count):
-        a = draw(k)
-        while a >= n:
-            a = draw(k)
-        b = draw(k)
-        while b >= n:
-            b = draw(k)
-        yield (a, b) if a <= b else (b, a)
-
-
-def section_component_audit(
-    path: Path, n_sections: int, seed: int
-) -> tuple[int, int]:
-    """Max and total component count over seeded random sections.
-
-    ``n_sections`` must be an ``int`` (not a bool) of at least 1.
-    """
-    if type(n_sections) is not int or n_sections < 1:
-        raise ValueError(f"n_sections must be at least 1, got {n_sections!r}")
-    auditor = SectionAuditor(path)
-    counts = auditor.counts(_seeded_sections(auditor.length, n_sections, seed))
-    return max(counts), sum(counts)
-
-
-def _facet_pairs(d: int):
-    """Pairs of level-1 cells sharing a facet, as (low cell, axis)."""
-    for low in range(2**d):
-        bits = [(low >> j) & 1 for j in range(d)]
-        for axis in range(d):
-            if bits[axis] == 0:
-                yield low, axis
-
-
-def palindromic_on_cells(
-    cells: Iterable[tuple[int, ...]], d: int, depth: int, *, kind=""
-) -> PropertyReport:
-    """Palindromicity of an explicit cell visit order (scale-2 cube).
-
-    For each facet between two level-1 cells, the visit sequences of the
-    depth-level cells touching the facet from either side must be exact
-    reverses of each other, position by position across the facet.  One
-    pass over ``cells`` (any iterable) builds all the facet sequences.
-    Depth 0 has no level-1 cells to compare.
-    """
-    _require_int_depth(depth)
-    if depth < 1:
-        raise ValueError("palindromicity is checked at depth >= 1")
-    half = 2**depth // 2  # cells per axis in one level-1 cell
-    # facet_seqs[level1 * d + axis]: the cells of level-1 cell `level1`
-    # on its facet across `axis` (coordinate half - 1 or half), in visit
-    # order and with that axis projected out
-    facet_seqs: list[list[tuple[int, ...]]] = [[] for _ in range(d << d)]
-    for c in cells:
-        level1 = 0
-        for j in range(d):
-            if c[j] >= half:
-                level1 |= 1 << j
-        for j in range(d):
-            if c[j] == half - 1 or c[j] == half:
-                facet_seqs[level1 * d + j].append(c[:j] + c[j + 1:])
-
-    for low, axis in _facet_pairs(d):
-        high = low | (1 << axis)
-        sa = facet_seqs[low * d + axis]
-        sb = facet_seqs[high * d + axis]
-        if sa != sb[::-1]:
-            # the first position where they differ; when one sequence is
-            # a reversed prefix of the other, the end of the shorter one
-            common = min(len(sa), len(sb))
-            k = next(
-                (k for k in range(common) if sa[k] != sb[len(sb) - 1 - k]), common
-            )
-            return PropertyReport(
-                "palindromic", kind, d, depth, "fails", (low, high, axis + 1, k)
-            )
-    return PropertyReport("palindromic", kind, d, depth, "holds")
-
-
-def check_palindromic(
-    defn: TraversalDefinition, depth: int, *, kind: str = ""
-) -> PropertyReport:
-    """Palindromicity of the rule's depth-``depth`` path (see
-    :func:`palindromic_on_cells`); depth 0 has no level-1 cells to compare."""
-    _require_int_depth(depth)
-    if depth < 1:
-        raise ValueError("palindromicity is checked at depth >= 1")
-    if defn.scale != 2 or not defn.fills_cube:
-        raise ValueError("palindromicity is checked on scale-2 cube rules")
-    cells = iter_path(defn, depth, "corner", cells=True)
-    return palindromic_on_cells(cells, defn.dimension, depth, kind=kind)
-
-
-def check_dominance(path: Path, *, kind: str = "") -> PropertyReport:
-    """Coordinate-wise domination must imply a later visit.
-
-    Exact over all cell pairs; cells are taken at their first visit.
-    When the cells exactly fill their bounding box, the product order on
-    the box is generated by unit steps, so dominance holds iff every
-    cell comes after each of its lower face-neighbours: O(m·d) for m
-    cells.  Otherwise, or when that test fails, a scan over all pairs in
-    visit order, O(m²), finds the first failing pair.  The witness of a
-    failure is (dominated cell, earlier cell).
-    """
-    table = _CellTable(path)
-    d = path.dimension
-    if _box_dominance(table):
-        return PropertyReport("dominance", kind, d, path.depth, "holds")
-    ids, base, axes = table.ids, table.base, table.axes
-    del table  # its keys, before the first-visit keys are decoded
-    cells = [tuple((k - base) // stride % radix + lo for stride, radix, lo in axes) for k in ids]
-    for i, a in enumerate(cells):
-        for b in itertools.islice(cells, i + 1, None):
-            # b visited after a; fails if b is dominated by a (cells are distinct)
-            if all(x >= y for x, y in zip(a, b)):
-                return PropertyReport("dominance", kind, d, path.depth, "fails", (b, a))
-    return PropertyReport("dominance", kind, d, path.depth, "holds")
-
-
-def _box_dominance(table: _CellTable) -> bool:
-    """True if the cells of ``table`` exactly fill their bounding box and
-    each one comes after its lower face-neighbours: in a filled box, the
-    neighbour one step down axis j is the key ``stride`` below."""
-    ids = table.ids
-    return len(ids) == math.prod(radix for _, radix, _ in table.axes) and all(
-        ids[k - stride] < i
-        for k, i in ids.items()
-        for stride, radix, _ in table.axes
-        if (k - table.base) // stride % radix
-    )
-
-
-def check_straight_jumping(
-    defn: TraversalDefinition, depth: int, *, kind: str = ""
-) -> PropertyReport:
-    """Consecutive cells must differ in exactly one coordinate axis."""
-    cells = iter_path(defn, depth, "corner", cells=True)
-    for k, (a, b) in enumerate(itertools.pairwise(cells)):
-        if sum(x != y for x, y in zip(a, b)) != 1:
-            return PropertyReport(
-                "straight-jumping", kind, defn.dimension, depth, "fails", (k, k + 1)
-            )
-    return PropertyReport("straight-jumping", kind, defn.dimension, depth, "holds")
-
-
-def check_facet_order(
-    defn_d: TraversalDefinition,
-    defn_dminus1: TraversalDefinition,
-    facet: tuple[int, int],
-    depth: int,
-    *,
-    kind: str = "",
-) -> PropertyReport:
-    """Facet restriction must reproduce the lower-dimensional traversal.
-
-    ``facet`` is (axis, side) with 1-based axis and side -1 (low) or +1
-    (high).  The cells on that facet, in visit order and with the facet
-    axis projected out, must equal the depth-level path of
-    ``defn_dminus1`` under one cube symmetry, searched exhaustively.
-    """
-    axis, side = facet
-    d = defn_d.dimension
-    if type(axis) is not int or not 1 <= axis <= d:
-        raise ValueError(f"facet axis {axis!r} must be an int in 1..{d}")
-    if type(side) is not int or side not in (-1, 1):
-        raise ValueError(f"facet side {side!r} must be -1 or +1")
-    if defn_dminus1.dimension != d - 1:
-        raise ValueError("the comparison rule must have one dimension less")
-    _require_int_depth(depth)
-    n_side = defn_d.scale**depth
-    boundary = n_side - 1 if side > 0 else 0
-
-    def centred(c):  # odd lattice, symmetric about 0
-        return tuple(2 * x - (n_side - 1) for x in c)
-
-    seq = [
-        centred(x for j, x in enumerate(c) if j != axis - 1)
-        for c in iter_path(defn_d, depth, "corner", cells=True)
-        if c[axis - 1] == boundary
-    ]
-    target = [centred(c) for c in iter_path(defn_dminus1, depth, "corner", cells=True)]
-    if len(seq) != len(target):
-        return PropertyReport(
-            "facet-order", kind, d, depth, "inconclusive", (axis, side)
-        )
-    if next(_symmetries_mapping(d - 1, seq, target), None) is None:
-        return PropertyReport("facet-order", kind, d, depth, "fails", (axis, side))
-    return PropertyReport("facet-order", kind, d, depth, "holds")
-
-
-def max_bbox_ratio(
-    path: Path,
-    max_section_count: int | None = 10000,
-    seed: int = 0,
-) -> Fraction:
-    """Worst bounding-box volume per visited cell over curve sections.
-
-    All contiguous sections are checked when the path has at most 512
-    points (or when ``max_section_count`` is None); longer paths are
-    sampled with the seeded generator.  Both go through one offline
-    sweep over the sections' upper ends (see :func:`_max_bbox_ratio`),
-    O(n·d + Q·d log n) time for n points, d axes and Q sections.  Exact
-    rational result.  ``max_section_count`` must be None or an ``int``
-    (not a bool) of at least 1.
-    """
-    if max_section_count is not None and (type(max_section_count) is not int or max_section_count < 1):
-        raise ValueError(
-            f"max_section_count must be at least 1 or None, got {max_section_count!r}"
-        )
-    columns = list(_cell_columns(path))
-    n = len(path.points)
-    if max_section_count is None or n <= 512:
-        return _max_bbox_ratio(columns, lambda b: range(b + 1))
-    lower = array.array("i")
-    upper = array.array("i")
-    for a, b in _seeded_sections(n, max_section_count, seed):
-        lower.append(a)
-        upper.append(b)
-    first, after = _by_upper_end(n, upper)
-
-    def sampled(b):
-        s = first[b]
-        while s >= 0:
-            yield lower[s]
-            s = after[s]
-
-    return _max_bbox_ratio(columns, sampled)
-
-
-def _max_bbox_ratio(columns, lower_ends) -> Fraction:
-    """Largest box volume / length over sections [a, b] of cell ``columns``.
-
-    ``lower_ends(b)`` gives the lower ends a of the sections whose upper
-    end is b.  Sweeps b along the path.  Per axis, two monotonic stacks
-    hold the positions p <= b whose coordinate is below (above) every
-    later one up to b; the box of [a, b] on that axis spans the
-    coordinates at the first stacked positions >= a, found by bisection.
-    O(n·d + Q·d log n) time and O(n·d) memory.  The best ratio is kept
-    as an integer pair and compared by cross-multiplying.
-    """
-    axes = [(coords, array.array("i"), array.array("i")) for coords in columns]
-    best_vol, best_len = 0, 1
-    for b in range(len(columns[0]) if columns else 0):
-        for coords, mins, maxs in axes:
-            x = coords[b]
-            while mins and coords[mins[-1]] >= x:
-                mins.pop()
-            mins.append(b)
-            while maxs and coords[maxs[-1]] <= x:
-                maxs.pop()
-            maxs.append(b)
-        for a in lower_ends(b):
-            vol = 1
-            for coords, mins, maxs in axes:
-                vol *= (
-                    coords[maxs[bisect_left(maxs, a)]]
-                    - coords[mins[bisect_left(mins, a)]]
-                    + 1
-                )
-            length = b - a + 1
-            if vol * best_len > best_vol * length:
-                best_vol, best_len = vol, length
-    return Fraction(best_vol, best_len)
-
-
-def check_well_folded_rank(
-    defn: TraversalDefinition, *, kind: str = ""
-) -> PropertyReport:
-    """First-level centres must follow the reflected-Gray rank law.
-
-    For scale-2 cube rules: reading centre signs as bits (positive = 1,
-    axis j is bit j-1) the i-th entry must encode gray(i-1), the
-    reflected binary Gray code ``(i-1) ^ ((i-1) >> 1)``.
-    """
-    d = defn.dimension
-    if defn.scale != 2 or not defn.fills_cube:
-        raise ValueError("the rank law applies to scale-2 cube rules")
-    for i, c in enumerate(defn.centres):
-        bits = 0
-        for j, x in enumerate(c):
-            if x > 0:
-                bits |= 1 << j
-        gray = i ^ (i >> 1)
-        if bits != gray:
-            return PropertyReport(
-                "well-folded-rank", kind, d, 1, "fails", (i + 1, bits, gray)
-            )
-    return PropertyReport("well-folded-rank", kind, d, 1, "holds")

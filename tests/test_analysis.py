@@ -16,15 +16,13 @@ import pytest
 from conftest import UNEVEN_RULES
 from hypothesis import given, settings, strategies as st
 
-from traversals import analysis
+from traversals import _path_checks, _rule_checks
+from traversals._path_checks import _box_dominance, _CellTable, _seeded_sections
 from traversals.analysis import (
     KERNEL_BACKEND,
     AdjacencyProfile,
     PropertyReport,
     SectionAuditor,
-    _box_dominance,
-    _CellTable,
-    _seeded_sections,
     adjacency_profile,
     check_base_pattern,
     check_continuity,
@@ -160,7 +158,7 @@ def test_continuity_stops_at_the_first_jump(monkeypatch):
             taken.append(p)
             yield p
 
-    monkeypatch.setattr(analysis, "iter_path", counted)
+    monkeypatch.setattr(_rule_checks, "iter_path", counted)
     report = check_continuity(gen_z(2), 11, kind="z")
     assert report.line() == "continuity z 2 11 fails 1 2"
     assert len(taken) == 3
@@ -197,7 +195,7 @@ def test_gray_sections_can_split_into_more_components():
 def test_section_audit_rejects_a_count_below_one(monkeypatch, n_sections):
     # A count of 0 used to fail with "max() arg is an empty sequence".
     p = path_of("z", 3, 4)
-    monkeypatch.setattr(analysis, "SectionAuditor", None)  # nothing is prepared
+    monkeypatch.setattr(_path_checks, "SectionAuditor", None)  # nothing is prepared
     with pytest.raises(ValueError) as info:
         section_component_audit(p, n_sections, seed=41)
     assert str(info.value) == f"n_sections must be at least 1, got {n_sections}"
@@ -740,7 +738,7 @@ def test_facet_order_rejects_a_bad_facet_before_any_walk(facet, message, monkeyp
     def no_walk(*args, **kwargs):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(analysis, "iter_path", no_walk)
+    monkeypatch.setattr(_rule_checks, "iter_path", no_walk)
     with pytest.raises(ValueError) as info:
         check_facet_order(gen_z(3), gen_z(2), facet, 2)
     assert str(info.value) == message
@@ -771,7 +769,7 @@ def test_every_depth_taking_check_refuses_a_depth_that_is_not_an_int(depth, monk
     message = f"^depth must be an int, got {depth!r}$"
     with pytest.raises(ValueError, match=message):
         check_straight_jumping(z3, depth)  # refused by the walk it reads
-    monkeypatch.setattr(analysis, "iter_path", no_walk)
+    monkeypatch.setattr(_rule_checks, "iter_path", no_walk)
     for call in (
         lambda: check_palindromic(z3, depth),
         lambda: palindromic_on_cells([(0, 0, 0)], 3, depth),

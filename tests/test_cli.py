@@ -317,9 +317,9 @@ AUDIT_WALKS = [
 
 @pytest.mark.parametrize("argv,walks", AUDIT_WALKS)
 def test_audit_commands_walk_once_per_streaming_check_and_held_path(argv, walks, monkeypatch):
-    from traversals import analysis
+    from traversals import _rule_checks
 
-    calls = _spy(monkeypatch, (engine, "iter_path"), (analysis, "iter_path"))
+    calls = _spy(monkeypatch, (engine, "iter_path"), (_rule_checks, "iter_path"))
     _, _, err = run(["check", *argv.split(), "--seed", "1"])
     assert err == ""
     assert len(calls) == walks
@@ -904,17 +904,28 @@ def _fresh_process(script: str, *flags: str) -> str:
 _PRINT_HEAVY = "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
 
 
+_PRINT_LOADED = "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+
+
+def test_importing_analysis_loads_neither_engine_nor_a_check():
+    script = "import sys\nimport traversals.analysis\n" + _PRINT_LOADED
+    for flags in ((), ("-S",)):
+        loaded = _fresh_process(script, *flags)
+        assert loaded == "['traversals', 'traversals.analysis', 'traversals.notation']\n", flags
+
+
 def test_path_loads_neither_analysis_nor_bitmatrix():
-    # z has its own pattern; harmonious 3 is built on the Gray pattern G2(3).
-    for kind, d in (("z", "2"), ("harmonious", "3")):
+    # z has its own pattern; harmonious 3 is built on the Gray pattern G2(3);
+    # only a squared path loads the squaring module.
+    for kind, d, extra in (("z", "2", ()), ("harmonious", "3", ()), ("harmonious", "2", ("--exponent", "2"))):
         script = (
             "import contextlib, io, sys\n"
             "import traversals\n"
-            "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
-            "from traversals.cli import main\n"
+            + _PRINT_LOADED
+            + "from traversals.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['path', '{kind}', '{d}']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+            f"    assert main(['path', '{kind}', '{d}', *{extra!r}]) == 0\n"
+            + _PRINT_LOADED
             + _PRINT_HEAVY
         )
         before, after, heavy = _fresh_process(script).splitlines()
@@ -922,6 +933,7 @@ def test_path_loads_neither_analysis_nor_bitmatrix():
         assert "traversals.engine" in after, kind
         assert "traversals.analysis" not in after, kind
         assert "traversals.bitmatrix" not in after, kind
+        assert ("traversals._squaring" in after) == bool(extra), kind
         assert heavy == "[]", kind
 
 
@@ -934,13 +946,98 @@ def test_check_does_not_load_bitmatrix():
         "from traversals.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['check', 'harmonious', '3', '--depth', '2', '--property', '{props}']) == 1\n"
-        "print(sorted(m for m in sys.modules if m.startswith('traversals')))\n"
+        + _PRINT_LOADED
         + _PRINT_HEAVY
     )
     loaded, heavy = _fresh_process(script).splitlines()
     assert "traversals.analysis" in loaded
     assert "traversals.bitmatrix" not in loaded
+    assert "traversals._squaring" not in loaded
     assert heavy == "[]"
+
+
+@pytest.mark.parametrize("argv,loads,skips", [
+    ("z 3 --property components", "_path_checks", "_rule_checks"),
+    ("double-gray 3 --property palindromic,straight-jumping", "_rule_checks", "_path_checks"),
+])
+def test_check_loads_only_the_module_of_the_checks_it_runs(argv, loads, skips):
+    script = (
+        "import contextlib, io, sys\n"
+        "from traversals.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({['check', *argv.split()]!r}) == 0\n"
+        + _PRINT_LOADED
+    )
+    loaded = _fresh_process(script)
+    assert f"traversals.{loads}" in loaded
+    assert f"traversals.{skips}" not in loaded
+
+
+# Where each name of ``analysis.__all__`` and ``engine.__all__`` is defined,
+# when not in the module itself.
+_HOMES = {
+    **dict.fromkeys(
+        ["check_base_pattern", "check_well_folded_rank", "check_continuity", "check_palindromic",
+         "palindromic_on_cells", "check_straight_jumping", "check_facet_order"],
+        "traversals._rule_checks",
+    ),
+    **dict.fromkeys(
+        ["adjacency_profile", "SectionAuditor", "component_count", "section_component_audit",
+         "check_dominance", "max_bbox_ratio"],
+        "traversals._path_checks",
+    ),
+    **dict.fromkeys(
+        ["find_reversal_symmetry", "squared_definition", "iter_squared_path", "squared_path"],
+        "traversals._squaring",
+    ),
+}
+
+
+def test_moved_names_stay_listed_and_resolve_to_their_defining_module():
+    # In a fresh process: dir() lists every name before any is resolved,
+    # and each resolves to the object its defining module holds.
+    script = (
+        "import sys\n"
+        "from traversals import analysis, engine\n"
+        "print([sorted(set(m.__all__) - set(dir(m))) for m in (analysis, engine)])\n"
+        + _PRINT_LOADED
+        + "homes = {}\n"
+        "for m in (analysis, engine):\n"
+        "    for name in m.__all__:\n"
+        "        value = getattr(m, name)\n"
+        "        home = getattr(value, '__module__', m.__name__)\n"
+        "        assert getattr(sys.modules[home], name) is value, name\n"
+        "        if home != m.__name__:\n"
+        "            homes[name] = home\n"
+        "print(sorted(homes.items()))\n"
+    )
+    unlisted, loaded, homes = _fresh_process(script).splitlines()
+    assert unlisted == "[[], []]"
+    assert loaded == "['traversals', 'traversals.analysis', 'traversals.engine', 'traversals.notation']"
+    assert homes == str(sorted(_HOMES.items()))
+
+
+def test_reports_and_paths_survive_a_pickle_round_trip():
+    # Unpickling finds each class where it always was: a report needs
+    # only ``analysis``, a path ``engine``.
+    import pickle
+
+    from traversals import analysis
+
+    path = generate_full_path(generate("z", 2), 2)
+    report = analysis.check_dominance(path, kind="z")
+    for value, module in ((report, "traversals.analysis"), (path, "traversals.engine")):
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+        script = (
+            "import pickle, sys\n"
+            f"value = pickle.loads({pickle.dumps(value)!r})\n"
+            "print(repr(value))\n"
+            + _PRINT_LOADED
+        )
+        text, loaded = _fresh_process(script).splitlines()
+        assert text == repr(value)
+        assert loaded == str(sorted({"traversals", module, "traversals.notation"}))
 
 
 def test_family_commands_load_no_file_machinery_without_site():

@@ -24,7 +24,11 @@ the median and quartiles of each metric, and how many pairs the change
 won.  The metrics and their better direction come from the change tree's
 ``BENCHMARK.json``.  With ``--claim WORKLOAD:METRIC`` the file also says
 whether the claim holds: the change wins at least nine pairs in ten and
-the medians differ by more than the base's interquartile range.  With
+the medians differ by more than the base's interquartile range.  A
+claim does not hold when a run of either side failed, and a claim whose
+workload is not in ``--pairs`` or whose metric is not an end-to-end
+metric of ``BENCHMARK.json`` stops the script with exit status 2 before
+any run.  With
 ``--traced`` it adds one traced pass (``--trace 1``) per workload and side.
 As context, not gated, it records the wall time of the Tier-1 suite
 (the ROADMAP command) ``TIER1_RUNS`` times per tree, the side that runs
@@ -160,7 +164,9 @@ def summarise(pairs: list[dict], better: dict) -> dict:
 
 
 def claim_verdict(summary: dict, metric: str) -> dict:
-    s = summary[metric]
+    s = summary.get(metric)
+    if s is None:  # summarise leaves out a metric that a failed run lacks
+        return {"holds": False, "reason": "a run failed, so the pairs cannot be compared"}
     gap = s["base"]["median"] - s["change"]["median"]
     if s["better"] == "higher":
         gap = -gap
@@ -198,6 +204,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    claimed, _, metric = (args.claim or "").partition(":")
+    if args.claim and (claimed not in dict(args.pairs) or metric not in better):
+        print(f"bench_pairs: --claim {args.claim} needs a workload of --pairs and an "
+              f"end-to-end metric of BENCHMARK.json ({', '.join(better)})", file=sys.stderr)
+        return 2
 
     doc = {
         "environment": environment(),
@@ -224,9 +235,8 @@ def main(argv: list[str] | None = None) -> int:
                 side: run_bench(trees[side], workload, args.seed, TRACED_SECONDS, 1) for side in SIDES
             }
     if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        doc["claim"] = {"workload": workload, "metric": metric}
-        doc["claim"] |= claim_verdict(doc["workloads"][workload]["summary"], metric)
+        doc["claim"] = {"workload": claimed, "metric": metric}
+        doc["claim"] |= claim_verdict(doc["workloads"][claimed]["summary"], metric)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
